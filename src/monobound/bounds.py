@@ -119,22 +119,40 @@ def _require_weakly_decreasing(g: MonotoneFunction, op: str) -> None:
     raise NonMonotoneFunction(f"{op} requires a monotone function", witness=verdict.witness)
 
 
+def _weighted_sum(widths: np.ndarray, vals: np.ndarray) -> float:
+    return math.fsum((widths * vals).tolist())
+
+
+def _abel_terms(bps: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """S_i * (g(S_i) - g(S_{i+1})) for i = 1..n-1, from vals = g(S_1..S_n)."""
+    return bps[1:-1] * (vals[:-1] - vals[1:])
+
+
+def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
+    terms = _abel_terms(bps, vals).tolist()
+    terms.append(float(vals[-1]))
+    return math.fsum(terms)
+
+
+def _gap_bound(g, widths: np.ndarray) -> float:
+    ends = g.values(np.array([0.0, 1.0]))
+    return (float(ends[0]) - float(ends[1])) * float(widths.max())
+
+
 def riemann_sum_right(g, p: CumulativePartition) -> float:
     """sum_i (S_i - S_{i-1}) * g(S_i), compensated, in index order.
 
     A plain sum with no monotonicity hypothesis; it is a lower bound of the
     integral only when g is decreasing.
     """
-    bps = np.asarray(p.breakpoints)
-    vals = g.values(bps[1:])
-    return math.fsum((np.diff(bps) * vals).tolist())
+    bps = p.array
+    return _weighted_sum(np.diff(bps), g.values(bps[1:]))
 
 
 def riemann_sum_left(g, p: CumulativePartition) -> float:
     """sum_i (S_i - S_{i-1}) * g(S_{i-1}); over-estimates for decreasing g."""
-    bps = np.asarray(p.breakpoints)
-    vals = g.values(bps[:-1])
-    return math.fsum((np.diff(bps) * vals).tolist())
+    bps = p.array
+    return _weighted_sum(np.diff(bps), g.values(bps[:-1]))
 
 
 def abel_terms(g, p: CumulativePartition) -> list[float]:
@@ -143,9 +161,8 @@ def abel_terms(g, p: CumulativePartition) -> list[float]:
     Each is non-negative when g is decreasing, which is the discrete
     reason the right sum cannot exceed the integral.
     """
-    bps = p.breakpoints
-    vals = g.values(np.asarray(bps[1:]))
-    return [bps[i] * (float(vals[i - 1]) - float(vals[i])) for i in range(1, p.n)]
+    bps = p.array
+    return _abel_terms(bps, g.values(bps[1:])).tolist()
 
 
 def abel_sum(g, p: CumulativePartition) -> float:
@@ -154,11 +171,8 @@ def abel_sum(g, p: CumulativePartition) -> float:
     Evaluated in this literal form, not by reduction to the direct sum, so
     agreement with :func:`riemann_sum_right` is a real cross-check.
     """
-    bps = p.breakpoints
-    vals = g.values(np.asarray(bps[1:]))
-    terms = [float(vals[-1])]
-    terms += [bps[i] * (float(vals[i - 1]) - float(vals[i])) for i in range(1, p.n)]
-    return math.fsum(terms)
+    bps = p.array
+    return _abel_value(bps, g.values(bps[1:]))
 
 
 def gap_bound(g, p: CumulativePartition) -> float:
@@ -170,8 +184,7 @@ def gap_bound(g, p: CumulativePartition) -> float:
     """
     if isinstance(g, MonotoneFunction):
         _require_weakly_decreasing(g, "gap_bound")
-    ends = g.values(np.array([0.0, 1.0]))
-    return (float(ends[0]) - float(ends[1])) * max(p.widths())
+    return _gap_bound(g, np.diff(p.array))
 
 
 def bound_report(
@@ -179,10 +192,13 @@ def bound_report(
 ) -> BoundReport:
     """Full report: T_n, integral, gap, gap bound, Abel value, strictness.
 
-    The integral comes from the closed form when the catalog knows one,
-    otherwise from adaptive quadrature at ``tol``.  Raises
-    NonMonotoneFunction for functions that rise and fall, and propagates
-    ToleranceNotReached from the quadrature fallback.
+    g is evaluated once at S_1..S_n; the direct sum and the Abel route
+    both use those values, so ``evaluation_count`` is n + 2 (the ends for
+    the gap bound) plus any quadrature evaluations.  The integral comes
+    from the closed form when the catalog knows one, otherwise from
+    adaptive quadrature at ``tol``.  Raises NonMonotoneFunction for
+    functions that rise and fall, and propagates ToleranceNotReached from
+    the quadrature fallback.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -193,8 +209,11 @@ def bound_report(
         )
 
     counter = _CountingFunction(g)
-    t_n = riemann_sum_right(counter, p)
-    abel_value = abel_sum(counter, p)
+    bps = p.array
+    widths = np.diff(bps)
+    vals = counter.values(bps[1:])
+    t_n = _weighted_sum(widths, vals)
+    abel_value = _abel_value(bps, vals)
 
     if g.closed_form_integral is not None:
         integral, source = g.closed_form_integral, "closed_form"
@@ -202,9 +221,7 @@ def bound_report(
         integral = adaptive_quadrature(counter.scalar, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
         source = "quadrature"
 
-    ends = counter.values(np.array([0.0, 1.0]))
-    mesh = max(p.widths())
-    bound = (float(ends[0]) - float(ends[1])) * mesh
+    bound = _gap_bound(counter, widths)
 
     gap = integral - t_n
     signed_gap = gap if g.direction != INCREASING else -gap

@@ -4,7 +4,7 @@ Grammar:
 
     monobound <command> [--weights FILE | --uniform N] [--fn SPEC]
                         [--density SPEC] [--x FILE] [--y FILE]
-                        [--tol X] [--depth D] [--json] [--seed S]
+                        [--tol X] [--depth D] [--json]
 
 Commands: bound, enclose, abel, transform-check, majorize, karamata,
 refine, catalog.  Weight and vector files are CSV (one value per line or
@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 from . import functions, transform
 from .bounds import (
+    DEFAULT_QUAD_TOL,
     IDENTITY_TOL,
     abel_sum,
     abel_terms,
@@ -54,7 +55,6 @@ from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 
-DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_DEPTH = 3
 
@@ -99,7 +99,6 @@ class RunConfig:
     tol: float | None = None
     depth: int = DEFAULT_DEPTH
     output_format: str = "text"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.tol is not None and not self.tol > 0.0:
@@ -488,7 +487,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tol", type=float, metavar="X", help="tolerance (default 1e-10; 1e-8 for transform-check)")
         p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="D", help="bisection depth for refine")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--seed", type=int, metavar="S", help="seed for randomized helpers")
     return parser
 
 
@@ -505,7 +503,6 @@ def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
         tol=ns.tol,
         depth=ns.depth,
         output_format="json" if ns.json else "text",
-        seed=ns.seed,
     )
 
 

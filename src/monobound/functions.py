@@ -99,7 +99,7 @@ def exponential(lam: float) -> MonotoneFunction:
         direction=DECREASING,
         strictly_monotone=True,
         formula=f"exp(-{lam:g}*x)",
-        closed_form_integral=(1.0 - math.exp(-lam)) / lam,
+        closed_form_integral=-math.expm1(-lam) / lam,
         params=(("lambda", lam),),
         _fn=lambda x: np.exp(-lam * x),
     )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._summation import running_totals
+from ._summation import compensated_prefix_sums
 from .errors import LengthMismatch, NotConvex, NotMajorized
 from .partitions import WeightVector
 
@@ -99,9 +99,9 @@ def is_majorized(
         raise LengthMismatch(xv.n, yv.n)
     xs = sorted(xv.entries, reverse=True)
     ys = sorted(yv.entries, reverse=True)
-    px = running_totals(xs)
-    py = running_totals(ys)
-    margins = tuple(b - a for a, b in zip(px, py))
+    px = compensated_prefix_sums(xs)[1:]
+    py = compensated_prefix_sums(ys)[1:]
+    margins = tuple((py - px).tolist())
 
     if abs(margins[-1]) > tol:
         return MajorizationVerdict(TOTAL_MISMATCH, margins)

@@ -5,9 +5,12 @@ totals S_i = a_1 + ... + a_i form the strictly increasing breakpoints
 
     0 = S_0 < S_1 < ... < S_n = 1,
 
-computed with compensated summation so the partition is reproducible bit
-for bit and accurate to ~1 ulp per breakpoint even for thousands of
-weights.  All types are immutable and all operations are pure functions.
+computed as a compensated prefix sum (Neumaier's rounding at every step,
+evaluated with whole-array operations) so the partition is reproducible bit
+for bit and accurate to ~1 ulp per breakpoint even for millions of
+weights.  Each type holds one read-only float64 array; the tuple views
+``weights``, ``breakpoints`` and ``widths()`` are built when asked for.
+All types are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._summation import running_totals
+import numpy as np
+
+from ._summation import compensated_prefix_sums
 from .errors import EmptyInput, NonPositiveWeight, PointOutsideInterval, SumOutOfTolerance
 
 #: Accepted deviation of an un-normalized weight sum from 1.
@@ -25,34 +30,75 @@ SUM_TOLERANCE = 1e-9
 NORMALIZED_SUM_TOLERANCE = 1e-15
 
 
-@dataclass(frozen=True)
-class WeightVector:
+def _float_array(values: Iterable[float]) -> np.ndarray:
+    """A new one-dimensional float64 array holding ``values`` (any iterable)."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    a = np.array(values, dtype=float)
+    if a.ndim != 1:
+        raise TypeError(f"expected a flat sequence of numbers, got shape {a.shape}")
+    return a
+
+
+def _check_positive(a: np.ndarray) -> None:
+    """Raise NonPositiveWeight for the first entry that is not finite and > 0."""
+    bad = ~(np.isfinite(a) & (a > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonPositiveWeight(i, float(a[i]))
+
+
+class _ArrayBacked:
+    """Equality, hashing and the read-only array shared by both types."""
+
+    array: np.ndarray
+
+    def _freeze(self, a: np.ndarray) -> None:
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        # the tuple's hash, so -0.0 and 0.0 hash alike as they compare equal
+        return hash(tuple(self.array.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightVector(_ArrayBacked):
     """Positive weights summing to 1 within :data:`SUM_TOLERANCE`."""
 
-    weights: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.weights) == 0:
+        a = _float_array(self.array)
+        if a.size == 0:
             raise EmptyInput("weight vector")
-        for i, w in enumerate(self.weights):
-            if not (math.isfinite(w) and w > 0.0):
-                raise NonPositiveWeight(i, w)
-        total = math.fsum(self.weights)
+        _check_positive(a)
+        total = math.fsum(a.tolist())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumOutOfTolerance(total, SUM_TOLERANCE)
+        self._freeze(a)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return self.array.size
 
     @property
     def mesh(self) -> float:
         """Largest weight, i.e. the widest interval of the partition."""
-        return max(self.weights)
+        return float(self.array.max())
 
 
-@dataclass(frozen=True)
-class CumulativePartition:
+@dataclass(frozen=True, eq=False)
+class CumulativePartition(_ArrayBacked):
     """Breakpoints 0 = S_0 < S_1 < ... < S_n = 1.
 
     A final breakpoint within :data:`SUM_TOLERANCE` of 1 is snapped to
@@ -60,35 +106,39 @@ class CumulativePartition:
     at the right endpoint are evaluated there exactly.
     """
 
-    breakpoints: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        bps = self.breakpoints
-        if len(bps) < 2:
+        bps = _float_array(self.array)
+        if bps.size < 2:
             raise ValueError("a partition needs at least the two endpoints")
         if bps[0] != 0.0:
-            raise ValueError(f"first breakpoint must be exactly 0.0, got {bps[0]!r}")
+            raise ValueError(f"first breakpoint must be exactly 0.0, got {float(bps[0])!r}")
         if bps[-1] != 1.0:
             if abs(bps[-1] - 1.0) > SUM_TOLERANCE:
-                raise ValueError(f"last breakpoint {bps[-1]!r} is not within {SUM_TOLERANCE:g} of 1")
-            object.__setattr__(self, "breakpoints", bps[:-1] + (1.0,))
-            bps = self.breakpoints
-        for i in range(1, len(bps)):
-            if not bps[i] > bps[i - 1]:
-                raise ValueError(
-                    f"breakpoints must be strictly increasing; "
-                    f"S_{i - 1}={bps[i - 1]!r} >= S_{i}={bps[i]!r}"
-                )
+                raise ValueError(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
+            bps[-1] = 1.0
+        bad = ~(bps[1:] > bps[:-1])
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise ValueError(
+                f"breakpoints must be strictly increasing; "
+                f"S_{i - 1}={float(bps[i - 1])!r} >= S_{i}={float(bps[i])!r}"
+            )
+        self._freeze(bps)
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
         """Number of intervals."""
-        return len(self.breakpoints) - 1
+        return self.array.size - 1
 
     def widths(self) -> tuple[float, ...]:
         """Interval widths S_i - S_{i-1}."""
-        bps = self.breakpoints
-        return tuple(bps[i] - bps[i - 1] for i in range(1, len(bps)))
+        return tuple(np.diff(self.array).tolist())
 
 
 @dataclass(frozen=True)
@@ -113,28 +163,23 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     any positive weights are accepted and divided by their compensated sum,
     leaving a sum within 1e-15 of 1.
     """
-    seq = [float(w) for w in weights]
-    if not seq:
+    a = _float_array(weights)
+    if a.size == 0:
         raise EmptyInput("weight list")
-    for i, w in enumerate(seq):
-        if not (math.isfinite(w) and w > 0.0):
-            raise NonPositiveWeight(i, w)
-    total = math.fsum(seq)
     if normalize:
-        seq = [w / total for w in seq]
-    elif abs(total - 1.0) > SUM_TOLERANCE:
-        raise SumOutOfTolerance(total, SUM_TOLERANCE)
-    return WeightVector(tuple(seq))
+        _check_positive(a)
+        a /= math.fsum(a.tolist())
+    return WeightVector(a)
 
 
 def cumulative(w: WeightVector) -> CumulativePartition:
-    """Cumulative partition of ``w`` via running compensated summation."""
-    return CumulativePartition((0.0, *running_totals(w.weights)))
+    """Cumulative partition of ``w`` via a compensated prefix sum."""
+    return CumulativePartition(compensated_prefix_sums(w.array))
 
 
 def weights_of(p: CumulativePartition) -> WeightVector:
     """Inverse construction: successive differences a_i = S_i - S_{i-1}."""
-    return WeightVector(p.widths())
+    return WeightVector(np.diff(p.array))
 
 
 def refine(p: CumulativePartition, plan: RefinementPlan) -> CumulativePartition:
@@ -154,18 +199,27 @@ def uniform_weights(n: int) -> WeightVector:
     """n equal weights 1/n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return WeightVector((1.0 / n,) * n)
+    return WeightVector(np.full(n, 1.0 / n))
 
 
 def bisect_all(p: CumulativePartition) -> CumulativePartition:
-    """Refinement inserting the midpoint of every interval."""
-    bps = p.breakpoints
-    plan = RefinementPlan(
-        tuple((i, 0.5 * (bps[i - 1] + bps[i])) for i in range(1, p.n + 1))
-    )
-    return refine(p, plan)
+    """Refinement inserting the midpoint of every interval.
+
+    Raises PointOutsideInterval for the first interval whose midpoint
+    rounds onto one of its ends (an interval between adjacent floats).
+    """
+    bps = p.array
+    mids = 0.5 * (bps[:-1] + bps[1:])
+    bad = ~((bps[:-1] < mids) & (mids < bps[1:]))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PointOutsideInterval(i + 1, float(mids[i]))
+    out = np.empty(2 * bps.size - 1)
+    out[0::2] = bps
+    out[1::2] = mids
+    return CumulativePartition(out)
 
 
 def partition_from_sequence(breakpoints: Sequence[float]) -> CumulativePartition:
     """Partition from raw breakpoints (must start at 0 and end at 1)."""
-    return CumulativePartition(tuple(float(b) for b in breakpoints))
+    return CumulativePartition(breakpoints)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._summation import running_totals
+from ._summation import compensated_prefix_sums
 from .bounds import DEFAULT_QUAD_TOL, IDENTITY_TOL, riemann_sum_right
 from .errors import DomainViolation, EmptyInput, LengthMismatch, NonMonotoneFunction, NotNormalized
 from .functions import CONSTANT, DECREASING, MonotoneFunction, quadrature_integral
@@ -229,8 +229,7 @@ def cdf_of(f: Density) -> CDF:
     elif f.kind == "tabulated":
         xa = np.array((0.0,) + f.kinks + (1.0,))
         fa = f.values(xa)
-        areas = (np.diff(xa) * (fa[:-1] + fa[1:]) / 2.0).tolist()
-        table = np.array([0.0, *running_totals(areas)])
+        table = compensated_prefix_sums(np.diff(xa) * (fa[:-1] + fa[1:]) / 2.0)
         table[-1] = 1.0
 
         def fn(x, _xa=xa, _fa=fa, _table=table):

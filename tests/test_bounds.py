@@ -126,6 +126,12 @@ class TestBoundReport:
         assert r.evaluation_count > 0
         assert r.invariant_violations() == []
 
+    @pytest.mark.parametrize("n", [1, 3, 10, 1000])
+    def test_g_evaluated_once_per_breakpoint(self, n):
+        # S_1..S_n once, shared by the direct and Abel routes, plus g(0), g(1)
+        r = bound_report(reciprocal(), cumulative(uniform_weights(n)))
+        assert r.evaluation_count == n + 2
+
     def test_constant_equality_case(self):
         r = bound_report(constant(3.0), worked_partition())
         assert abs(r.gap) <= 1e-14

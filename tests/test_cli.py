@@ -95,6 +95,14 @@ class TestBound:
         assert got["integral"] == pytest.approx(0.5, abs=1e-9)
 
 
+    def test_tiny_exponential_rate_is_not_an_invariant_violation(self, capsys):
+        code, out, err = run(capsys, "bound", "--uniform", "10", "--fn", "exp:lambda=1e-9", "--json")
+        assert code == 0, err
+        got = json.loads(out)
+        assert got["gap"] >= 0.0
+        assert got["gap"] <= got["gap_bound"] + 1e-12
+
+
 class TestEnclose:
     def test_decreasing_bracket(self, capsys, worked_weights):
         code, out, _ = run(capsys, "enclose", "--weights", worked_weights, "--fn", "power:k=2", "--json")

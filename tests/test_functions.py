@@ -71,6 +71,15 @@ class TestClosedForm:
         assert g.closed_form_integral == pytest.approx(0.6321205588, abs=1e-10)
         assert g.closed_form_integral == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("lam", [1e-5, 1e-9, 1e-12])
+    def test_exponential_small_lambda_does_not_cancel(self, lam):
+        # (1 - e^-lam)/lam = 1 - lam/2 + lam^2/6 - lam^3/24 + ...
+        expected = 1.0 - lam / 2.0 + lam**2 / 6.0 - lam**3 / 24.0
+        assert exponential(lam).closed_form_integral == pytest.approx(expected, rel=4e-16)
+
+    def test_exponential_tiny_lambda_integral_is_one(self):
+        assert exponential(1e-17).closed_form_integral == 1.0
+
     def test_linear(self):
         assert linear(-1, 1).closed_form_integral == 0.5
 

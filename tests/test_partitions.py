@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +56,18 @@ class TestFromWeights:
             from_weights([0.5, 0.6])
         # inside the 1e-9 band is fine
         from_weights([0.5, 0.5 + 5e-10])
+
+    def test_accepts_list_tuple_generator_and_array(self):
+        expected = (0.2, 0.3, 0.5)
+        assert from_weights([0.2, 0.3, 0.5]).weights == expected
+        assert from_weights((0.2, 0.3, 0.5)).weights == expected
+        assert from_weights(w for w in [0.2, 0.3, 0.5]).weights == expected
+        assert from_weights(np.array([0.2, 0.3, 0.5])).weights == expected
+        assert from_weights(iter([2, 3, 5]), normalize=True).weights == expected
+
+    def test_nested_input_rejected(self):
+        with pytest.raises(TypeError):
+            from_weights([[0.5, 0.5]])
 
     @given(weight_lists)
     def test_normalized_sum_is_tight(self, raw):
@@ -184,6 +197,38 @@ class TestPartitionValidation:
         assert all(abs(a - b) <= 1e-12 for a, b in zip(p.widths(), w.weights))
 
 
+class TestArrayStorage:
+    def test_views_are_tuples_of_python_floats(self):
+        w = from_weights(np.array([0.2, 0.3, 0.5]))
+        p = cumulative(w)
+        for view in (w.weights, p.breakpoints, p.widths()):
+            assert type(view) is tuple
+            assert all(type(x) is float for x in view)
+
+    def test_array_is_read_only_and_owned(self):
+        source = np.array([0.2, 0.3, 0.5])
+        w = from_weights(source)
+        source[0] = 0.9
+        assert w.weights == (0.2, 0.3, 0.5)
+        p = cumulative(w)
+        for a in (w.array, p.array):
+            assert a.dtype == np.float64
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_equality_and_hash_follow_the_values(self):
+        a = from_weights([0.2, 0.3, 0.5])
+        b = WeightVector((0.2, 0.3, 0.5))
+        assert a == b and hash(a) == hash(b)
+        assert a != from_weights([0.5, 0.3, 0.2])
+        assert a != from_weights([0.5, 0.5])
+        p = cumulative(a)
+        assert p == partition_from_sequence([0.0, 0.2, 0.5, 1.0])
+        assert hash(p) == hash(partition_from_sequence([0.0, 0.2, 0.5, 1.0]))
+        assert p != cumulative(from_weights([0.25] * 4))
+        assert a != p and a != a.weights
+
+
 class TestHelpers:
     def test_uniform_weights(self):
         assert uniform_weights(4).weights == (0.25,) * 4
@@ -198,3 +243,16 @@ class TestHelpers:
         q = bisect_all(p)
         assert q.n == 2 * p.n
         assert set(p.breakpoints) <= set(q.breakpoints)
+
+    def test_bisect_all_interleaves_midpoints(self):
+        q = bisect_all(partition_from_sequence([0.0, 0.2, 0.5, 1.0]))
+        assert q.breakpoints == (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+
+    def test_bisect_all_between_adjacent_floats_raises(self):
+        # the midpoint of [0.5, nextafter(0.5)] rounds onto 0.5
+        hi = float(np.nextafter(0.5, 1.0))
+        p = partition_from_sequence([0.0, 0.25, 0.5, hi, 1.0])
+        with pytest.raises(PointOutsideInterval) as info:
+            bisect_all(p)
+        assert info.value.index == 3
+        assert info.value.value == 0.5
