@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMonotoneFunction
-from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, probe_monotonicity
+from .functions import INCREASING, MonotoneFunction, integral_of, require_monotone
 from .partitions import CumulativePartition, bisect_all
-from .quadrature import adaptive_quadrature
 
 #: Default absolute tolerance for quadrature fallbacks.
 DEFAULT_QUAD_TOL = 1e-10
@@ -91,32 +89,6 @@ class BoundReport:
         if signed_gap > signed_bound + IDENTITY_TOL:
             out.append(f"gap {self.gap!r} exceeds its bound {self.gap_bound!r}")
         return out
-
-
-class _CountingFunction:
-    """Forwards evaluations to g while counting how many points were used."""
-
-    def __init__(self, g: MonotoneFunction):
-        self._g = g
-        self.count = 0
-
-    def values(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        self.count += xs.size
-        return self._g.values(xs)
-
-    def scalar(self, x: float) -> float:
-        self.count += 1
-        return float(self._g._fn(x))
-
-
-def _require_weakly_decreasing(g: MonotoneFunction, op: str) -> None:
-    if g.direction in (DECREASING, CONSTANT):
-        return
-    if g.direction == INCREASING:
-        raise NonMonotoneFunction(f"{op} requires a decreasing function; got an increasing one")
-    verdict = probe_monotonicity(g)
-    raise NonMonotoneFunction(f"{op} requires a monotone function", witness=verdict.witness)
 
 
 def _weighted_sum(widths: np.ndarray, vals: np.ndarray) -> float:
@@ -183,7 +155,7 @@ def gap_bound(g, p: CumulativePartition) -> float:
     Requires g decreasing (constant gives 0).
     """
     if isinstance(g, MonotoneFunction):
-        _require_weakly_decreasing(g, "gap_bound")
+        require_monotone(g, "gap_bound", decreasing=True)
     return _gap_bound(g, np.diff(p.array))
 
 
@@ -200,28 +172,17 @@ def bound_report(
     functions that rise and fall, and propagates ToleranceNotReached from
     the quadrature fallback.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if g.direction not in (DECREASING, CONSTANT, INCREASING):
-        verdict = probe_monotonicity(g)
-        raise NonMonotoneFunction(
-            "bound_report requires a monotone function", witness=verdict.witness
-        )
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    require_monotone(g, "bound_report")
 
-    counter = _CountingFunction(g)
     bps = p.array
     widths = np.diff(bps)
-    vals = counter.values(bps[1:])
+    vals = g.values(bps[1:])
     t_n = _weighted_sum(widths, vals)
     abel_value = _abel_value(bps, vals)
-
-    if g.closed_form_integral is not None:
-        integral, source = g.closed_form_integral, "closed_form"
-    else:
-        integral = adaptive_quadrature(counter.scalar, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
-        source = "quadrature"
-
-    bound = _gap_bound(counter, widths)
+    integral, source, quad_evals = integral_of(g, tol)
+    bound = _gap_bound(g, widths)
 
     gap = integral - t_n
     signed_gap = gap if g.direction != INCREASING else -gap
@@ -242,7 +203,7 @@ def bound_report(
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
-        evaluation_count=counter.count,
+        evaluation_count=p.n + 2 + quad_evals,
     )
 
 
@@ -255,7 +216,7 @@ def refinement_chain(g: MonotoneFunction, p: CumulativePartition, depth: int) ->
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    _require_weakly_decreasing(g, "refinement_chain")
+    require_monotone(g, "refinement_chain", decreasing=True)
     values = [riemann_sum_right(g, p)]
     current = p
     for _ in range(depth):

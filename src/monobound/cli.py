@@ -42,15 +42,8 @@ from .bounds import (
     riemann_sum_left,
     riemann_sum_right,
 )
-from .errors import MonoboundError, NonMonotoneFunction
-from .functions import (
-    CONSTANT,
-    DECREASING,
-    INCREASING,
-    MonotoneFunction,
-    probe_monotonicity,
-    quadrature_integral,
-)
+from .errors import MonoboundError
+from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, integral_of, require_monotone
 from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
@@ -101,8 +94,8 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.tol is not None and not self.tol > 0.0:
-            raise CliParseError(f"--tol must be positive, got {self.tol!r}")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise CliParseError(f"--tol must be positive and finite, got {self.tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +290,6 @@ def _weights_from(config: RunConfig) -> WeightVector:
     return from_weights(read_vector_file(config.weights_path))
 
 
-def _integral_of(g: MonotoneFunction, tol: float) -> tuple[float, str]:
-    if g.closed_form_integral is not None:
-        return g.closed_form_integral, "closed_form"
-    return quadrature_integral(g, tol), "quadrature"
-
-
 def cmd_bound(config: RunConfig) -> _CmdResult:
     g = parse_fn_spec(_require(config.fn_spec, "--fn"))
     p = cumulative(_weights_from(config))
@@ -314,15 +301,11 @@ def cmd_bound(config: RunConfig) -> _CmdResult:
 def cmd_enclose(config: RunConfig) -> _CmdResult:
     g = parse_fn_spec(_require(config.fn_spec, "--fn"))
     p = cumulative(_weights_from(config))
-    if g.direction not in (DECREASING, CONSTANT, INCREASING):
-        verdict = probe_monotonicity(g)
-        raise NonMonotoneFunction(
-            "enclose requires a monotone function", witness=verdict.witness
-        )
+    require_monotone(g, "enclose")
     tol = config.tol or DEFAULT_QUAD_TOL
     right = riemann_sum_right(g, p)
     left = riemann_sum_left(g, p)
-    integral, source = _integral_of(g, tol)
+    integral, source, _ = integral_of(g, tol)
     lower, upper = (left, right) if g.direction == INCREASING else (right, left)
     slack = IDENTITY_TOL * max(1.0, abs(integral)) + tol
     contains = lower - slack <= integral <= upper + slack
@@ -413,7 +396,7 @@ def cmd_refine(config: RunConfig) -> _CmdResult:
         raise CliParseError(f"--depth must be >= 1, got {config.depth}")
     tol = config.tol or DEFAULT_QUAD_TOL
     values = refinement_chain(g, p, config.depth)
-    integral, source = _integral_of(g, tol)
+    integral, source, _ = integral_of(g, tol)
     rows = [
         {"n": p.n * 2**k, "t_n": v, "gap": integral - v}
         for k, v in enumerate(values)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, NonMonotoneFunction
 from .quadrature import adaptive_quadrature
 
 #: Differences smaller than this are treated as ties by the probe.
@@ -187,42 +187,48 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     y-differences; knot data that rises and falls yields a function whose
     direction is "non_monotone", which bound operations reject.
     """
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 2:
-        raise ValueError("tabulated function needs at least 2 knots")
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    if xs[0] != 0.0 or xs[-1] != 1.0:
-        raise ValueError("tabulated knots must span [0, 1] exactly")
-    for i in range(1, len(xs)):
-        if not xs[i] > xs[i - 1]:
-            raise ValueError(f"knot x-values must be strictly increasing at index {i}")
-    if not all(math.isfinite(y) for y in ys):
-        raise ValueError("knot y-values must be finite")
-
-    diffs = [ys[i + 1] - ys[i] for i in range(len(ys) - 1)]
-    has_up = any(d > 0.0 for d in diffs)
-    has_down = any(d < 0.0 for d in diffs)
-    if has_up and has_down:
+    xs, ys = knot_arrays(points, "tabulated function")
+    diffs = np.diff(ys)
+    up, down = diffs > 0.0, diffs < 0.0
+    if up.any() and down.any():
         direction, strict = NON_MONOTONE, False
-    elif has_down:
-        direction, strict = DECREASING, all(d < 0.0 for d in diffs)
-    elif has_up:
-        direction, strict = INCREASING, all(d > 0.0 for d in diffs)
+    elif down.any():
+        direction, strict = DECREASING, bool(down.all())
+    elif up.any():
+        direction, strict = INCREASING, bool(up.all())
     else:
         direction, strict = CONSTANT, False
-
-    xa = np.array(xs)
-    ya = np.array(ys)
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
         strictly_monotone=strict,
-        formula=f"piecewise linear through {len(pts)} knots",
+        formula=f"piecewise linear through {xs.size} knots",
         closed_form_integral=None,
-        kinks=tuple(xs[1:-1]),
-        _fn=lambda x: np.interp(x, xa, ya),
+        kinks=tuple(xs[1:-1].tolist()),
+        _fn=lambda x: np.interp(x, xs, ys),
     )
+
+
+def knot_arrays(points: Sequence[tuple[float, float]], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Knot arrays (xs, ys) from (x, y) pairs; ``what`` names the caller in errors.
+
+    Needs at least 2 knots, x strictly increasing from exactly 0 to exactly
+    1, and finite y.  Both arrays are C-contiguous float64, so ``np.interp``
+    uses them without a copy per call.
+    """
+    pts = np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2)
+    if len(pts) < 2:
+        raise ValueError(f"{what} needs at least 2 knots")
+    xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
+    if xs[0] != 0.0 or xs[-1] != 1.0:
+        raise ValueError(f"{what} knots must span [0, 1] exactly")
+    bad = ~(xs[1:] > xs[:-1])
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise ValueError(f"knot x-values must be strictly increasing at index {i}")
+    if not np.isfinite(ys).all():
+        raise ValueError("knot y-values must be finite")
+    return xs, ys
 
 
 def evaluate(g: MonotoneFunction, x: float) -> float:
@@ -243,6 +249,31 @@ def quadrature_integral(g: MonotoneFunction, tol: float = 1e-10) -> float:
     ToleranceNotReached when the error estimate cannot be certified.
     """
     return adaptive_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
+
+
+def integral_of(g: MonotoneFunction, tol: float) -> tuple[float, str, int]:
+    """(value, source, evaluations of g) of the integral of g over [0, 1].
+
+    The one place that picks the source: the closed form when the catalog
+    knows one (no evaluations), else adaptive quadrature at ``tol``, which
+    propagates ToleranceNotReached.
+    """
+    if g.closed_form_integral is not None:
+        return g.closed_form_integral, "closed_form", 0
+    q = adaptive_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks)
+    return q.value, "quadrature", q.evaluations
+
+
+def require_monotone(g: MonotoneFunction, op: str, decreasing: bool = False) -> None:
+    """Raise NonMonotoneFunction unless g is monotone, and weakly decreasing if asked.
+
+    A function that rises and falls gets the probe's witness pair.
+    """
+    if g.direction == INCREASING and decreasing:
+        raise NonMonotoneFunction(f"{op} requires a decreasing function; got an increasing one")
+    if g.direction not in (DECREASING, CONSTANT, INCREASING):
+        witness = probe_monotonicity(g).witness
+        raise NonMonotoneFunction(f"{op} requires a monotone function", witness=witness)
 
 
 def probe_monotonicity(g: MonotoneFunction, grid_size: int = 101) -> MonotonicityVerdict:

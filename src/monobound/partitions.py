@@ -115,7 +115,7 @@ class CumulativePartition(_ArrayBacked):
         if bps[0] != 0.0:
             raise ValueError(f"first breakpoint must be exactly 0.0, got {float(bps[0])!r}")
         if bps[-1] != 1.0:
-            if abs(bps[-1] - 1.0) > SUM_TOLERANCE:
+            if not abs(bps[-1] - 1.0) <= SUM_TOLERANCE:  # NaN fails too
                 raise ValueError(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
             bps[-1] = 1.0
         bad = ~(bps[1:] > bps[:-1])

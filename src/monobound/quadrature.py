@@ -10,6 +10,7 @@ result is deterministic for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,8 +46,8 @@ def adaptive_quadrature(
     Raises ToleranceNotReached when the accumulated error estimate still
     exceeds ``tol`` after the subdivision depth limit.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not b > a:
         raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
 

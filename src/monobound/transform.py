@@ -22,8 +22,8 @@ import numpy as np
 
 from ._summation import compensated_prefix_sums
 from .bounds import DEFAULT_QUAD_TOL, IDENTITY_TOL, riemann_sum_right
-from .errors import DomainViolation, EmptyInput, LengthMismatch, NonMonotoneFunction, NotNormalized
-from .functions import CONSTANT, DECREASING, MonotoneFunction, quadrature_integral
+from .errors import DomainViolation, EmptyInput, LengthMismatch, NotNormalized
+from .functions import MonotoneFunction, integral_of, knot_arrays, require_monotone
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 from .quadrature import adaptive_quadrature
 
@@ -167,30 +167,18 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     Knot values are rescaled so the trapezoid mass is exactly 1; negative
     values are rejected before rescaling.
     """
-    pts = [(float(x), float(y)) for x, y in knots]
-    if len(pts) < 2:
-        raise ValueError("tabulated density needs at least 2 knots")
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    if xs[0] != 0.0 or xs[-1] != 1.0:
-        raise ValueError("tabulated density knots must span [0, 1] exactly")
-    for i in range(1, len(xs)):
-        if not xs[i] > xs[i - 1]:
-            raise ValueError(f"knot x-values must be strictly increasing at index {i}")
-    if any(y < 0.0 or not math.isfinite(y) for y in ys):
+    xs, ys = knot_arrays(knots, "tabulated density")
+    if (ys < 0.0).any():
         raise ValueError("tabulated density values must be finite and nonnegative")
-    mass = math.fsum(
-        (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)
-    )
+    mass = math.fsum((np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0).tolist())
     if mass <= 0.0:
         raise NotNormalized(mass)
-    ys = [y / mass for y in ys]
-    xa, ya = np.array(xs), np.array(ys)
+    ys = ys / mass
     d = Density(
         kind="tabulated",
-        formula=f"piecewise linear through {len(pts)} knots (renormalized)",
-        kinks=tuple(xs[1:-1]),
-        _pdf=lambda x: np.interp(x, xa, ya),
+        formula=f"piecewise linear through {xs.size} knots (renormalized)",
+        kinks=tuple(xs[1:-1].tolist()),
+        _pdf=lambda x: np.interp(x, xs, ys),
     )
     _check_density(d._pdf, d.kinks)
     return d
@@ -252,8 +240,8 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
     The check is numerical: a passing report certifies the residual, not
     the identity in the abstract.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     F = cdf_of(f)
     pdf, cdf_fn, gfn = f._pdf, F._fn, g._fn
     lhs = adaptive_quadrature(
@@ -263,10 +251,7 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
         tol=tol / 2.0,
         breakpoints=f.kinks,
     ).value
-    if g.closed_form_integral is not None:
-        rhs = g.closed_form_integral
-    else:
-        rhs = quadrature_integral(g, tol / 2.0)
+    rhs = integral_of(g, tol / 2.0)[0]
     residual = abs(lhs - rhs)
     return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=tol, passed=residual <= tol)
 
@@ -297,12 +282,7 @@ def expectation_upper_bound(
     For decreasing g the cumulative-sum estimate sum_i a_i g(S_i) can never
     exceed the expectation; ``holds`` records the verified comparison.
     """
-    if g.direction not in (DECREASING, CONSTANT):
-        raise NonMonotoneFunction("expectation_upper_bound requires a decreasing function")
-    p = cumulative(w)
-    s = riemann_sum_right(g, p)
-    if g.closed_form_integral is not None:
-        e = g.closed_form_integral
-    else:
-        e = quadrature_integral(g, tol)
+    require_monotone(g, "expectation_upper_bound", decreasing=True)
+    s = riemann_sum_right(g, cumulative(w))
+    e = integral_of(g, tol)[0]
     return ExpectationBound(expectation=e, discrete_sum=s, holds=s <= e + IDENTITY_TOL)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monobound.bounds import (
+    DEFAULT_QUAD_TOL,
     BoundReport,
     abel_sum,
     abel_terms,
@@ -27,6 +28,7 @@ from monobound.functions import (
     tabulated,
     trigonometric,
 )
+from monobound.quadrature import adaptive_quadrature
 from monobound.partitions import (
     RefinementPlan,
     cumulative,
@@ -132,6 +134,13 @@ class TestBoundReport:
         r = bound_report(reciprocal(), cumulative(uniform_weights(n)))
         assert r.evaluation_count == n + 2
 
+    def test_quadrature_evaluations_are_counted(self):
+        g = tabulated([(0.0, 2.0), (0.3, 1.0), (0.8, 0.9), (1.0, 0.1)])
+        p = cumulative(uniform_weights(7))
+        q = adaptive_quadrature(g._fn, 0.0, 1.0, tol=DEFAULT_QUAD_TOL, breakpoints=g.kinks)
+        assert q.evaluations > 0
+        assert bound_report(g, p).evaluation_count == p.n + 2 + q.evaluations
+
     def test_constant_equality_case(self):
         r = bound_report(constant(3.0), worked_partition())
         assert abs(r.gap) <= 1e-14
@@ -178,6 +187,11 @@ class TestBoundReport:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             bound_report(power_complement(2), worked_partition(), tol=-1e-9)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            bound_report(power_complement(2), worked_partition(), tol=tol)
 
     @given(weight_lists)
     def test_reports_clean_on_random_weights(self, raw):

@@ -344,6 +344,10 @@ class TestExitCodes:
     def test_zero_tol(self, capsys):
         assert run(capsys, "bound", "--uniform", "4", "--fn", "recip", "--tol", "0")[0] == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol(self, capsys, tol):
+        assert run(capsys, "enclose", "--uniform", "4", "--fn", "recip", "--tol", tol)[0] == 1
+
     def test_negative_weight_is_a_domain_error(self, capsys, tmp_path):
         bad = write_vector(tmp_path, "bad.csv", "0.5,-0.1,0.6\n")
         code, _, err = run(capsys, "bound", "--weights", bad, "--fn", "recip")

@@ -183,6 +183,10 @@ class TestPartitionValidation:
         with pytest.raises(ValueError):
             partition_from_sequence([0.0, 0.5, 0.9])
 
+    def test_nan_last_breakpoint_rejected(self):
+        with pytest.raises(ValueError):
+            partition_from_sequence([0.0, 0.5, math.nan])
+
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             partition_from_sequence([0.0, 0.5, 0.5, 1.0])

@@ -66,6 +66,11 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: x, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            adaptive_quadrature(lambda x: x, tol=tol)
+
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: x, a=1.0, b=1.0)

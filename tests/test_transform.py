@@ -11,6 +11,7 @@ from monobound.functions import (
     logarithmic,
     power_complement,
     reciprocal,
+    tabulated,
     trigonometric,
 )
 from monobound.partitions import cumulative
@@ -141,6 +142,10 @@ class TestPitIdentity:
         with pytest.raises(ValueError):
             pit_identity_check(uniform_density(), constant(1.0), 0.0)
 
+    def test_infinite_tolerance(self):
+        with pytest.raises(ValueError):
+            pit_identity_check(uniform_density(), constant(1.0), math.inf)
+
 
 class TestEmpiricalPartition:
     def test_uniform_weighting(self):
@@ -191,3 +196,9 @@ class TestExpectationBound:
         w = empirical_partition([1.0, 2.0])
         with pytest.raises(NonMonotoneFunction):
             expectation_upper_bound(linear(1, 0), w)
+
+    def test_non_monotone_rejected_with_witness(self):
+        g = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
+        with pytest.raises(NonMonotoneFunction) as info:
+            expectation_upper_bound(g, empirical_partition([1.0, 2.0]))
+        assert info.value.witness is not None
