@@ -37,6 +37,7 @@ from .errors import (
     PointOutsideInterval,
     SumOutOfTolerance,
     ToleranceNotReached,
+    TooLarge,
 )
 from .functions import (
     CONSTANT,
@@ -127,6 +128,7 @@ __all__ = [
     "RefinementPlan",
     "SumOutOfTolerance",
     "ToleranceNotReached",
+    "TooLarge",
     "TransformReport",
     "WeightVector",
     "abel_sum",

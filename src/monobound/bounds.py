@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._summation import exact_sum
 from .functions import INCREASING, MonotoneFunction, integral_of, require_monotone
-from .partitions import CumulativePartition, bisect_all
+from .partitions import CumulativePartition, bisect_all, require_within_budget
 
 #: Default absolute tolerance for quadrature fallbacks.
 DEFAULT_QUAD_TOL = 1e-10
@@ -92,7 +93,7 @@ class BoundReport:
 
 
 def _weighted_sum(widths: np.ndarray, vals: np.ndarray) -> float:
-    return math.fsum((widths * vals).tolist())
+    return exact_sum(widths * vals)
 
 
 def _abel_terms(bps: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -101,9 +102,7 @@ def _abel_terms(bps: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
-    terms = _abel_terms(bps, vals).tolist()
-    terms.append(float(vals[-1]))
-    return math.fsum(terms)
+    return exact_sum(np.append(_abel_terms(bps, vals), vals[-1]))
 
 
 def _gap_bound(g, widths: np.ndarray) -> float:
@@ -212,10 +211,12 @@ def refinement_chain(g: MonotoneFunction, p: CumulativePartition, depth: int) ->
 
     The first entry is T_n on p itself.  For decreasing g the sequence is
     non-decreasing and bounded above by the integral: refining can only
-    raise rectangles toward the graph.
+    raise rectangles toward the graph.  Raises TooLarge, before any
+    bisection, when the last partition would exceed MAX_INTERVALS.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    require_within_budget(p.n, depth)
     require_monotone(g, "refinement_chain", decreasing=True)
     values = [riemann_sum_right(g, p)]
     current = p

@@ -15,7 +15,8 @@ comma-separated) or a JSON array.  Function specs: ``power:k=2``,
 for karamata: ``square``, ``expt``, ``abs:c=0.5``, or any function spec.
 
 Exit codes: 0 success, 1 parse error, 2 domain error (bad weights,
-non-monotone function, failed precondition), 3 mathematical-invariant
+non-monotone function, failed precondition, a partition over
+``partitions.MAX_INTERVALS``), 3 mathematical-invariant
 violation.  Code 3 signals a bug in the math, never bad input, so CI can
 tell the two apart.  Results go to standard output, diagnostics to
 standard error.

@@ -49,6 +49,21 @@ class PointOutsideInterval(MonoboundError):
         super().__init__(f"refinement point {value!r} is not interior to interval {index}")
 
 
+class TooLarge(MonoboundError):
+    """A requested partition has more intervals than the library will build.
+
+    Raised before anything is allocated.  The size asked for is
+    ``n * 2**depth``: n intervals bisected ``depth`` times (0: not refined).
+    """
+
+    def __init__(self, n: int, depth: int, limit: int):
+        self.n = n
+        self.depth = depth
+        self.limit = limit
+        size = f"{n}" if depth == 0 else f"{n} x 2^{depth}"
+        super().__init__(f"a partition of {size} intervals exceeds the limit of {limit} intervals")
+
+
 class DomainViolation(MonoboundError):
     """An evaluation point lies outside [0, 1]."""
 

@@ -145,7 +145,10 @@ def karamata_check(
     domain then restricts the entries to [0, 1]).  Convexity is guarded by
     sampled second differences on the hull of all entries; majorization by
     :func:`is_majorized`.  Raises NotMajorized / NotConvex when the
-    hypotheses fail.
+    hypotheses fail.  The sums use :func:`math.fsum` directly, not
+    ``exact_sum``: g is a scalar callable, so its values arrive one at a
+    time from a generator, and collecting them into an array first would
+    only add a copy for the same correctly rounded result.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     verdict = is_majorized(xv, yv)

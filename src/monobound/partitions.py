@@ -15,19 +15,22 @@ All types are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums
-from .errors import EmptyInput, NonPositiveWeight, PointOutsideInterval, SumOutOfTolerance
+from ._summation import compensated_prefix_sums, exact_sum
+from .errors import EmptyInput, NonPositiveWeight, PointOutsideInterval, SumOutOfTolerance, TooLarge
 
 #: Accepted deviation of an un-normalized weight sum from 1.
 SUM_TOLERANCE = 1e-9
 #: Deviation after opt-in normalization (a handful of ulps).
 NORMALIZED_SUM_TOLERANCE = 1e-15
+#: Most intervals a partition built from a size (``uniform_weights``) or by
+#: repeated bisection (``refinement_chain``) may have: 2**27 breakpoints are
+#: 1 GiB of float64, and evaluating and summing over them needs a few more.
+MAX_INTERVALS = 2**27
 
 
 def _float_array(values: Iterable[float]) -> np.ndarray:
@@ -78,7 +81,7 @@ class WeightVector(_ArrayBacked):
         if a.size == 0:
             raise EmptyInput("weight vector")
         _check_positive(a)
-        total = math.fsum(a.tolist())
+        total = exact_sum(a)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumOutOfTolerance(total, SUM_TOLERANCE)
         self._freeze(a)
@@ -168,7 +171,7 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
         raise EmptyInput("weight list")
     if normalize:
         _check_positive(a)
-        a /= math.fsum(a.tolist())
+        a /= exact_sum(a)
     return WeightVector(a)
 
 
@@ -195,10 +198,20 @@ def refine(p: CumulativePartition, plan: RefinementPlan) -> CumulativePartition:
     return CumulativePartition(tuple(sorted(bps + tuple(extra))))
 
 
+def require_within_budget(n: int, depth: int = 0) -> None:
+    """Raise TooLarge if n intervals bisected ``depth`` times exceed MAX_INTERVALS.
+
+    Checked before allocating, and without forming 2**depth for a huge depth.
+    """
+    if depth >= MAX_INTERVALS.bit_length() or n << depth > MAX_INTERVALS:
+        raise TooLarge(n, depth, MAX_INTERVALS)
+
+
 def uniform_weights(n: int) -> WeightVector:
-    """n equal weights 1/n."""
+    """n equal weights 1/n; at most MAX_INTERVALS of them."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    require_within_budget(n)
     return WeightVector(np.full(n, 1.0 / n))
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums
+from ._summation import compensated_prefix_sums, exact_sum
 from .bounds import DEFAULT_QUAD_TOL, IDENTITY_TOL, riemann_sum_right
 from .errors import DomainViolation, EmptyInput, LengthMismatch, NotNormalized
 from .functions import MonotoneFunction, integral_of, knot_arrays, require_monotone
@@ -170,7 +170,7 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     xs, ys = knot_arrays(knots, "tabulated density")
     if (ys < 0.0).any():
         raise ValueError("tabulated density values must be finite and nonnegative")
-    mass = math.fsum((np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0).tolist())
+    mass = exact_sum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)
     if mass <= 0.0:
         raise NotNormalized(mass)
     ys = ys / mass

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -294,6 +295,35 @@ class TestRefine:
         code, _, err = run(capsys, "refine", "--weights", single_weight, "--fn", "recip", "--depth", "0")
         assert code == 1
         assert "error" in err
+
+
+class TestInputBudget:
+    """Oversized inputs exit 2 before anything large is allocated."""
+
+    def run_traced(self, capsys, *argv):
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        return result
+
+    def test_huge_uniform(self, capsys):
+        code, out, err = self.run_traced(capsys, "bound", "--uniform", str(10**12), "--fn", "recip")
+        assert code == 2
+        assert out == ""
+        assert "1000000000000 intervals" in err and "134217728" in err
+
+    def test_deep_refine(self, capsys, tmp_path):
+        weights = write_vector(tmp_path, "ten.csv", "0.1\n" * 10)
+        code, out, err = self.run_traced(
+            capsys, "refine", "--weights", weights, "--fn", "recip", "--depth", "60"
+        )
+        assert code == 2
+        assert out == ""
+        assert "10 x 2^60 intervals" in err and "134217728" in err
 
 
 class TestCatalog:

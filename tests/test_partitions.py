@@ -9,8 +9,10 @@ from monobound.errors import (
     NonPositiveWeight,
     PointOutsideInterval,
     SumOutOfTolerance,
+    TooLarge,
 )
 from monobound.partitions import (
+    MAX_INTERVALS,
     CumulativePartition,
     RefinementPlan,
     WeightVector,
@@ -19,6 +21,7 @@ from monobound.partitions import (
     from_weights,
     partition_from_sequence,
     refine,
+    require_within_budget,
     uniform_weights,
     weights_of,
 )
@@ -238,6 +241,17 @@ class TestHelpers:
         assert uniform_weights(4).weights == (0.25,) * 4
         with pytest.raises(ValueError):
             uniform_weights(0)
+
+    def test_interval_budget_edges(self):
+        with pytest.raises(TooLarge, match="1000000000000 intervals"):
+            uniform_weights(10**12)
+        require_within_budget(MAX_INTERVALS)
+        require_within_budget(1, MAX_INTERVALS.bit_length() - 1)
+        require_within_budget(3, 25)
+        for n, depth in ((MAX_INTERVALS + 1, 0), (1, MAX_INTERVALS.bit_length()), (5, 25), (1, 10**9)):
+            with pytest.raises(TooLarge) as info:
+                require_within_budget(n, depth)
+            assert (info.value.n, info.value.depth, info.value.limit) == (n, depth, MAX_INTERVALS)
 
     def test_mesh_is_max_weight(self):
         assert from_weights([0.2, 0.3, 0.5]).mesh == 0.5
