@@ -38,6 +38,7 @@ from .errors import (
     SumOutOfTolerance,
     ToleranceNotReached,
     TooLarge,
+    WeightBelowResolution,
 )
 from .functions import (
     CONSTANT,
@@ -130,6 +131,7 @@ __all__ = [
     "ToleranceNotReached",
     "TooLarge",
     "TransformReport",
+    "WeightBelowResolution",
     "WeightVector",
     "abel_sum",
     "abel_terms",

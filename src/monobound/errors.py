@@ -40,6 +40,26 @@ class SumOutOfTolerance(MonoboundError):
         )
 
 
+class WeightBelowResolution(MonoboundError):
+    """A weight too small to move the running total it is added to.
+
+    ``index`` is 1-based, as in a_i and S_i: adding a_index to the
+    compensated running total S_(index - 1) left its rounded value where it
+    was, because the weight is below about half an ulp of it, so the
+    breakpoints S_(index - 1) and S_index would coincide.
+    """
+
+    def __init__(self, index: int, value: float, total: float):
+        self.index = index
+        self.value = value
+        self.total = total
+        super().__init__(
+            f"weight a_{index} = {value!r} is too small to move the running total "
+            f"S_{index - 1} = {total!r} (below its rounding resolution), "
+            f"so S_{index - 1} and S_{index} would coincide"
+        )
+
+
 class PointOutsideInterval(MonoboundError):
     """A refinement point does not lie strictly inside its target interval."""
 

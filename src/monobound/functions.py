@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation, NonMonotoneFunction
-from .quadrature import adaptive_quadrature
+from .quadrature import batched_quadrature
 
 #: Differences smaller than this are treated as ties by the probe.
 PROBE_TOLERANCE = 1e-14
@@ -248,7 +248,7 @@ def quadrature_integral(g: MonotoneFunction, tol: float = 1e-10) -> float:
     for every catalog member, which the test suite cross-checks.  Raises
     ToleranceNotReached when the error estimate cannot be certified.
     """
-    return adaptive_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
+    return batched_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
 
 
 def integral_of(g: MonotoneFunction, tol: float) -> tuple[float, str, int]:
@@ -260,7 +260,7 @@ def integral_of(g: MonotoneFunction, tol: float) -> tuple[float, str, int]:
     """
     if g.closed_form_integral is not None:
         return g.closed_form_integral, "closed_form", 0
-    q = adaptive_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks)
+    q = batched_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks)
     return q.value, "quadrature", q.evaluations
 
 

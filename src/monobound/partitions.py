@@ -21,7 +21,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import EmptyInput, NonPositiveWeight, PointOutsideInterval, SumOutOfTolerance, TooLarge
+from .errors import (
+    EmptyInput,
+    NonPositiveWeight,
+    PointOutsideInterval,
+    SumOutOfTolerance,
+    TooLarge,
+    WeightBelowResolution,
+)
 
 #: Accepted deviation of an un-normalized weight sum from 1.
 SUM_TOLERANCE = 1e-9
@@ -176,8 +183,23 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
 
 
 def cumulative(w: WeightVector) -> CumulativePartition:
-    """Cumulative partition of ``w`` via a compensated prefix sum."""
-    return CumulativePartition(compensated_prefix_sums(w.array))
+    """Cumulative partition of ``w`` via a compensated prefix sum.
+
+    Raises WeightBelowResolution, naming the first weight a_i, when a
+    weight too small to move the running total leaves two breakpoints
+    equal.
+    """
+    s = compensated_prefix_sums(w.array)
+    try:
+        return CumulativePartition(s)
+    except ValueError:
+        # the partition's own check failed; blame a weight only if one was
+        # lost (a failure the snap of S_n to 1.0 causes stays as it was)
+        lost = np.flatnonzero(~(s[1:] > s[:-1]))
+        if lost.size == 0:
+            raise
+        i = int(lost[0]) + 1
+        raise WeightBelowResolution(i, float(w.array[i - 1]), float(s[i - 1])) from None
 
 
 def weights_of(p: CumulativePartition) -> WeightVector:

@@ -25,7 +25,7 @@ from .bounds import DEFAULT_QUAD_TOL, IDENTITY_TOL, riemann_sum_right
 from .errors import DomainViolation, EmptyInput, LengthMismatch, NotNormalized
 from .functions import MonotoneFunction, integral_of, knot_arrays, require_monotone
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
-from .quadrature import adaptive_quadrature
+from .quadrature import batched_quadrature
 
 _MASS_TOLERANCE = 1e-9
 _NONNEG_GRID = 1001
@@ -105,7 +105,7 @@ def _check_density(pdf: Callable, kinks: tuple[float, ...]) -> None:
         i = int(np.argmin(vals))
         raise ValueError(f"density is negative: f({grid[i]!r}) = {vals[i]!r}")
     # unit mass, verified by the quadrature oracle
-    mass = adaptive_quadrature(pdf, 0.0, 1.0, tol=1e-10, breakpoints=kinks).value
+    mass = batched_quadrature(pdf, 0.0, 1.0, tol=1e-10, breakpoints=kinks).value
     if abs(mass - 1.0) > _MASS_TOLERANCE:
         raise NotNormalized(mass)
 
@@ -244,8 +244,8 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     F = cdf_of(f)
     pdf, cdf_fn, gfn = f._pdf, F._fn, g._fn
-    lhs = adaptive_quadrature(
-        lambda x: float(pdf(x)) * float(gfn(cdf_fn(x))),
+    lhs = batched_quadrature(
+        lambda x: pdf(x) * gfn(cdf_fn(x)),
         0.0,
         1.0,
         tol=tol / 2.0,

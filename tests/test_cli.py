@@ -388,6 +388,12 @@ class TestExitCodes:
         bad = write_vector(tmp_path, "bad.csv", "2,3,5\n")
         assert run(capsys, "bound", "--weights", bad, "--fn", "recip")[0] == 2
 
+    def test_weight_below_resolution_is_a_domain_error(self, capsys, tmp_path):
+        weights = write_vector(tmp_path, "w.csv", "1.0,1e-17,1e-17,1e-17\n")
+        code, _, err = run(capsys, "bound", "--weights", weights, "--fn", "recip")
+        assert code == 2
+        assert "domain error" in err and "a_2 = 1e-17" in err
+
     def test_bad_function_parameter_is_a_domain_error(self, capsys):
         assert run(capsys, "bound", "--uniform", "4", "--fn", "power:k=-2")[0] == 2
 

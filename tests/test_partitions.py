@@ -10,6 +10,7 @@ from monobound.errors import (
     PointOutsideInterval,
     SumOutOfTolerance,
     TooLarge,
+    WeightBelowResolution,
 )
 from monobound.partitions import (
     MAX_INTERVALS,
@@ -106,6 +107,28 @@ class TestCumulative:
     def test_deterministic_bit_for_bit(self, raw):
         w = from_weights(raw, normalize=True)
         assert cumulative(w).breakpoints == cumulative(w).breakpoints
+
+    @pytest.mark.parametrize(
+        "raw, index",
+        [([1.0] + [1e-17] * 3, 2), ([0.5, 0.5, 1e-17], 3)],
+        ids=["interior", "last"],
+    )
+    def test_weight_below_resolution_is_named(self, raw, index):
+        # 1e-17 is below half an ulp of 1.0, so S_(index - 1) = S_index = 1.0
+        w = from_weights(raw, normalize=True)
+        with pytest.raises(WeightBelowResolution, match=rf"a_{index} = 1e-17 .* S_{index - 1} = 1\.0") as info:
+            cumulative(w)
+        assert (info.value.index, info.value.value, info.value.total) == (index, 1e-17, 1.0)
+
+    def test_lost_last_weight_is_still_snapped_to_one(self):
+        # S_2 rounds back to S_1 < 1, and the snap of S_n to 1.0 separates them
+        p = cumulative(from_weights([1.0 - 2.0**-53, 1e-17]))
+        assert p.breakpoints == (0.0, 1.0 - 2.0**-53, 1.0)
+
+    def test_snap_below_the_previous_breakpoint_is_not_blamed_on_a_weight(self):
+        with pytest.raises(ValueError, match="strictly increasing") as info:
+            cumulative(from_weights([0.5, 0.5 + 1e-10, 1e-12]))
+        assert not isinstance(info.value, WeightBelowResolution)
 
 
 class TestRoundTrip:
