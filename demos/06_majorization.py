@@ -31,8 +31,9 @@ for label, g in (("t^2", lambda t: t * t), ("exp", math.exp)):
     print(f"karamata with {label:<4}  sum_x = {report.sum_x:.6f}  sum_y = {report.sum_y:.6f}  margin = {report.margin:.6f}")
     assert report.holds
 
-# Robin Hood in reverse: each transfer moves mass from a smaller entry
-# to a larger one, so the result majorizes the original.
+# Robin Hood transfers: each moves up to half the gap from a larger entry
+# to a smaller one, so the result gx is majorized by the original gy.  The
+# generator applies them in rounds of disjoint pairs.
 print()
 gx, gy = generate_majorized_pair(n=6, transfers=40, seed=4)
 print("generated x   ", [round(v, 3) for v in gx.entries])

@@ -36,6 +36,7 @@ from .errors import (
     NotNormalized,
     PointOutsideInterval,
     SumOutOfTolerance,
+    SumOverflow,
     ToleranceNotReached,
     TooLarge,
     WeightBelowResolution,
@@ -128,6 +129,7 @@ __all__ = [
     "RealVector",
     "RefinementPlan",
     "SumOutOfTolerance",
+    "SumOverflow",
     "ToleranceNotReached",
     "TooLarge",
     "TransformReport",

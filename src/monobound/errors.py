@@ -144,6 +144,13 @@ class NotMajorized(MonoboundError):
         super().__init__(f"x is not majorized by y (relation: {relation})")
 
 
+class SumOverflow(MonoboundError):
+    """Prefix sums of a vector pair overflow float64, so they cannot be compared."""
+
+    def __init__(self):
+        super().__init__("prefix sums of x and y overflow float64; rescale the inputs")
+
+
 class NotConvex(MonoboundError):
     """Sampled second differences found a concavity witness."""
 

@@ -214,6 +214,14 @@ class TestMajorize:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_overflowing_prefix_sums_are_a_domain_error(self, capsys, tmp_path, fmt):
+        x = write_vector(tmp_path, "x.csv", "1e308\n1e308\n")
+        code, out, err = run(capsys, "majorize", "--x", x, "--y", x, *fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "domain error: prefix sums of x and y overflow float64; rescale the inputs\n"
+
 
 class TestKaramata:
     def test_square_margin(self, capsys, tmp_path):
@@ -244,6 +252,19 @@ class TestKaramata:
         code, _, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "power:k=2")
         assert code == 2
         assert "domain error" in err
+
+    def test_square_near_1e8_is_convex(self, capsys, tmp_path):
+        x = write_vector(tmp_path, "x.csv", "100000000.25,100000000.25\n")
+        y = write_vector(tmp_path, "y.csv", "100000000.5,100000000\n")
+        code, out, _ = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "square", "--json")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_overflowing_prefix_sums_are_a_domain_error(self, capsys, tmp_path):
+        x = write_vector(tmp_path, "x.csv", "1e308\n1e308\n")
+        code, _, err = run(capsys, "karamata", "--x", x, "--y", x, "--fn", "square")
+        assert code == 2
+        assert "overflow" in err
 
     def test_unmajorized_inputs_rejected(self, capsys, tmp_path):
         x = write_vector(tmp_path, "x.csv", "1,0\n")
