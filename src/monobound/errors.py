@@ -151,6 +151,14 @@ class SumOverflow(MonoboundError):
         super().__init__("prefix sums of x and y overflow float64; rescale the inputs")
 
 
+class NonFiniteValue(MonoboundError):
+    """A value of g, or a sum of its values, overflows float64 or is not finite."""
+
+    def __init__(self, what: str):
+        self.what = what
+        super().__init__(f"{what} is not finite in float64; rescale the inputs")
+
+
 class NotConvex(MonoboundError):
     """Sampled second differences found a concavity witness."""
 

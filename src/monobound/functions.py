@@ -74,10 +74,26 @@ class MonotonicityVerdict:
 
 
 def power_complement(k: float) -> MonotoneFunction:
-    """g(x) = 1 - x^k for real k > 0."""
+    """g(x) = 1 - x^k for real k > 0.
+
+    For k < 1, x^k is close to 1 wherever x is not tiny, and ``1 - x**k``
+    cancels; -expm1(k ln x) computes the same g without that loss (at x = 0,
+    ln x = -inf gives g = 1).  k >= 1 keeps ``1 - x**k``.
+    """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be a positive real, got {k!r}")
+    if k < 1.0:
+
+        def fn(x):
+            with np.errstate(divide="ignore"):
+                return 0.0 - np.expm1(k * np.log(x))  # +0.0, not -0.0, at x = 1
+
+    else:
+
+        def fn(x):
+            return 1.0 - x**k
+
     return MonotoneFunction(
         kind="power_complement",
         direction=DECREASING,
@@ -85,7 +101,7 @@ def power_complement(k: float) -> MonotoneFunction:
         formula=f"1 - x^{k:g}",
         closed_form_integral=k / (k + 1.0),
         params=(("k", k),),
-        _fn=lambda x: 1.0 - x**k,
+        _fn=fn,
     )
 
 

@@ -14,18 +14,21 @@ Each vector holds one read-only float64 array; a weight vector's is shared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import LengthMismatch, NotConvex, NotMajorized, SumOverflow
+from .errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
 from .partitions import WeightVector, _ArrayBacked, _float_array
 
-#: Relative slack on prefix and total comparisons (see :func:`is_majorized`).
+#: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
+#: and the absolute part of the slack on values and sums of g.
 COMPARISON_TOLERANCE = 1e-12
+#: A few ulps: the relative part of the slack on values and sums of g, which
+#: each carry a rounding of g and of the sum.
+ROUNDING_SLACK = 4 * float(np.finfo(float).eps)
 
 X_MAJORIZED_BY_Y = "x_majorized_by_y"
 Y_MAJORIZED_BY_X = "y_majorized_by_x"
@@ -76,7 +79,12 @@ class MajorizationVerdict:
 
 @dataclass(frozen=True)
 class KaramataReport:
-    """sum g(y) - sum g(x) for majorized x < y and convex g."""
+    """sum g(y) - sum g(x) for majorized x < y and convex g.
+
+    ``holds`` allows the margin to fall below zero by ``COMPARISON_TOLERANCE``
+    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)|: the rounding of
+    g's values and of the sums scales with them.
+    """
 
     margin: float
     holds: bool
@@ -125,15 +133,27 @@ def is_majorized(x: VectorLike, y: VectorLike, tol: float = COMPARISON_TOLERANCE
     return MajorizationVerdict(relation, prefix_margins)
 
 
+def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np.ndarray:
+    """g at each point; raises NonFiniteValue if one overflows or is not finite."""
+    try:
+        values = np.array([float(g(t)) for t in points.tolist()])
+    except OverflowError:
+        raise NonFiniteValue(f"g on {where}") from None
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"g on {where}")
+    return values
+
+
 def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float, samples: int) -> None:
     if lo == hi:
         return
     grid = np.linspace(lo, hi, samples)
-    vals = np.array([float(fn(t)) for t in grid])
-    v0, v1, v2 = vals[:-2], vals[1:-1], vals[2:]
+    vals = _g_values(fn, grid, "the hull of x and y")
+    # quarter second differences, which cannot overflow for finite values;
     # a few ulps of |v0| + 2|v1| + |v2| cover the rounding of large values
-    slack = COMPARISON_TOLERANCE + 4 * np.finfo(float).eps * (abs(v0) + 2 * abs(v1) + abs(v2))
-    bad = v0 - 2.0 * v1 + v2 < -slack
+    v0, v1, v2 = 0.25 * vals[:-2], 0.5 * vals[1:-1], 0.25 * vals[2:]
+    slack = 0.25 * COMPARISON_TOLERANCE + ROUNDING_SLACK * (abs(v0) + abs(v1) + abs(v2))
+    bad = v0 - v1 + v2 < -slack
     if bad.any():
         i = int(np.argmax(bad))
         raise NotConvex((float(grid[i]), float(grid[i + 1]), float(grid[i + 2])))
@@ -148,8 +168,10 @@ def karamata_check(
     domain then restricts the entries to [0, 1]).  Convexity is guarded by
     sampled second differences on the hull of all entries; majorization by
     :func:`is_majorized`.  Raises NotMajorized / NotConvex when the
-    hypotheses fail.  g is a scalar callable, so its values arrive one at
-    a time and are summed by :func:`math.fsum` as they come.
+    hypotheses fail, and NonFiniteValue when a value of g, or the sum of
+    |g| over x and y, overflows or is not finite.  g is a scalar callable,
+    evaluated once per entry; the sums are :func:`exact_sum`'s, which are
+    :func:`math.fsum`'s bit for bit.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     verdict = is_majorized(xv, yv)
@@ -157,10 +179,18 @@ def karamata_check(
         raise NotMajorized(verdict.relation)
     hull = np.concatenate((xv.array, yv.array))
     _check_convex_on_hull(g, float(hull.min()), float(hull.max()), samples)
-    sum_x = math.fsum(float(g(t)) for t in xv.array.tolist())
-    sum_y = math.fsum(float(g(t)) for t in yv.array.tolist())
+    gx, gy = _g_values(g, xv.array, "x"), _g_values(g, yv.array, "y")
+    try:
+        scale = exact_sum(np.abs(gx)) + exact_sum(np.abs(gy))
+    except OverflowError:
+        scale = np.inf
+    if not np.isfinite(scale):
+        raise NonFiniteValue("the sum of |g| over x and y")
+    # both sums and the margin are at most scale in magnitude: all finite
+    sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x
-    return KaramataReport(margin, margin >= -COMPARISON_TOLERANCE, sum_x, sum_y)
+    holds = margin >= -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale)
+    return KaramataReport(margin, holds, sum_x, sum_y)
 
 
 def generate_majorized_pair(n: int, transfers: int, seed: int) -> tuple[RealVector, RealVector]:

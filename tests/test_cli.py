@@ -3,12 +3,15 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from monobound import majorization
 from monobound.bounds import bound_report
 from monobound.cli import main
 from monobound.functions import power_complement
+from monobound.majorization import BOTH, MajorizationVerdict
 from monobound.partitions import cumulative, from_weights
 
 
@@ -272,6 +275,45 @@ class TestKaramata:
         code, _, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "square")
         assert code == 2
         assert "domain error" in err
+
+    # generate_majorized_pair(5, 1, 1) shifted by 1e9: sum t^2 is near 5e18,
+    # whose ulp is 1024, and the margin rounds to -1024
+    SHIFTED_X = "1000000000.5118216,1000000000.9504637,1000000000.3087579,1000000000.7840512,1000000000.3118315\n"
+    SHIFTED_Y = "1000000000.5118216,1000000000.9504637,1000000000.1441596,1000000000.9486494,1000000000.3118315\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_rounding_at_large_scale_passes(self, capsys, tmp_path, fmt):
+        x = write_vector(tmp_path, "x.csv", self.SHIFTED_X)
+        y = write_vector(tmp_path, "y.csv", self.SHIFTED_Y)
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "square", *fmt)
+        assert (code, err) == (0, "")
+        if fmt:
+            got = json.loads(out)
+            assert got["margin"] == -1024.0
+            assert got["pass"] is True
+        else:
+            assert "margin = -1024.0\npass = true" in out
+
+    def test_planted_reversal_still_exits_3(self, capsys, tmp_path):
+        # a majorization check that waved through the reversed pair: the
+        # margin is about -2e6, far beyond the rounding of sums near 4e18
+        x = write_vector(tmp_path, "x.csv", "1000001000,999999000\n")
+        y = write_vector(tmp_path, "y.csv", "1000000000,1000000000\n")
+        with mock.patch.object(majorization, "is_majorized", return_value=MajorizationVerdict(BOTH, ())):
+            code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "square", "--json")
+        assert code == 3
+        assert json.loads(out)["pass"] is False
+        assert err.startswith("invariant violation: margin -1999872.0 is negative")
+
+    @pytest.mark.parametrize(
+        "spec, text", [("expt", "1000,1000\n"), ("square", "1e200,1e200\n")], ids=["overflow", "inf"]
+    )
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_non_finite_g_is_a_domain_error(self, capsys, tmp_path, spec, text, fmt):
+        x = write_vector(tmp_path, "x.csv", text)
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", x, "--fn", spec, *fmt)
+        assert (code, out) == (2, "")
+        assert err == "domain error: g on x is not finite in float64; rescale the inputs\n"
 
 
 class TestRefine:

@@ -1,9 +1,12 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from monobound.bounds import bound_report
 from monobound.errors import DomainViolation
 from monobound.functions import (
     CONSTANT,
@@ -22,6 +25,7 @@ from monobound.functions import (
     tabulated,
     trigonometric,
 )
+from monobound.partitions import cumulative, uniform_weights
 
 STRICT_FIVE = [
     power_complement(2),
@@ -92,6 +96,42 @@ class TestClosedForm:
         assert power_complement(k).closed_form_integral == pytest.approx(
             k / (k + 1.0), abs=1e-15
         )
+
+
+class TestPowerComplement:
+    XS = np.concatenate(([0.0, 5e-324, 1e-300, 1e-8], np.linspace(0.0, 1.0, 33)[1:], [1.0 - 2.0**-53]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2.5, 10])
+    def test_k_at_least_1_keeps_its_bits(self, k):
+        g = power_complement(k)
+        assert g.values(self.XS).tobytes() == (1.0 - self.XS**k).tobytes()
+        assert all(g(x) == 1.0 - x**k for x in self.XS.tolist())
+
+    @pytest.mark.parametrize("k", [1e-15, 1e-9, 0.3, 0.5, 1.0 - 2.0**-53])
+    def test_k_below_1_is_accurate(self, k):
+        # against 1 - exp(k ln x) in 60-digit decimal arithmetic
+        g = power_complement(k)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for x, got, scalar in zip(self.XS.tolist(), g.values(self.XS).tolist(), map(g, self.XS.tolist())):
+                want = 1 - (Decimal(k) * Decimal(x).ln()).exp() if x > 0 else Decimal(1)
+                assert got == scalar
+                assert abs(Decimal(got) - want) <= 4 * Decimal(2) ** -53 * abs(want), (k, x)
+
+    @pytest.mark.parametrize("k", [1e-15, 0.5])
+    def test_k_below_1_endpoints(self, k):
+        # 0 ** k is 1 - 1 = 0 at x = 0 through ln 0 = -inf, with no warning;
+        # g(1) is +0.0 as 1 - 1**k is
+        g = power_complement(k)
+        assert g(0.0) == 1.0 and g.values([0.0])[0] == 1.0
+        assert math.copysign(1.0, g(1.0)) == 1.0
+        assert math.copysign(1.0, g.values([1.0])[0]) == 1.0
+
+    def test_tiny_k_bound_stays_below_the_integral(self):
+        # 1 - x**k cancelled to a t_n 1.25 % above the integral here
+        report = bound_report(power_complement(1e-15), cumulative(uniform_weights(10**6)))
+        assert report.gap >= 0.0
+        assert report.invariant_violations() == []
 
 
 class TestQuadratureIntegral:

@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monobound._summation import NeumaierSum
-from monobound.errors import LengthMismatch, NotConvex, NotMajorized, SumOverflow
+from monobound.errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
 from monobound.functions import power_complement
+from monobound import majorization
 from monobound.majorization import (
+    BOTH,
+    MajorizationVerdict,
     RealVector,
     as_real_vector,
     cumulative_majorization_bridge,
@@ -289,6 +293,54 @@ class TestKaramata:
         # 1 - t^2 is concave on [0, 1]
         with pytest.raises(NotConvex):
             karamata_check(power_complement(2), [0.5, 0.5], [1.0, 0.0])
+
+    def test_rounding_of_large_sums_is_not_a_violation(self):
+        # sum t^2 is near 5e18, whose ulp is 1024: the margin of this valid
+        # pair rounds to -1024, within a few ulps of sum |g|
+        x, y = generate_majorized_pair(5, 1, 1)
+        rep = karamata_check(lambda t: t * t, x.array + 1e9, y.array + 1e9)
+        assert rep.margin == -1024.0
+        assert rep.holds
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e9, 1e12])
+    def test_shifted_generated_pairs_hold(self, shift):
+        for seed in range(100):
+            x, y = generate_majorized_pair(5, 1, seed)
+            xs, ys = x.array + shift, y.array + shift
+            if is_majorized(xs, ys).relation in ("x_majorized_by_y", "both"):
+                assert karamata_check(lambda t: t * t, xs, ys).holds
+
+    def test_a_clear_violation_still_fails_at_large_scale(self):
+        # with the pair reversed past the majorization check, the margin is
+        # -2e6: far beyond the rounding of sums near 4e18
+        x, y = [1e9 + 1000.0, 1e9 - 1000.0], [1e9, 1e9]
+        with mock.patch.object(majorization, "is_majorized", return_value=MajorizationVerdict(BOTH, ())):
+            rep = karamata_check(lambda t: t * t, x, y)
+        assert rep.margin == pytest.approx(-2e6, rel=1e-3)
+        assert not rep.holds
+
+    @pytest.mark.parametrize(
+        "g, x, y, where",
+        [
+            (math.exp, [1000.0, 1000.0], [1000.0, 1000.0], "g on x"),  # OverflowError
+            (lambda t: t * t, [1e200, 1e200], [1e200, 1e200], "g on x"),  # inf
+            (lambda t: math.nan, [1.0], [1.0], "g on x"),
+            (math.exp, [500.0, 500.0], [1000.0, 0.0], "g on the hull of x and y"),
+            (lambda t: 8e307 * (1.0 + t), [0.5, 0.5], [1.0, 0.0], "the sum of |g| over x and y"),
+            (lambda t: 1.5e308, [0.5], [0.5], "the sum of |g| over x and y"),
+        ],
+    )
+    def test_non_finite_values_and_sums_are_refused(self, g, x, y, where):
+        with pytest.raises(NonFiniteValue) as info:
+            karamata_check(g, x, y)
+        assert info.value.what == where
+
+    def test_convexity_guard_does_not_overflow(self):
+        # second differences of t^2 near 1.4e308 would overflow unscaled
+        with pytest.raises(NonFiniteValue):
+            karamata_check(lambda t: t * t, [1e154, 1e154], [1.2e154, 0.8e154])
+        rep = karamata_check(lambda t: t * t, [6e153, 6e153], [7e153, 5e153])
+        assert rep.holds and rep.margin > 0
 
     @pytest.mark.parametrize(
         "g", [lambda t: t * t, math.exp, lambda t: abs(t - 0.5)], ids=["square", "exp", "abs"]

@@ -6,6 +6,7 @@
 
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,27 @@ class TestMatchesNeumaierLoop:
         out = compensated_prefix_sums([0.25, 0.5])
         assert out.tolist() == [0.0, 0.25, 0.75]
         assert out.flags.writeable
+
+    def test_empty(self):
+        assert compensated_prefix_sums([]).tolist() == [0.0]
+
+    @given(st.lists(st.one_of(wide, finite), min_size=1, max_size=64))
+    def test_many_chunks(self, values):
+        with mock.patch.object(_summation, "_CHUNK", 7):
+            assert_same_bits(values)
+
+    @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
+    @pytest.mark.parametrize(
+        "head", [[1e308, 1e308], [-1e308, -1e308, -1e308], [1.7e308, 1e-300, 1.7e308]]
+    )
+    def test_overflow_raises_under_errstate(self, head, chunk):
+        # is_majorized turns this FloatingPointError into SumOverflow; the
+        # overflow sits in the first block or, with 7-value blocks, a later one
+        values = [0.5] * 20 + head
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(FloatingPointError):
+                    compensated_prefix_sums(values)
 
 
 CUTOFF = _summation._FSUM_CUTOFF
@@ -167,6 +189,142 @@ class TestExactSumMatchesFsum:
     def test_many_chunks(self, pattern, seed):
         with mock.patch.object(_summation, "_CHUNK", 7):
             assert_matches_fsum(tiled(pattern, 3 * CUTOFF + 5, seed))
+
+
+def midpoint_case(seed, scale, offset):
+    """1004 values whose exact sum is a rounding midpoint plus ``offset``.
+
+    1.0 fixes the largest magnitude, so with n = 1004 (k = 10) the
+    extraction constants are s1 = 2**11 and s2 = 2**-32.  Next come 1000
+    random 53-bit values of size ``scale``, whose plain float sum rounds at
+    every step: at 2**-43 they are first-round remainders just below their
+    bound 2**-42 and their high parts fill the second round's binades; at
+    2**-87 they pass both rounds untouched and fill the remainders' plain
+    sum.  Last comes the correction that puts the exact total on the
+    midpoint between the two floats next to 1, split into floats whose low
+    bits a plain sum loses too.
+    """
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(1.0, 2.0, 1000) * scale
+    exact = 1 + sum(map(Fraction, rho.tolist()))
+    ulp = Fraction(2) ** -52
+    midpoint = 1 + (math.floor((exact - 1) / ulp) + Fraction(1, 2)) * ulp
+    fix = midpoint - exact + offset - Fraction(2) ** -150
+    c1 = float(fix)
+    c2 = float(fix - Fraction(c1))
+    assert Fraction(c1) + Fraction(c2) == fix
+    values = np.concatenate(([1.0], rho, [c1, c2, 2.0**-150]))
+    rng.shuffle(values)
+    assert sum(map(Fraction, values.tolist())) == midpoint + offset
+    assert Fraction(float(np.sum(rho))) != exact - 1  # the plain sum rounds
+    return values
+
+
+def fsum_list_calls():
+    """Spy on math.fsum: lengths of the lists (not tuples) it is given."""
+    calls = []
+    real = math.fsum
+
+    def spy(xs):
+        if isinstance(xs, list):
+            calls.append(len(xs))
+        return real(xs)
+
+    return calls, mock.patch.object(_summation.math, "fsum", spy)
+
+
+class TestCertificate:
+    """Cases built so that a wrong extraction or error bound gives a wrong bit.
+
+    Random data almost never lies close enough to a rounding midpoint to
+    tell a correct certificate from a broken one, so these sit on one, or
+    2**-110 or 2**-140 (relative) to either side, or fill every binade the
+    extraction constants allow.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sign", [-1, 0, 1], ids=["below", "on", "above"])
+    @pytest.mark.parametrize("scale, off", [(2.0**-43, 2**-110), (2.0**-87, 2**-140)], ids=["round2", "rest"])
+    @pytest.mark.parametrize("chunk", [_summation._CHUNK, 7], ids=["one-block", "7-blocks"])
+    def test_near_a_rounding_midpoint(self, seed, sign, scale, off, chunk):
+        # ``off`` from the midpoint lies inside the plain sums' rounding
+        # errors, and outside (2**-110) or inside (2**-140) the certificate's
+        # bound 2**-117.  7-value blocks add the block sums one after
+        # another, so the remainders' plain sum rounds at the size of its total
+        values = midpoint_case(seed, scale, sign * Fraction(off))
+        assert values.size >= CUTOFF
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            assert_matches_fsum(values)
+            assert_matches_fsum(-values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_a_midpoint_the_fast_path_decides(self, seed):
+        # 2**-110 off a midpoint is far outside the error bound 2**-117 at
+        # this n, so the certificate decides without fsum
+        calls, spy = fsum_list_calls()
+        with spy:
+            assert_matches_fsum(midpoint_case(seed, 2.0**-43, Fraction(2) ** -110))
+        assert calls == [1004]  # only the reference's own call
+
+    @pytest.mark.parametrize(
+        "j, chunk", [(10, _summation._CHUNK), (10, 7), (12, _summation._CHUNK), (12, 7), (17, _summation._CHUNK)]
+    )
+    @pytest.mark.parametrize("minus", [3, 2, 1])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_sizes_at_the_edges_of_k(self, j, chunk, minus, sign):
+        # n = 2**j - 3 is the largest n for k = j.  With every value near M
+        # and of one sign, the high parts' partial sums come within a
+        # factor 2 of s1; for negative values the high parts' unit is half
+        # as large, so their sums fill every bit that exactness allows.
+        # 7-value blocks add up the block sums in order, so most partial
+        # sums are that large
+        n = 2**j - minus
+        rng = np.random.default_rng(n)
+        values = sign * rng.uniform(1.0, 2.0, n)
+        values[0] = sign * (2.0 - 2.0**-52)
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            assert_matches_fsum(values)
+            assert_matches_fsum(values * 2.0**-700)
+
+    @pytest.mark.parametrize(
+        "top", [2.0**-800, 2.0**-800 * (1 - 2.0**-53), 2.0**-800 * (1 + 2.0**-52), 2.0**-1000]
+    )
+    def test_largest_magnitude_near_the_lower_limit(self, top):
+        rng = np.random.default_rng(800)
+        values = rng.uniform(-1.0, 1.0, 3 * CUTOFF) * top
+        values[7] = top
+        assert_matches_fsum(values)
+        assert_matches_fsum(np.append(values, [5e-324] * 3))
+
+    @pytest.mark.parametrize(
+        "top", [2.0**959, 2.0**960 * (1 - 2.0**-53), 2.0**960, 1.7e308]
+    )
+    def test_largest_magnitude_near_the_upper_limit(self, top):
+        rng = np.random.default_rng(960)
+        values = rng.uniform(0.0, 1.0, 3 * CUTOFF) * top
+        values[7] = top
+        assert_matches_fsum(values * rng.choice([-1.0, 1.0], values.size))
+        assert_matches_fsum(np.append(values, [-top, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["near_uniform", "lognormal", "geometric"])
+    def test_fast_path_decides_realistic_weights(self, kind):
+        # the three weight shapes of the bound-large benchmark, and the sums
+        # a certification makes of them; none may fall back to fsum
+        rng = np.random.default_rng(20261018)
+        n = 10**5
+        if kind == "near_uniform":
+            a = rng.uniform(0.9, 1.1, n)
+        elif kind == "lognormal":
+            a = rng.lognormal(0.0, 2.0, n)
+        else:
+            a = (10.0 ** -rng.uniform(4.0, 8.0)) ** (np.arange(n) / n) * rng.uniform(0.5, 1.5, n)
+        calls, spy = fsum_list_calls()
+        with spy:
+            p = cumulative(from_weights(a, normalize=True))
+            report = bound_report(reciprocal(), p)
+            riemann_sum_left(reciprocal(), p)
+        assert calls == []
+        assert report.invariant_violations() == []
 
 
 class TestCallSitesMatchFsum:
