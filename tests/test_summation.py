@@ -95,6 +95,9 @@ class TestMatchesNeumaierLoop:
 
 
 CUTOFF = _summation._FSUM_CUTOFF
+# a fixed size a few cutoffs up: the kernel's k = (n + 2).bit_length() steps
+# from 11 to 12 just below it, and the cases keep their ids if CUTOFF moves
+LARGE = 2048
 # both sides of the hand-off to fsum
 sizes = st.sampled_from([1, 2, 100, CUTOFF - 1, CUTOFF, CUTOFF + 1, 3 * CUTOFF + 5])
 subnormal = st.integers(min_value=-(2**20), max_value=2**20).map(lambda k: k * 5e-324)
@@ -141,7 +144,9 @@ class TestExactSumMatchesFsum:
         pattern = [v for b in big for v in (b * 1e200, *small, -b * 1e200)]
         assert_matches_fsum(tiled(pattern, size))
 
-    @pytest.mark.parametrize("k", [1, 2, 3, CUTOFF - 1, CUTOFF, 2 * CUTOFF + 1])
+    @pytest.mark.parametrize(
+        "k", [1, 2, 3, CUTOFF - 1, CUTOFF, 2 * CUTOFF + 1, LARGE - 1, LARGE, 2 * LARGE + 1]
+    )
     def test_one_plus_many_half_ulps(self, k):
         assert_matches_fsum([1.0] + [2.0**-53] * k)
 
@@ -160,7 +165,9 @@ class TestExactSumMatchesFsum:
         assert_matches_fsum(pattern + [0.0] * CUTOFF)
         assert_matches_fsum(tiled(pattern, CUTOFF + 1))
 
-    @pytest.mark.parametrize("size", [1, CUTOFF - 1, CUTOFF, 3 * CUTOFF + 5])
+    @pytest.mark.parametrize(
+        "size", [1, CUTOFF - 1, CUTOFF, 3 * CUTOFF + 5, LARGE - 1, LARGE, 3 * LARGE + 5]
+    )
     @pytest.mark.parametrize(
         "pattern", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-5e-324, 5e-324]]
     )
@@ -178,7 +185,7 @@ class TestExactSumMatchesFsum:
             [1e308, 1e308],  # OverflowError
         ],
     )
-    @pytest.mark.parametrize("padding", [0, CUTOFF])
+    @pytest.mark.parametrize("padding", [0, CUTOFF, LARGE])
     def test_special_values_and_overflow(self, pattern, padding):
         assert_matches_fsum(pattern + [0.5] * padding)
 
