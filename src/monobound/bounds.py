@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import exact_sum
+from ._summation import _blocked_sum
 from .functions import INCREASING, MonotoneFunction, integral_of, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
@@ -92,22 +92,49 @@ class BoundReport:
         return out
 
 
-def _weighted_sum(widths: np.ndarray, vals: np.ndarray) -> float:
-    return exact_sum(widths * vals)
+def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """sum_i (S_i - S_{i-1}) * vals_i and the largest width, in one blocked pass.
 
+    The widths and products are formed block by block in the summation's
+    reused buffer: the same bits as ``exact_sum(np.diff(bps) * vals)``
+    without either full-size temporary.
+    """
+    mesh = 0.0
 
-def _abel_terms(bps: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """S_i * (g(S_i) - g(S_{i+1})) for i = 1..n-1, from vals = g(S_1..S_n)."""
-    return bps[1:-1] * (vals[:-1] - vals[1:])
+    def produce(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        nonlocal mesh
+        np.subtract(bps[start + 1:stop + 1], bps[start:stop], out=out)
+        mesh = max(mesh, float(out.max()))
+        out *= vals[start:stop]
+        return out
+
+    return _blocked_sum(vals.size, produce), mesh
 
 
 def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
-    return exact_sum(np.append(_abel_terms(bps, vals), vals[-1]))
+    """g(1) + sum_{i=1}^{n-1} S_i * (g(S_i) - g(S_{i+1})), from vals = g(S_1..S_n).
+
+    Term j < n - 1 is S_(j+1) * (vals_j - vals_(j+1)) and the last is
+    vals_(n-1) = g(1), formed block by block: the same bits as summing the
+    Abel terms with g(1) appended, without building that array.
+    """
+    n = vals.size
+
+    def produce(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        m = min(stop, n - 1)
+        head = out[:m - start]
+        np.subtract(vals[start:m], vals[start + 1:m + 1], out=head)
+        head *= bps[start + 1:m + 1]
+        if stop == n:
+            out[-1] = vals[-1]
+        return out
+
+    return _blocked_sum(n, produce)
 
 
-def _gap_bound(g, widths: np.ndarray) -> float:
+def _gap_bound(g, mesh: float) -> float:
     ends = g.values(np.array([0.0, 1.0]))
-    return (float(ends[0]) - float(ends[1])) * float(widths.max())
+    return (float(ends[0]) - float(ends[1])) * mesh
 
 
 def riemann_sum_right(g, p: CumulativePartition) -> float:
@@ -117,13 +144,13 @@ def riemann_sum_right(g, p: CumulativePartition) -> float:
     integral only when g is decreasing.
     """
     bps = p.array
-    return _weighted_sum(np.diff(bps), g.values(bps[1:]))
+    return _weighted_sum(bps, g.values(bps[1:]))[0]
 
 
 def riemann_sum_left(g, p: CumulativePartition) -> float:
     """sum_i (S_i - S_{i-1}) * g(S_{i-1}); over-estimates for decreasing g."""
     bps = p.array
-    return _weighted_sum(np.diff(bps), g.values(bps[:-1]))
+    return _weighted_sum(bps, g.values(bps[:-1]))[0]
 
 
 def abel_terms(g, p: CumulativePartition) -> list[float]:
@@ -133,7 +160,8 @@ def abel_terms(g, p: CumulativePartition) -> list[float]:
     reason the right sum cannot exceed the integral.
     """
     bps = p.array
-    return _abel_terms(bps, g.values(bps[1:])).tolist()
+    vals = g.values(bps[1:])
+    return (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
 
 
 def abel_sum(g, p: CumulativePartition) -> float:
@@ -155,7 +183,7 @@ def gap_bound(g, p: CumulativePartition) -> float:
     """
     if isinstance(g, MonotoneFunction):
         require_monotone(g, "gap_bound", decreasing=True)
-    return _gap_bound(g, np.diff(p.array))
+    return _gap_bound(g, float(np.diff(p.array).max()))
 
 
 def bound_report(
@@ -176,12 +204,11 @@ def bound_report(
     require_monotone(g, "bound_report")
 
     bps = p.array
-    widths = np.diff(bps)
     vals = g.values(bps[1:])
-    t_n = _weighted_sum(widths, vals)
+    t_n, mesh = _weighted_sum(bps, vals)
     abel_value = _abel_value(bps, vals)
     integral, source, quad_evals = integral_of(g, tol)
-    bound = _gap_bound(g, widths)
+    bound = _gap_bound(g, mesh)
 
     gap = integral - t_n
     signed_gap = gap if g.direction != INCREASING else -gap

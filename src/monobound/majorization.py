@@ -21,7 +21,7 @@ import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
 from .errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
-from .partitions import WeightVector, _ArrayBacked, _float_array
+from .partitions import WeightVector, _ArrayBacked
 
 #: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
 #: and the absolute part of the slack on values and sums of g.
@@ -45,13 +45,13 @@ class RealVector(_ArrayBacked):
 
     array: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = _float_array(self.array)
+    @staticmethod
+    def _validated(a: np.ndarray) -> np.ndarray:
         if a.size == 0:
             raise ValueError("RealVector needs at least one entry")
         if not np.isfinite(a).all():
             raise ValueError("RealVector entries must be finite")
-        self._freeze(a)
+        return a
 
     @property
     def entries(self) -> tuple[float, ...]:

@@ -23,6 +23,7 @@ import numpy as np
 from ._summation import compensated_prefix_sums, exact_sum
 from .errors import (
     EmptyInput,
+    NonFiniteValue,
     NonPositiveWeight,
     PointOutsideInterval,
     SumOutOfTolerance,
@@ -40,11 +41,14 @@ NORMALIZED_SUM_TOLERANCE = 1e-15
 MAX_INTERVALS = 2**27
 
 
-def _float_array(values: Iterable[float]) -> np.ndarray:
-    """A new one-dimensional float64 array holding ``values`` (any iterable)."""
+def _float_array(values: Iterable[float], copy: bool = True) -> np.ndarray:
+    """A one-dimensional float64 array holding ``values`` (any iterable).
+
+    A new array, unless ``copy`` is False and ``values`` already is one.
+    """
     if not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)
-    a = np.array(values, dtype=float)
+    a = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     if a.ndim != 1:
         raise TypeError(f"expected a flat sequence of numbers, got shape {a.shape}")
     return a
@@ -52,16 +56,42 @@ def _float_array(values: Iterable[float]) -> np.ndarray:
 
 def _check_positive(a: np.ndarray) -> None:
     """Raise NonPositiveWeight for the first entry that is not finite and > 0."""
-    bad = ~(np.isfinite(a) & (a > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not (a.min() > 0.0 and a.max() < np.inf):  # nan fails too
+        i = int(np.argmax(~(np.isfinite(a) & (a > 0.0))))
         raise NonPositiveWeight(i, float(a[i]))
 
 
+def _weight_sum(a: np.ndarray) -> float:
+    """``exact_sum`` of positive finite weights; NonFiniteValue if it overflows."""
+    try:
+        return exact_sum(a)
+    except OverflowError:
+        raise NonFiniteValue("the sum of the weights") from None
+
+
 class _ArrayBacked:
-    """Equality, hashing and the read-only array shared by both types."""
+    """Equality, hashing and the read-only array of the array-backed types.
+
+    The public constructor validates a copy of its argument; ``_adopt``
+    validates and takes over an array the library has just built, which no
+    one else references, without a second copy.
+    """
 
     array: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._freeze(self._validated(_float_array(self.array)))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray):
+        obj = object.__new__(cls)
+        obj._freeze(cls._validated(a))
+        return obj
+
+    @staticmethod
+    def _validated(a: np.ndarray) -> np.ndarray:
+        """``a`` after the type's checks (which may fix it up in place)."""
+        return a
 
     def _freeze(self, a: np.ndarray) -> None:
         a.setflags(write=False)
@@ -83,15 +113,25 @@ class WeightVector(_ArrayBacked):
 
     array: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = _float_array(self.array)
+    @staticmethod
+    def _validated(a: np.ndarray) -> np.ndarray:
         if a.size == 0:
             raise EmptyInput("weight vector")
         _check_positive(a)
-        total = exact_sum(a)
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise SumOutOfTolerance(total, SUM_TOLERANCE)
-        self._freeze(a)
+        # Summed in any order, n positive weights err by at most gamma_(n-1)
+        # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
+        # plain sum, covers that error and the exact sum's own rounding with
+        # room to spare, so a plain sum that clears the tolerance by
+        # ``bound`` settles it as the exact sum would.  Near the edge, and
+        # for the error message, the exact sum decides.
+        with np.errstate(over="ignore"):
+            plain = float(np.sum(a))
+        bound = 4.0 * a.size * 2.0**-53 * plain
+        if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
+            total = _weight_sum(a)
+            if abs(total - 1.0) > SUM_TOLERANCE:
+                raise SumOutOfTolerance(total, SUM_TOLERANCE)
+        return a
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -118,8 +158,8 @@ class CumulativePartition(_ArrayBacked):
 
     array: np.ndarray
 
-    def __post_init__(self) -> None:
-        bps = _float_array(self.array)
+    @staticmethod
+    def _validated(bps: np.ndarray) -> np.ndarray:
         if bps.size < 2:
             raise ValueError("a partition needs at least the two endpoints")
         if bps[0] != 0.0:
@@ -135,7 +175,7 @@ class CumulativePartition(_ArrayBacked):
                 f"breakpoints must be strictly increasing; "
                 f"S_{i - 1}={float(bps[i - 1])!r} >= S_{i}={float(bps[i])!r}"
             )
-        self._freeze(bps)
+        return bps
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -170,16 +210,17 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     """Build a WeightVector, optionally rescaling the input by its sum.
 
     Without ``normalize`` the sum must already be within 1e-9 of 1; with it,
-    any positive weights are accepted and divided by their compensated sum,
-    leaving a sum within 1e-15 of 1.
+    any positive weights are accepted and divided by their exact sum,
+    leaving a sum within 1e-15 of 1.  A weight total that overflows float64
+    raises NonFiniteValue.
     """
-    a = _float_array(weights)
+    a = _float_array(weights, copy=not normalize)
     if a.size == 0:
         raise EmptyInput("weight list")
     if normalize:
         _check_positive(a)
-        a /= exact_sum(a)
-    return WeightVector(a)
+        a = a / _weight_sum(a)
+    return WeightVector._adopt(a)
 
 
 def cumulative(w: WeightVector) -> CumulativePartition:
@@ -190,11 +231,14 @@ def cumulative(w: WeightVector) -> CumulativePartition:
     equal.
     """
     s = compensated_prefix_sums(w.array)
+    last = s[-1]
     try:
-        return CumulativePartition(s)
+        return CumulativePartition._adopt(s)
     except ValueError:
         # the partition's own check failed; blame a weight only if one was
-        # lost (a failure the snap of S_n to 1.0 causes stays as it was)
+        # lost (a failure the snap of S_n to 1.0 causes stays as it was), so
+        # look at S_n as it was before the check snapped it in place
+        s[-1] = last
         lost = np.flatnonzero(~(s[1:] > s[:-1]))
         if lost.size == 0:
             raise
@@ -204,7 +248,7 @@ def cumulative(w: WeightVector) -> CumulativePartition:
 
 def weights_of(p: CumulativePartition) -> WeightVector:
     """Inverse construction: successive differences a_i = S_i - S_{i-1}."""
-    return WeightVector(np.diff(p.array))
+    return WeightVector._adopt(np.diff(p.array))
 
 
 def refine(p: CumulativePartition, plan: RefinementPlan) -> CumulativePartition:
@@ -234,7 +278,7 @@ def uniform_weights(n: int) -> WeightVector:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_within_budget(n)
-    return WeightVector(np.full(n, 1.0 / n))
+    return WeightVector._adopt(np.full(n, 1.0 / n))
 
 
 def bisect_all(p: CumulativePartition) -> CumulativePartition:
@@ -252,7 +296,7 @@ def bisect_all(p: CumulativePartition) -> CumulativePartition:
     out = np.empty(2 * bps.size - 1)
     out[0::2] = bps
     out[1::2] = mids
-    return CumulativePartition(out)
+    return CumulativePartition._adopt(out)
 
 
 def partition_from_sequence(breakpoints: Sequence[float]) -> CumulativePartition:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,25 @@ class TestBoundReport:
         r = bound_report(exponential(1), p)
         assert r.invariant_violations() == []
         assert r.gap >= -1e-12
+
+
+class TestStreamingMemory:
+    """The sums stream their terms through block-sized buffers: beyond g's own
+    values (and its evaluation's temporary), no full-size array is built."""
+
+    @pytest.mark.parametrize("route", [bound_report, riemann_sum_left], ids=["bound_report", "left"])
+    @pytest.mark.parametrize("g", [reciprocal(), exponential(1.0), trigonometric()], ids=["recip", "exp", "trig"])
+    def test_peak_memory_at_most_two_and_a_half_arrays(self, route, g):
+        n = 2**20
+        p = cumulative(uniform_weights(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            route(g, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
 
 class TestGapBound:

@@ -451,6 +451,13 @@ class TestExitCodes:
         bad = write_vector(tmp_path, "bad.csv", "2,3,5\n")
         assert run(capsys, "bound", "--weights", bad, "--fn", "recip")[0] == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_weight_sum_is_a_domain_error(self, capsys, tmp_path, fmt):
+        weights = write_vector(tmp_path, "w.csv", "1e308\n1e308\n")
+        code, out, err = run(capsys, "bound", "--weights", weights, "--fn", "recip", *fmt)
+        assert (code, out) == (2, "")
+        assert err == "domain error: the sum of the weights is not finite in float64; rescale the inputs\n"
+
     def test_weight_below_resolution_is_a_domain_error(self, capsys, tmp_path):
         weights = write_vector(tmp_path, "w.csv", "1.0,1e-17,1e-17,1e-17\n")
         code, _, err = run(capsys, "bound", "--weights", weights, "--fn", "recip")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monobound._summation import NeumaierSum
 from monobound.errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
 from monobound.functions import power_complement
 from monobound import majorization
@@ -20,6 +19,7 @@ from monobound.majorization import (
     karamata_check,
 )
 from monobound.partitions import from_weights, uniform_weights
+from oracles import NeumaierSum
 
 vectors = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=1, max_size=32

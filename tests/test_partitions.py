@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from monobound.errors import (
     EmptyInput,
+    NonFiniteValue,
     NonPositiveWeight,
     PointOutsideInterval,
     SumOutOfTolerance,
@@ -14,6 +15,7 @@ from monobound.errors import (
 )
 from monobound.partitions import (
     MAX_INTERVALS,
+    SUM_TOLERANCE,
     CumulativePartition,
     RefinementPlan,
     WeightVector,
@@ -72,6 +74,54 @@ class TestFromWeights:
     def test_nested_input_rejected(self):
         with pytest.raises(TypeError):
             from_weights([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n", [2, 600])  # fsum itself, and the extraction kernel's hand-off
+    def test_overflowing_sum_is_a_typed_error(self, normalize, n):
+        with pytest.raises(NonFiniteValue, match="the sum of the weights is not finite"):
+            from_weights([1e308] * n, normalize=normalize)
+        with pytest.raises(NonFiniteValue):
+            WeightVector([1.7e308, 1.7e308])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, 0.5 + 1e-9],
+            [0.5, float(np.nextafter(0.5 + 1e-9, 1.0))],
+            [0.5, 0.5 - 1e-9],
+            [0.5, float(np.nextafter(0.5 - 1e-9, 0.0))],
+            [1.0 + 1e-9 - 2.0**-40] + [2.0**-53] * 4000,
+            [1.0 - 1e-9] + [2.0**-60] * 3000,
+        ],
+    )
+    def test_tolerance_is_decided_by_the_exact_sum(self, values):
+        # at the edge of the band the plain sum cannot decide, and the
+        # exact sum does; it is what SumOutOfTolerance reports
+        total = math.fsum(values)
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            with pytest.raises(SumOutOfTolerance) as info:
+                from_weights(values)
+            assert info.value.actual == total
+        else:
+            assert from_weights(values).n == len(values)
+
+    @given(weight_lists, st.floats(min_value=-3e-9, max_value=3e-9))
+    def test_tolerance_decision_matches_the_exact_sum(self, raw, shift):
+        a = np.array(raw) * ((1.0 + shift) / math.fsum(raw))
+        total = math.fsum(a.tolist())
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            with pytest.raises(SumOutOfTolerance) as info:
+                from_weights(a)
+            assert info.value.actual == total
+        else:
+            from_weights(a)
+
+    def test_out_of_band_sum_reports_the_exact_sum(self):
+        values = [0.75] + [0.1] * 5 + [2.0**-55] * 9
+        assert float(np.sum(values)) != math.fsum(values)
+        with pytest.raises(SumOutOfTolerance) as info:
+            from_weights(values)
+        assert info.value.actual == math.fsum(values)
 
     @given(weight_lists)
     def test_normalized_sum_is_tight(self, raw):
@@ -245,6 +295,33 @@ class TestArrayStorage:
             assert a.dtype == np.float64
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "build, source",
+        [
+            (from_weights, [0.2, 0.3, 0.5]),
+            (lambda a: from_weights(a, normalize=True), [2.0, 3.0, 5.0]),
+            (WeightVector, [0.2, 0.3, 0.5]),
+            (CumulativePartition, [0.0, 0.2, 0.5, 1.0 + 1e-12]),  # snapped in its own copy
+        ],
+        ids=["from_weights", "from_weights-normalize", "WeightVector", "CumulativePartition"],
+    )
+    def test_callers_array_is_neither_changed_nor_shared(self, build, source):
+        arr = np.array(source)
+        obj = build(arr)
+        assert arr.tolist() == source
+        assert arr.flags.writeable
+        assert not obj.array.flags.writeable
+        assert not np.shares_memory(obj.array, arr)
+
+    def test_library_built_arrays_are_read_only_and_unshared(self):
+        w = from_weights([0.2, 0.3, 0.5])
+        p = cumulative(w)
+        assert not p.array.flags.writeable
+        assert not np.shares_memory(p.array, w.array)
+        for obj in (bisect_all(p), weights_of(p), uniform_weights(4)):
+            assert not obj.array.flags.writeable
+            assert not np.shares_memory(obj.array, p.array)
 
     def test_equality_and_hash_follow_the_values(self):
         a = from_weights([0.2, 0.3, 0.5])

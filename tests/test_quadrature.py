@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from monobound import quadrature
-from monobound._summation import NeumaierSum
 from monobound.errors import ToleranceNotReached
 from monobound.quadrature import (
     _MAX_DEPTH,
@@ -17,6 +16,7 @@ from monobound.quadrature import (
     adaptive_quadrature,
     batched_quadrature,
 )
+from oracles import NeumaierSum
 
 
 class TestBasicIntegrals:

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monobound import _summation
-from monobound._summation import NeumaierSum, compensated_prefix_sums, exact_sum
-from monobound.bounds import bound_report, riemann_sum_left
+from monobound._summation import compensated_prefix_sums, exact_sum
+from monobound.bounds import abel_sum, bound_report, riemann_sum_left, riemann_sum_right
 from monobound.functions import exponential, logarithmic, reciprocal
 from monobound.partitions import cumulative, from_weights
+from oracles import NeumaierSum
 
 # sign and mantissa times 10^e: magnitudes from about 1e-300 to 1e300, and
 # at most 64 of them, so no prefix overflows
@@ -355,3 +356,130 @@ class TestCallSitesMatchFsum:
         assert bits(report.abel_value) == bits(math.fsum(abel))
         left = (widths * g.values(bps[:-1])).tolist()
         assert bits(riemann_sum_left(g, p)) == bits(math.fsum(left))
+
+
+def split_midpoint_case(seed, offset, where, blocks=80):
+    """7-value blocks whose exact sum is the midpoint 1 + 2**-53 plus ``offset``.
+
+    There are ``blocks`` full blocks and a last partial one of 5 values.
+    Block ``where`` holds 1.0 and four values near 2**-100: they pass both
+    extraction rounds untouched (the block's constants come from 1.0), and
+    their plain sum rounds, so that block's remainder sum is off by about
+    2**-150.  Block ``blocks // 3`` holds three floats near 2**-53 that put
+    the exact total on the midpoint plus ``offset``; every other value is
+    zero.  Only block ``where``'s own error bound, 2**-141, covers its
+    rounding error: the correction block's bound is 2**-194 and the zero
+    blocks' far smaller, so a certificate that loses it decides from a
+    total that can sit on the wrong side of the midpoint.
+    """
+    rng = np.random.default_rng(seed)
+    while True:  # draw until the plain sum rounds
+        x = rng.uniform(1.0, 2.0, 4) * 2.0**-100
+        exact_x = sum(map(Fraction, x.tolist()))
+        if Fraction(sum(x.tolist())) != exact_x:
+            break
+    fix = Fraction(2) ** -53 - exact_x + offset
+    c1 = float(fix)
+    c2 = float(fix - Fraction(c1))
+    c3 = float(fix - Fraction(c1) - Fraction(c2))
+    assert Fraction(c1) + Fraction(c2) + Fraction(c3) == fix
+    values = np.zeros(7 * blocks + 5)
+    start = 7 * where
+    values[start:start + 5] = [1.0, *x]
+    values[7 * (blocks // 3):7 * (blocks // 3) + 3] = [c1, c2, c3]
+    assert sum(map(Fraction, values.tolist())) == 1 + Fraction(2) ** -53 + offset
+    return values
+
+
+class TestBlockedCore:
+    """Per-block extraction constants and error bounds, with 7-value blocks.
+
+    Each block is certified with constants from its own largest magnitude,
+    and every block's error bound goes into the closing fsum calls, so the
+    cases below make one block's constants or bound decide the result.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sign", [-1, 0, 1], ids=["below", "on", "above"])
+    @pytest.mark.parametrize("where", [0, 40, 80], ids=["first", "middle", "last-partial"])
+    def test_midpoint_split_across_blocks(self, seed, sign, where):
+        values = split_midpoint_case(seed, sign * Fraction(2) ** -170, where)
+        with mock.patch.object(_summation, "_CHUNK", 7):
+            assert_matches_fsum(values)
+            assert_matches_fsum(-values)
+
+    @pytest.mark.parametrize(
+        "scales",
+        [(2.0**-600, 1.0, 2.0**600), (2.0**600, 1.0, 2.0**-600), (2.0**-600, 2.0**600)],
+        ids=["ascending", "descending", "alternating"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_of_very_different_magnitudes(self, scales, seed):
+        # each block is scale * [b, c * 2**-60, -b, 0, 0, 0, 0]: its exact sum
+        # is c * scale * 2**-60, which a plain sum of the block loses to b's
+        # rounding, so a block summed with another block's (smaller)
+        # constants gives a wrong total; constants from a larger block would
+        # make its bound dwarf the total, which the spy on fsum sees
+        rng = np.random.default_rng(seed)
+        blocks = 3 * CUTOFF // 7
+        b = rng.uniform(1.0, 2.0, blocks) * rng.choice([-1.0, 1.0], blocks)
+        # c spread over 20 binades, so the total is not a multiple of half its ulp
+        c = rng.uniform(1.0, 2.0, blocks) * rng.choice([-1.0, 1.0], blocks) * 2.0 ** -rng.integers(0, 20, blocks)
+        scale = np.resize(np.array(scales), blocks)
+        values = np.zeros((blocks, 7))
+        values[:, 0], values[:, 1], values[:, 2] = b * scale, c * scale * 2.0**-60, -b * scale
+        values = values.ravel()
+        assert float(np.sum(values[:7])) != values[1]  # the plain sum loses c
+        calls, spy = fsum_list_calls()
+        with mock.patch.object(_summation, "_CHUNK", 7), spy:
+            assert_matches_fsum(values)
+        assert calls == [values.size]  # only the reference's own call
+
+    @pytest.mark.parametrize(
+        "between",
+        [[0.0], [-0.0], [5e-324, -5e-324, 2.0**-1022], [2.0**-900]],
+        ids=["zeros", "negative-zeros", "subnormals", "below-2^-800"],
+    )
+    def test_tiny_blocks_between_large_blocks(self, between):
+        # blocks of 2**-300-scale values alternate with blocks of zeros or of
+        # values below 2**-800; those get the constants of 2**-800, whose
+        # bound is far below the total, so the fast path still decides
+        rng = np.random.default_rng(7)
+        large = rng.uniform(-1.0, 1.0, (CUTOFF // 7, 7)) * 2.0**-300
+        tiny = np.resize(np.array(between), large.shape)
+        values = np.stack([large, tiny], axis=1).ravel()
+        calls, spy = fsum_list_calls()
+        with mock.patch.object(_summation, "_CHUNK", 7), spy:
+            assert_matches_fsum(values)
+        assert calls == [values.size]
+
+
+def fused_sizes():
+    for chunk in (7, _summation._CHUNK):
+        for n in (CUTOFF - 1, CUTOFF, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            yield pytest.param(chunk, n, id=f"chunk{chunk}-n{n}")
+
+
+class TestFusedSums:
+    """T_n, the left sum and the Abel value, whose terms are formed block by
+    block, against the same terms built as whole arrays and summed by fsum."""
+
+    @pytest.mark.parametrize("chunk, n", fused_sizes())
+    @pytest.mark.parametrize("g", [reciprocal(), exponential(1.0), logarithmic()], ids=["recip", "exp", "log"])
+    def test_against_the_whole_array_formulas(self, chunk, n, g):
+        rng = np.random.default_rng(n)
+        p = cumulative(from_weights(rng.lognormal(0.0, 2.0, n), normalize=True))
+        bps = p.array
+        widths = np.diff(bps)
+        vals = g.values(bps[1:])
+        right = math.fsum((widths * vals).tolist())
+        left = math.fsum((widths * g.values(bps[:-1])).tolist())
+        abel = math.fsum(np.append(bps[1:-1] * (vals[:-1] - vals[1:]), vals[-1]).tolist())
+        ends = g.values(np.array([0.0, 1.0]))
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            report = bound_report(g, p)
+            assert bits(report.t_n) == bits(right) == bits(exact_sum(widths * vals))
+            assert bits(report.abel_value) == bits(abel) == bits(abel_sum(g, p))
+            assert bits(riemann_sum_right(g, p)) == bits(right)
+            assert bits(riemann_sum_left(g, p)) == bits(left)
+            assert report.gap_bound == (float(ends[0]) - float(ends[1])) * float(widths.max())
