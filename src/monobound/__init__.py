@@ -41,6 +41,7 @@ from .errors import (
     ToleranceNotReached,
     TooLarge,
     WeightBelowResolution,
+    WeightUnderflow,
 )
 from .functions import (
     CONSTANT,
@@ -49,9 +50,7 @@ from .functions import (
     NON_MONOTONE,
     MonotoneFunction,
     MonotonicityVerdict,
-    closed_form_integral,
     constant,
-    evaluate,
     exponential,
     linear,
     logarithmic,
@@ -136,6 +135,7 @@ __all__ = [
     "TooLarge",
     "TransformReport",
     "WeightBelowResolution",
+    "WeightUnderflow",
     "WeightVector",
     "abel_sum",
     "abel_terms",
@@ -143,12 +143,10 @@ __all__ = [
     "bisect_all",
     "bound_report",
     "cdf_of",
-    "closed_form_integral",
     "constant",
     "cumulative",
     "cumulative_majorization_bridge",
     "empirical_partition",
-    "evaluate",
     "expectation_upper_bound",
     "exponential",
     "format_float",

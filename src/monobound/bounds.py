@@ -25,16 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._summation import _blocked_sum
-from .functions import INCREASING, MonotoneFunction, integral_of, require_monotone
+from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, integral_of, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
 #: Default absolute tolerance for quadrature fallbacks.
 DEFAULT_QUAD_TOL = 1e-10
-#: Float slack granted to algebraic identities (Abel equality, enclosure).
+#: Float slack granted to algebraic identities and the bound's checks,
+#: relative to the magnitudes they compare (see BoundReport).
 IDENTITY_TOL = 1e-12
 
 
@@ -47,6 +49,9 @@ class BoundReport:
     quadrature tolerance, False when equality is genuinely attainable
     (g not strictly monotone), and None when g is strictly monotone but the
     computed gap sits inside numerical noise (indeterminate at tolerance).
+    ``tol`` is the quadrature tolerance the report was made with and
+    ``scale`` is M = max(|g(0)|, |g(1)|), the largest |g| on [0, 1]; the
+    checks scale their slack by them, and ``to_dict`` leaves both out.
     """
 
     t_n: float
@@ -59,37 +64,63 @@ class BoundReport:
     n: int
     direction: str
     evaluation_count: int
+    tol: float
+    scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "t_n": self.t_n,
-            "integral": self.integral,
-            "integral_source": self.integral_source,
-            "gap": self.gap,
-            "gap_bound": self.gap_bound,
-            "strict": self.strict,
-            "abel_value": self.abel_value,
-            "n": self.n,
-        }
+        wire = ("t_n", "integral", "integral_source", "gap", "gap_bound", "strict", "abel_value", "n")
+        return {name: getattr(self, name) for name in wire}
 
-    def invariant_violations(self) -> list[str]:
+    def enclosure(self, left: float) -> tuple[float, float, bool]:
+        """(lower, upper, contains): t_n and the left sum in order, and whether they
+        hold the integral within ``IDENTITY_TOL * max(1, |integral|) + tol``."""
+        lower, upper = (left, self.t_n) if self.direction == INCREASING else (self.t_n, left)
+        slack = IDENTITY_TOL * max(1.0, abs(self.integral)) + self.tol
+        return lower, upper, lower - slack <= self.integral <= upper + slack
+
+    def invariant_violations(self, left: float | None = None) -> list[str]:
         """Mathematical invariants this report must satisfy; empty means OK.
 
-        A non-empty list signals a bug in the library, never valid math.
+        Abel agreement, the sign of the gap and the gap bound, plus the
+        enclosure of the integral when the left sum is given.  A non-empty
+        list signals a bug in the library, never valid math.
         """
-        out = []
-        if abs(self.abel_value - self.t_n) > IDENTITY_TOL * max(1.0, abs(self.t_n)):
-            out.append(
-                f"Abel route {self.abel_value!r} disagrees with direct sum {self.t_n!r}"
-            )
-        signed_gap = self.gap if self.direction != INCREASING else -self.gap
-        signed_bound = self.gap_bound if self.direction != INCREASING else -self.gap_bound
-        if signed_gap < -IDENTITY_TOL:
-            side = "exceeds" if self.direction != INCREASING else "undercuts"
+        out = abel_violations(self.direction, self.t_n, self.abel_value, ())
+        sign = -1.0 if self.direction == INCREASING else 1.0
+        slack = IDENTITY_TOL * max(1.0, self.scale)
+        if sign * self.gap < -slack:
+            side = "undercuts" if self.direction == INCREASING else "exceeds"
             out.append(f"discrete sum {self.t_n!r} {side} the integral {self.integral!r}")
-        if signed_gap > signed_bound + IDENTITY_TOL:
+        if sign * self.gap > sign * self.gap_bound + slack:
             out.append(f"gap {self.gap!r} exceeds its bound {self.gap_bound!r}")
+        if left is not None:
+            lower, upper, contains = self.enclosure(left)
+            if not contains:
+                out.append(f"integral {self.integral!r} escapes the enclosure [{lower!r}, {upper!r}]")
         return out
+
+
+def abel_violations(direction: str, t_n: float, abel_value: float, terms: Sequence[float]) -> list[str]:
+    """Invariants of the Abel route; empty means OK.
+
+    The Abel value agrees with the direct sum, relative to |t_n|, and for
+    decreasing or constant g none of ``terms`` is negative.
+    """
+    out = []
+    if abs(abel_value - t_n) > IDENTITY_TOL * max(1.0, abs(t_n)):
+        out.append(f"Abel route {abel_value!r} disagrees with direct sum {t_n!r}")
+    if direction in (DECREASING, CONSTANT) and terms and min(terms) < -IDENTITY_TOL:
+        out.append(f"negative Abel term {min(terms)!r} for a decreasing function")
+    return out
+
+
+def refinement_violations(values: list[float]) -> list[str]:
+    """Steps of a :func:`refinement_chain` that lowered T_n; empty means OK."""
+    return [
+        f"refinement decreased the sum: {prev!r} -> {nxt!r}"
+        for prev, nxt in zip(values, values[1:])
+        if nxt < prev - IDENTITY_TOL
+    ]
 
 
 def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -132,9 +163,10 @@ def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
     return _blocked_sum(n, produce)
 
 
-def _gap_bound(g, mesh: float) -> float:
+def _ends(g) -> tuple[float, float]:
+    """g(0) and g(1), from one evaluation."""
     ends = g.values(np.array([0.0, 1.0]))
-    return (float(ends[0]) - float(ends[1])) * mesh
+    return float(ends[0]), float(ends[1])
 
 
 def riemann_sum_right(g, p: CumulativePartition) -> float:
@@ -183,7 +215,8 @@ def gap_bound(g, p: CumulativePartition) -> float:
     """
     if isinstance(g, MonotoneFunction):
         require_monotone(g, "gap_bound", decreasing=True)
-    return _gap_bound(g, float(np.diff(p.array).max()))
+    g0, g1 = _ends(g)
+    return (g0 - g1) * float(np.diff(p.array).max())
 
 
 def bound_report(
@@ -208,28 +241,27 @@ def bound_report(
     t_n, mesh = _weighted_sum(bps, vals)
     abel_value = _abel_value(bps, vals)
     integral, source, quad_evals = integral_of(g, tol)
-    bound = _gap_bound(g, mesh)
+    g0, g1 = _ends(g)
 
     gap = integral - t_n
-    signed_gap = gap if g.direction != INCREASING else -gap
-    if signed_gap > 10.0 * tol:
+    if (-gap if g.direction == INCREASING else gap) > 10.0 * tol:
         strict: bool | None = True
-    elif not g.strictly_monotone:
-        strict = False
     else:
-        strict = None
+        strict = None if g.strictly_monotone else False
 
     return BoundReport(
         t_n=t_n,
         integral=integral,
         integral_source=source,
         gap=gap,
-        gap_bound=bound,
+        gap_bound=(g0 - g1) * mesh,
         strict=strict,
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
         evaluation_count=p.n + 2 + quad_evals,
+        tol=tol,
+        scale=max(abs(g0), abs(g1)),
     )
 
 

@@ -14,12 +14,17 @@ comma-separated) or a JSON array.  Function specs: ``power:k=2``,
 ``poly:c0,c1,...``, ``tri:peak=0.5``, ``table:@file.csv``.  Convex specs
 for karamata: ``square``, ``expt``, ``abs:c=0.5``, or any function spec.
 
-Exit codes: 0 success, 1 parse error, 2 domain error (bad weights,
+Exit codes: 0 success, 1 parse error (also a ``--tol`` that is not positive
+and finite, or a ``--depth`` below 1), 2 domain error (bad weights,
 non-monotone function, failed precondition, a partition over
-``partitions.MAX_INTERVALS``), 3 mathematical-invariant
-violation.  Code 3 signals a bug in the math, never bad input, so CI can
-tell the two apart.  Results go to standard output, diagnostics to
-standard error.
+``partitions.MAX_INTERVALS``), 3 mathematical-invariant violation.  Code 3
+signals a bug in the math, never bad input, so CI can tell the two apart.
+``bounds`` decides the bound-family invariants: ``bound`` checks that the
+Abel route agrees with T_n, the sign of the gap and the gap bound;
+``enclose`` checks those and that [lower, upper] holds the integral;
+``abel`` checks the agreement and, for decreasing g, that no term is
+negative; ``refine`` checks that no bisection lowers T_n.  Results go to
+standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -28,23 +33,23 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import functions, transform
 from .bounds import (
     DEFAULT_QUAD_TOL,
-    IDENTITY_TOL,
     abel_sum,
     abel_terms,
+    abel_violations,
     bound_report,
     refinement_chain,
+    refinement_violations,
     riemann_sum_left,
     riemann_sum_right,
 )
 from .errors import MonoboundError
-from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, integral_of, require_monotone
+from .functions import MonotoneFunction, integral_of, require_monotone
 from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
@@ -77,26 +82,6 @@ CATALOG_SPECS = (
 
 class CliParseError(Exception):
     """Unusable command line, spec string, or input file (exit code 1)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; exactly one command with its inputs and options."""
-
-    command: str
-    weights_path: str | None = None
-    uniform_n: int | None = None
-    x_path: str | None = None
-    y_path: str | None = None
-    fn_spec: str | None = None
-    density_spec: str | None = None
-    tol: float | None = None
-    depth: int = DEFAULT_DEPTH
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise CliParseError(f"--tol must be positive and finite, got {self.tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +257,10 @@ def parse_convex_spec(spec: str) -> tuple[Callable[[float], float], str]:
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (exit code, payload, problems, text summary)
+# commands; each returns (payload, invariant problems, text summary), and
+# every bound-family problem comes from a check in ``bounds``
 
-_CmdResult = tuple[int, object, list[str], str | None]
+_CmdResult = tuple[object, list[str], str | None]
 
 
 def _require(value: str | None, flag: str) -> str:
@@ -283,77 +269,62 @@ def _require(value: str | None, flag: str) -> str:
     return value
 
 
-def _weights_from(config: RunConfig) -> WeightVector:
-    if (config.weights_path is None) == (config.uniform_n is None):
+def _weights_from(args: argparse.Namespace) -> WeightVector:
+    if (args.weights is None) == (args.uniform is None):
         raise CliParseError("exactly one of --weights FILE and --uniform N is required")
-    if config.uniform_n is not None:
-        return uniform_weights(config.uniform_n)
-    return from_weights(read_vector_file(config.weights_path))
+    if args.uniform is not None:
+        return uniform_weights(args.uniform)
+    return from_weights(read_vector_file(args.weights))
 
 
-def cmd_bound(config: RunConfig) -> _CmdResult:
-    g = parse_fn_spec(_require(config.fn_spec, "--fn"))
-    p = cumulative(_weights_from(config))
-    report = bound_report(g, p, tol=config.tol or DEFAULT_QUAD_TOL)
-    problems = report.invariant_violations()
-    return (3 if problems else 0), report.to_dict(), problems, None
+def cmd_bound(args: argparse.Namespace) -> _CmdResult:
+    g = parse_fn_spec(_require(args.fn, "--fn"))
+    report = bound_report(g, cumulative(_weights_from(args)), tol=args.tol)
+    return report.to_dict(), report.invariant_violations(), None
 
 
-def cmd_enclose(config: RunConfig) -> _CmdResult:
-    g = parse_fn_spec(_require(config.fn_spec, "--fn"))
-    p = cumulative(_weights_from(config))
+def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
+    g = parse_fn_spec(_require(args.fn, "--fn"))
+    p = cumulative(_weights_from(args))
     require_monotone(g, "enclose")
-    tol = config.tol or DEFAULT_QUAD_TOL
-    right = riemann_sum_right(g, p)
+    report = bound_report(g, p, tol=args.tol)
     left = riemann_sum_left(g, p)
-    integral, source, _ = integral_of(g, tol)
-    lower, upper = (left, right) if g.direction == INCREASING else (right, left)
-    slack = IDENTITY_TOL * max(1.0, abs(integral)) + tol
-    contains = lower - slack <= integral <= upper + slack
+    lower, upper, contains = report.enclosure(left)
     payload = {
         "lower": lower,
         "upper": upper,
-        "integral": integral,
-        "integral_source": source,
+        "integral": report.integral,
+        "integral_source": report.integral_source,
         "width": upper - lower,
         "contains_integral": contains,
     }
-    problems = [] if contains else [
-        f"integral {integral!r} escapes the enclosure [{lower!r}, {upper!r}]"
-    ]
-    return (3 if problems else 0), payload, problems, None
+    return payload, report.invariant_violations(left), None
 
 
-def cmd_abel(config: RunConfig) -> _CmdResult:
-    g = parse_fn_spec(_require(config.fn_spec, "--fn"))
-    p = cumulative(_weights_from(config))
+def cmd_abel(args: argparse.Namespace) -> _CmdResult:
+    g = parse_fn_spec(_require(args.fn, "--fn"))
+    p = cumulative(_weights_from(args))
     t_n = riemann_sum_right(g, p)
     value = abel_sum(g, p)
     terms = abel_terms(g, p)
-    difference = value - t_n
-    problems = []
-    if abs(difference) > IDENTITY_TOL * max(1.0, abs(t_n)):
-        problems.append(f"Abel route {value!r} disagrees with direct sum {t_n!r}")
-    if g.direction in (DECREASING, CONSTANT) and terms and min(terms) < -IDENTITY_TOL:
-        problems.append(f"negative Abel term {min(terms)!r} for a decreasing function")
     payload = {
         "abel_value": value,
         "t_n": t_n,
-        "difference": difference,
+        "difference": value - t_n,
         "n": p.n,
         "terms": terms,
     }
-    return (3 if problems else 0), payload, problems, None
+    return payload, abel_violations(g.direction, t_n, value, terms), None
 
 
-def cmd_transform_check(config: RunConfig) -> _CmdResult:
-    f = parse_density_spec(_require(config.density_spec, "--density"))
-    g = parse_fn_spec(_require(config.fn_spec, "--fn"))
-    report = transform.pit_identity_check(f, g, tol=config.tol or DEFAULT_RESIDUAL_TOL)
+def cmd_transform_check(args: argparse.Namespace) -> _CmdResult:
+    f = parse_density_spec(_require(args.density, "--density"))
+    g = parse_fn_spec(_require(args.fn, "--fn"))
+    report = transform.pit_identity_check(f, g, tol=args.tol)
     problems = [] if report.passed else [
         f"residual {report.residual!r} exceeds tolerance {report.tol!r}"
     ]
-    return (3 if problems else 0), report.to_dict(), problems, None
+    return report.to_dict(), problems, None
 
 
 _RELATION_SUMMARY = {
@@ -365,17 +336,17 @@ _RELATION_SUMMARY = {
 }
 
 
-def cmd_majorize(config: RunConfig) -> _CmdResult:
-    x = read_vector_file(_require(config.x_path, "--x"))
-    y = read_vector_file(_require(config.y_path, "--y"))
+def cmd_majorize(args: argparse.Namespace) -> _CmdResult:
+    x = read_vector_file(_require(args.x, "--x"))
+    y = read_vector_file(_require(args.y, "--y"))
     verdict = is_majorized(x, y)
-    return 0, verdict.to_dict(), [], _RELATION_SUMMARY[verdict.relation]
+    return verdict.to_dict(), [], _RELATION_SUMMARY[verdict.relation]
 
 
-def cmd_karamata(config: RunConfig) -> _CmdResult:
-    x = read_vector_file(_require(config.x_path, "--x"))
-    y = read_vector_file(_require(config.y_path, "--y"))
-    g, label = parse_convex_spec(_require(config.fn_spec, "--fn"))
+def cmd_karamata(args: argparse.Namespace) -> _CmdResult:
+    x = read_vector_file(_require(args.x, "--x"))
+    y = read_vector_file(_require(args.y, "--y"))
+    g, label = parse_convex_spec(_require(args.fn, "--fn"))
     report = karamata_check(g, x, y)
     payload = {
         "g": label,
@@ -387,30 +358,23 @@ def cmd_karamata(config: RunConfig) -> _CmdResult:
     problems = [] if report.holds else [
         f"margin {report.margin!r} is negative for majorized inputs"
     ]
-    return (3 if problems else 0), payload, problems, None
+    return payload, problems, None
 
 
-def cmd_refine(config: RunConfig) -> _CmdResult:
-    g = parse_fn_spec(_require(config.fn_spec, "--fn"))
-    p = cumulative(_weights_from(config))
-    if config.depth < 1:
-        raise CliParseError(f"--depth must be >= 1, got {config.depth}")
-    tol = config.tol or DEFAULT_QUAD_TOL
-    values = refinement_chain(g, p, config.depth)
-    integral, source, _ = integral_of(g, tol)
+def cmd_refine(args: argparse.Namespace) -> _CmdResult:
+    g = parse_fn_spec(_require(args.fn, "--fn"))
+    p = cumulative(_weights_from(args))
+    values = refinement_chain(g, p, args.depth)
+    integral, source, _ = integral_of(g, args.tol)
     rows = [
         {"n": p.n * 2**k, "t_n": v, "gap": integral - v}
         for k, v in enumerate(values)
     ]
-    problems = []
-    for prev, nxt in zip(values, values[1:]):
-        if nxt < prev - IDENTITY_TOL:
-            problems.append(f"refinement decreased the sum: {prev!r} -> {nxt!r}")
     payload = {"integral": integral, "integral_source": source, "rows": rows}
-    return (3 if problems else 0), payload, problems, None
+    return payload, refinement_violations(values), None
 
 
-def cmd_catalog(config: RunConfig) -> _CmdResult:
+def cmd_catalog(args: argparse.Namespace) -> _CmdResult:
     rows = []
     for spec in CATALOG_SPECS:
         g = parse_fn_spec(spec)
@@ -422,18 +386,19 @@ def cmd_catalog(config: RunConfig) -> _CmdResult:
                 "integral": g.closed_form_integral,
             }
         )
-    return 0, {"rows": rows}, [], None
+    return {"rows": rows}, [], None
 
 
+#: Each command with its help line, in the order ``--help`` lists them.
 _COMMANDS = {
-    "bound": cmd_bound,
-    "enclose": cmd_enclose,
-    "abel": cmd_abel,
-    "transform-check": cmd_transform_check,
-    "majorize": cmd_majorize,
-    "karamata": cmd_karamata,
-    "refine": cmd_refine,
-    "catalog": cmd_catalog,
+    "bound": (cmd_bound, "full bound report for weights and a function"),
+    "enclose": (cmd_enclose, "two-sided enclosure of the integral"),
+    "abel": (cmd_abel, "discrete integration-by-parts cross-check"),
+    "transform-check": (cmd_transform_check, "substitution identity residual for a density"),
+    "majorize": (cmd_majorize, "majorization relation between two vectors"),
+    "karamata": (cmd_karamata, "convex-sum inequality on a majorized pair"),
+    "refine": (cmd_refine, "bound sequence under repeated bisection"),
+    "catalog": (cmd_catalog, "list catalog functions and their integrals"),
 }
 
 
@@ -447,56 +412,48 @@ class _Parser(argparse.ArgumentParser):
         raise CliParseError(message)
 
 
+def _checked(convert: Callable[[str], float], valid: Callable[[float], bool], requirement: str):
+    """An argparse type: ``convert`` the text, then refuse values that are not ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _checked(float, lambda t: 0.0 < t < math.inf, "positive and finite")
+_depth = _checked(int, lambda d: d >= 1, ">= 1")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="monobound", description="Riemann-sum bounds for monotone functions on [0, 1]")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     sub.required = True
-    for name, help_text in (
-        ("bound", "full bound report for weights and a function"),
-        ("enclose", "two-sided enclosure of the integral"),
-        ("abel", "discrete integration-by-parts cross-check"),
-        ("transform-check", "substitution identity residual for a density"),
-        ("majorize", "majorization relation between two vectors"),
-        ("karamata", "convex-sum inequality on a majorized pair"),
-        ("refine", "bound sequence under repeated bisection"),
-        ("catalog", "list catalog functions and their integrals"),
-    ):
+    for name, (run, help_text) in _COMMANDS.items():
+        tol = DEFAULT_RESIDUAL_TOL if name == "transform-check" else DEFAULT_QUAD_TOL
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--weights", metavar="FILE", help="weight file: CSV or JSON array")
         p.add_argument("--uniform", type=int, metavar="N", help="use N equal weights 1/N")
         p.add_argument("--fn", metavar="SPEC", help=f"function spec: {_FN_USAGE}")
         p.add_argument("--density", metavar="SPEC", help=f"density spec: {_DENSITY_USAGE}")
         p.add_argument("--x", metavar="FILE", help="left vector for majorize/karamata")
         p.add_argument("--y", metavar="FILE", help="right vector for majorize/karamata")
-        p.add_argument("--tol", type=float, metavar="X", help="tolerance (default 1e-10; 1e-8 for transform-check)")
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="D", help="bisection depth for refine")
+        p.add_argument("--tol", type=_tolerance, default=tol, metavar="X", help="tolerance (default 1e-10; 1e-8 for transform-check)")
+        p.add_argument("--depth", type=_depth, default=DEFAULT_DEPTH, metavar="D", help="bisection depth for refine")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     return parser
 
 
-def parse_args(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        weights_path=ns.weights,
-        uniform_n=ns.uniform,
-        x_path=ns.x,
-        y_path=ns.y,
-        fn_spec=ns.fn,
-        density_spec=ns.density,
-        tol=ns.tol,
-        depth=ns.depth,
-        output_format="json" if ns.json else "text",
-    )
-
-
 def _fmt_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
     if isinstance(value, float):
         return format_float(value)
     return str(value)
@@ -529,8 +486,8 @@ def render_text(payload) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = parse_args(argv)
-        code, payload, problems, summary = _COMMANDS[config.command](config)
+        args = build_parser().parse_args(argv)
+        payload, problems, summary = args.run(args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -539,13 +496,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     for problem in problems:
         print(f"invariant violation: {problem}", file=sys.stderr)
-    if config.output_format == "json":
+    if args.json:
         print(render_json(payload))
     else:
         if summary is not None:
             print(summary)
         print(render_text(payload))
-    return code
+    return 3 if problems else 0
 
 
 if __name__ == "__main__":

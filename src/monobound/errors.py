@@ -28,6 +28,15 @@ class NonPositiveWeight(MonoboundError):
         super().__init__(f"weight {index} is {value!r}; weights must be positive finite numbers")
 
 
+class WeightUnderflow(NonPositiveWeight):
+    """A positive weight ``value`` that rounds to 0.0 when divided by ``total``."""
+
+    def __init__(self, index: int, value: float, total: float):
+        self.index, self.value, self.total = index, value, total
+        message = f"weight {index} is {value!r}, which underflows to 0.0 after normalisation"
+        MonoboundError.__init__(self, f"{message} by the weight total {total!r}")
+
+
 class SumOutOfTolerance(MonoboundError):
     """Weights do not sum to 1 within the accepted tolerance."""
 

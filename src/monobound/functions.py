@@ -35,8 +35,24 @@ CONSTANT = "constant"
 NON_MONOTONE = "non_monotone"
 
 
+class _UnitIntervalFunction:
+    """Evaluation of ``_fn``, a function on [0, 1], at a point or on an array."""
+
+    _fn: Callable
+
+    def __call__(self, x: float) -> float:
+        """Evaluate at a scalar point of [0, 1]; raises DomainViolation."""
+        if not 0.0 <= x <= 1.0:
+            raise DomainViolation(x)
+        return float(self._fn(x))
+
+    def values(self, xs) -> np.ndarray:
+        """Vectorized evaluation; callers guarantee xs lies in [0, 1]."""
+        return np.asarray(self._fn(np.asarray(xs, dtype=float)), dtype=float)
+
+
 @dataclass(frozen=True)
-class MonotoneFunction:
+class MonotoneFunction(_UnitIntervalFunction):
     """Descriptor for a function g on [0, 1] with known monotonicity.
 
     ``closed_form_integral`` is the analytic value of the integral of g
@@ -52,16 +68,6 @@ class MonotoneFunction:
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
-
-    def __call__(self, x: float) -> float:
-        """Evaluate at a scalar point of [0, 1]; raises DomainViolation."""
-        if not 0.0 <= x <= 1.0:
-            raise DomainViolation(x)
-        return float(self._fn(x))
-
-    def values(self, xs) -> np.ndarray:
-        """Vectorized evaluation; callers guarantee xs lies in [0, 1]."""
-        return np.asarray(self._fn(np.asarray(xs, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -178,12 +184,7 @@ def linear(m: float, b: float) -> MonotoneFunction:
     m, b = float(m), float(b)
     if not (math.isfinite(m) and math.isfinite(b)):
         raise ValueError(f"m and b must be finite, got {m!r}, {b!r}")
-    if m < 0.0:
-        direction, strict = DECREASING, True
-    elif m > 0.0:
-        direction, strict = INCREASING, True
-    else:
-        direction, strict = CONSTANT, False
+    direction, strict = _direction_of(np.array([m]), 0.0)
     return MonotoneFunction(
         kind="linear",
         direction=direction,
@@ -204,16 +205,7 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     direction is "non_monotone", which bound operations reject.
     """
     xs, ys = knot_arrays(points, "tabulated function")
-    diffs = np.diff(ys)
-    up, down = diffs > 0.0, diffs < 0.0
-    if up.any() and down.any():
-        direction, strict = NON_MONOTONE, False
-    elif down.any():
-        direction, strict = DECREASING, bool(down.all())
-    elif up.any():
-        direction, strict = INCREASING, bool(up.all())
-    else:
-        direction, strict = CONSTANT, False
+    direction, strict = _direction_of(np.diff(ys), 0.0)
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
@@ -247,20 +239,10 @@ def knot_arrays(points: Sequence[tuple[float, float]], what: str) -> tuple[np.nd
     return xs, ys
 
 
-def evaluate(g: MonotoneFunction, x: float) -> float:
-    """Evaluate g at x in [0, 1]; raises DomainViolation outside."""
-    return g(x)
-
-
-def closed_form_integral(g: MonotoneFunction) -> float | None:
-    """Analytic value of the integral of g over [0, 1], if one is known."""
-    return g.closed_form_integral
-
-
 def quadrature_integral(g: MonotoneFunction, tol: float = 1e-10) -> float:
     """Integral of g over [0, 1] by adaptive quadrature, error <= tol.
 
-    Independent of :func:`closed_form_integral`; the two agree within tol
+    Independent of ``g.closed_form_integral``; the two agree within tol
     for every catalog member, which the test suite cross-checks.  Raises
     ToleranceNotReached when the error estimate cannot be certified.
     """
@@ -305,23 +287,22 @@ def probe_monotonicity(g: MonotoneFunction, grid_size: int = 101) -> Monotonicit
     grid = np.linspace(0.0, 1.0, grid_size)
     if g.kinks:
         grid = np.union1d(grid, np.array(g.kinks))
-    vals = g.values(grid)
-    diffs = np.diff(vals)
+    diffs = np.diff(g.values(grid))
+    direction, strict = _direction_of(diffs, PROBE_TOLERANCE)
+    if direction != NON_MONOTONE:
+        return MonotonicityVerdict(direction, strict)
+    # witness the pair that contradicts the trend established first
+    j = max(int(np.argmax(diffs > PROBE_TOLERANCE)), int(np.argmax(diffs < -PROBE_TOLERANCE)))
+    return MonotonicityVerdict(NON_MONOTONE, strict=False, witness=(float(grid[j]), float(grid[j + 1])))
 
-    up = diffs > PROBE_TOLERANCE
-    down = diffs < -PROBE_TOLERANCE
+
+def _direction_of(diffs: np.ndarray, tie: float) -> tuple[str, bool]:
+    """(direction, strict) from successive differences; |d| <= tie is a tie."""
+    up, down = diffs > tie, diffs < -tie
     if up.any() and down.any():
-        first_up = int(np.argmax(up))
-        first_down = int(np.argmax(down))
-        # witness the pair that contradicts the trend established first
-        j = max(first_up, first_down)
-        return MonotonicityVerdict(
-            direction=NON_MONOTONE,
-            strict=False,
-            witness=(float(grid[j]), float(grid[j + 1])),
-        )
+        return NON_MONOTONE, False
     if down.any():
-        return MonotonicityVerdict(DECREASING, strict=bool(down.all()))
+        return DECREASING, bool(down.all())
     if up.any():
-        return MonotonicityVerdict(INCREASING, strict=bool(up.all()))
-    return MonotonicityVerdict(CONSTANT, strict=False)
+        return INCREASING, bool(up.all())
+    return CONSTANT, False

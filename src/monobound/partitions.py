@@ -29,6 +29,7 @@ from .errors import (
     SumOutOfTolerance,
     TooLarge,
     WeightBelowResolution,
+    WeightUnderflow,
 )
 
 #: Accepted deviation of an un-normalized weight sum from 1.
@@ -212,15 +213,21 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     Without ``normalize`` the sum must already be within 1e-9 of 1; with it,
     any positive weights are accepted and divided by their exact sum,
     leaving a sum within 1e-15 of 1.  A weight total that overflows float64
-    raises NonFiniteValue.
+    raises NonFiniteValue, and a weight the division rounds to 0.0 raises
+    WeightUnderflow.
     """
     a = _float_array(weights, copy=not normalize)
     if a.size == 0:
         raise EmptyInput("weight list")
-    if normalize:
-        _check_positive(a)
-        a = a / _weight_sum(a)
-    return WeightVector._adopt(a)
+    if not normalize:
+        return WeightVector._adopt(a)
+    _check_positive(a)
+    total = _weight_sum(a)
+    try:
+        return WeightVector._adopt(a / total)
+    except NonPositiveWeight as exc:
+        # every input weight is positive, so this one underflowed in the division
+        raise WeightUnderflow(exc.index, float(a[exc.index]), total) from None
 
 
 def cumulative(w: WeightVector) -> CumulativePartition:

@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .bounds import DEFAULT_QUAD_TOL, IDENTITY_TOL, riemann_sum_right
-from .errors import DomainViolation, EmptyInput, LengthMismatch, NotNormalized
-from .functions import MonotoneFunction, integral_of, knot_arrays, require_monotone
+from .bounds import DEFAULT_QUAD_TOL, bound_report
+from .errors import EmptyInput, LengthMismatch, NotNormalized
+from .functions import MonotoneFunction, _UnitIntervalFunction, integral_of, knot_arrays, require_monotone
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 from .quadrature import batched_quadrature
 
@@ -32,38 +32,25 @@ _NONNEG_GRID = 1001
 
 
 @dataclass(frozen=True)
-class Density:
-    """Probability density on [0, 1]; mass is verified at construction."""
+class Density(_UnitIntervalFunction):
+    """Probability density on [0, 1]; sign and mass are verified at construction."""
 
     kind: str
     formula: str
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
-    _pdf: Callable = field(repr=False, compare=False, default=None)
+    _fn: Callable = field(repr=False, compare=False, default=None)
 
-    def __call__(self, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            raise DomainViolation(x)
-        return float(self._pdf(x))
-
-    def values(self, xs) -> np.ndarray:
-        return np.asarray(self._pdf(np.asarray(xs, dtype=float)), dtype=float)
+    def __post_init__(self) -> None:
+        _check_density(self._fn, self.kinks)
 
 
 @dataclass(frozen=True)
-class CDF:
+class CDF(_UnitIntervalFunction):
     """F(x) = integral of the density from 0 to x, clamped into [0, 1]."""
 
     density: Density
     _fn: Callable = field(repr=False, compare=False, default=None)
-
-    def __call__(self, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            raise DomainViolation(x)
-        return float(self._fn(x))
-
-    def values(self, xs) -> np.ndarray:
-        return np.asarray(self._fn(np.asarray(xs, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -112,9 +99,7 @@ def _check_density(pdf: Callable, kinks: tuple[float, ...]) -> None:
 
 def uniform_density() -> Density:
     """f(x) = 1."""
-    d = Density(kind="uniform", formula="1", _pdf=lambda x: 1.0 + 0.0 * x)
-    _check_density(d._pdf, d.kinks)
-    return d
+    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x)
 
 
 def polynomial_density(coefficients: Sequence[float]) -> Density:
@@ -125,14 +110,12 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("polynomial coefficients must be finite")
     terms = " + ".join(f"{c:g}*x^{j}" if j else f"{c:g}" for j, c in enumerate(coeffs))
-    d = Density(
+    return Density(
         kind="polynomial",
         formula=terms,
         params=tuple((f"c{j}", c) for j, c in enumerate(coeffs)),
-        _pdf=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+        _fn=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
     )
-    _check_density(d._pdf, d.kinks)
-    return d
 
 
 def triangular_density(peak: float) -> Density:
@@ -150,15 +133,13 @@ def triangular_density(peak: float) -> Density:
             with np.errstate(invalid="ignore"):
                 return np.where(x <= _p, 2.0 * x / _p, 2.0 * (1.0 - x) / (1.0 - _p))
     kinks = (p,) if 0.0 < p < 1.0 else ()
-    d = Density(
+    return Density(
         kind="triangular",
         formula=f"triangle with peak at {p:g}",
         params=(("peak", p),),
         kinks=kinks,
-        _pdf=pdf,
+        _fn=pdf,
     )
-    _check_density(d._pdf, d.kinks)
-    return d
 
 
 def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
@@ -174,14 +155,12 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     if mass <= 0.0:
         raise NotNormalized(mass)
     ys = ys / mass
-    d = Density(
+    return Density(
         kind="tabulated",
         formula=f"piecewise linear through {xs.size} knots (renormalized)",
         kinks=tuple(xs[1:-1].tolist()),
-        _pdf=lambda x: np.interp(x, xs, ys),
+        _fn=lambda x: np.interp(x, xs, ys),
     )
-    _check_density(d._pdf, d.kinks)
-    return d
 
 
 def cdf_of(f: Density) -> CDF:
@@ -243,7 +222,7 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     F = cdf_of(f)
-    pdf, cdf_fn, gfn = f._pdf, F._fn, g._fn
+    pdf, cdf_fn, gfn = f._fn, F._fn, g._fn
     lhs = batched_quadrature(
         lambda x: pdf(x) * gfn(cdf_fn(x)),
         0.0,
@@ -280,9 +259,9 @@ def expectation_upper_bound(
     """E[g(U)] for uniform U, with the discrete sum checked against it.
 
     For decreasing g the cumulative-sum estimate sum_i a_i g(S_i) can never
-    exceed the expectation; ``holds`` records the verified comparison.
+    exceed the expectation; ``holds`` says the :func:`bound_report` behind
+    both has no invariant violations.
     """
     require_monotone(g, "expectation_upper_bound", decreasing=True)
-    s = riemann_sum_right(g, cumulative(w))
-    e = integral_of(g, tol)[0]
-    return ExpectationBound(expectation=e, discrete_sum=s, holds=s <= e + IDENTITY_TOL)
+    r = bound_report(g, cumulative(w), tol)
+    return ExpectationBound(expectation=r.integral, discrete_sum=r.t_n, holds=not r.invariant_violations())

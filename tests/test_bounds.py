@@ -10,9 +10,11 @@ from monobound.bounds import (
     BoundReport,
     abel_sum,
     abel_terms,
+    abel_violations,
     bound_report,
     gap_bound,
     refinement_chain,
+    refinement_violations,
     riemann_sum_left,
     riemann_sum_right,
 )
@@ -200,6 +202,53 @@ class TestBoundReport:
         r = bound_report(exponential(1), p)
         assert r.invariant_violations() == []
         assert r.gap >= -1e-12
+
+    def test_keeps_its_tolerance_and_scale(self):
+        r = bound_report(linear(2, -3), worked_partition(), tol=1e-7)
+        assert (r.tol, r.scale) == (1e-7, 3.0)
+
+    @pytest.mark.parametrize("g", CATALOG + [linear(1, 0), constant(2.0)], ids=lambda g: g.formula)
+    def test_left_sum_completes_the_enclosure(self, g):
+        p = cumulative(from_weights([0.05, 0.15, 0.1, 0.3, 0.4]))
+        r = bound_report(g, p)
+        left = riemann_sum_left(g, p)
+        lower, upper, contains = r.enclosure(left)
+        assert contains and lower <= r.integral <= upper
+        assert {lower, upper} == {r.t_n, left}
+        assert r.invariant_violations(left) == []
+
+    def test_a_left_sum_below_the_integral_escapes(self):
+        r = bound_report(power_complement(2), worked_partition())
+        assert r.enclosure(r.t_n)[2] is False
+        assert r.invariant_violations(r.t_n) == [
+            f"integral {r.integral!r} escapes the enclosure [{r.t_n!r}, {r.t_n!r}]"
+        ]
+
+    def test_gap_checks_scale_with_g(self):
+        # the gap is an ulp of g(1) = 1e12, a thousand times the gap bound
+        g, p = linear(-1e-4, 1e12), cumulative(uniform_weights(1000))
+        r = bound_report(g, p)
+        assert r.scale == 1e12
+        assert r.gap > r.gap_bound
+        assert r.invariant_violations(riemann_sum_left(g, p)) == []
+
+
+class TestRouteChecks:
+    def test_abel_agreement_is_relative_to_t_n(self):
+        assert abel_violations(DECREASING, 1e6, 1e6 + 1e-7, [0.0]) == []
+        assert abel_violations(DECREASING, 1.0, 1.0 + 1e-11, [0.0]) == [
+            f"Abel route {1.0 + 1e-11!r} disagrees with direct sum 1.0"
+        ]
+
+    def test_negative_terms_are_allowed_only_for_increasing_g(self):
+        assert abel_violations(INCREASING, 0.5, 0.5, [-0.25]) == []
+        assert abel_violations(DECREASING, 0.5, 0.5, [-0.25]) == [
+            "negative Abel term -0.25 for a decreasing function"
+        ]
+
+    def test_refinement_may_not_lower_the_sum(self):
+        assert refinement_violations([0.1, 0.2, 0.2]) == []
+        assert refinement_violations([0.1, 0.3, 0.2]) == ["refinement decreased the sum: 0.3 -> 0.2"]
 
 
 class TestStreamingMemory:

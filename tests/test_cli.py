@@ -7,8 +7,8 @@ from unittest import mock
 
 import pytest
 
-from monobound import majorization
-from monobound.bounds import bound_report
+from monobound import bounds, cli, majorization
+from monobound.bounds import bound_report, refinement_chain, riemann_sum_right
 from monobound.cli import main
 from monobound.functions import power_complement
 from monobound.majorization import BOTH, MajorizationVerdict
@@ -105,6 +105,13 @@ class TestBound:
         got = json.loads(out)
         assert got["gap"] >= 0.0
         assert got["gap"] <= got["gap_bound"] + 1e-12
+
+    @pytest.mark.parametrize("command", ["bound", "enclose"])
+    def test_rounding_at_large_scale_is_not_an_invariant_violation(self, capsys, command):
+        # g is near 1e12, whose ulp (1.2e-4) is larger than the gap bound
+        # (1.2e-7), so the computed gap may exceed the bound by an ulp of g
+        code, _, err = run(capsys, command, "--uniform", "1000", "--fn", "linear:m=-1e-4,b=1e12")
+        assert (code, err) == (0, "")
 
 
 class TestEnclose:
@@ -359,6 +366,110 @@ class TestRefine:
         assert code == 1
         assert "error" in err
 
+    def test_depth_is_checked_before_the_weights_are_read(self, capsys):
+        code, _, err = run(capsys, "refine", "--weights", "/nonexistent.csv", "--fn", "recip", "--depth", "0")
+        assert (code, err) == (1, "error: argument --depth: must be >= 1, got 0\n")
+
+
+class TestPlantedBugs:
+    """A wrong sum planted in the library makes the bound-family commands exit 3.
+
+    Each test names the invariant violation it expects, so deleting the
+    check that catches its bug makes it fail.
+    """
+
+    G = power_complement(2)
+
+    @pytest.fixture
+    def right_sum_at_left_endpoints(self):
+        # bound_report's T_n and Abel value taken at S_0..S_(n-1): the left
+        # sum, which the Abel route agrees with but which exceeds the integral
+        weighted_sum, abel_value = bounds._weighted_sum, bounds._abel_value
+
+        def at_left(route):
+            return lambda bps, vals: route(bps, self.G.values(bps[:-1]))
+
+        with (
+            mock.patch.object(bounds, "_weighted_sum", at_left(weighted_sum)),
+            mock.patch.object(bounds, "_abel_value", at_left(abel_value)),
+        ):
+            yield
+
+    @pytest.fixture
+    def dropped_abel_term(self):
+        # the Abel value without its first term S_1 * (g(S_1) - g(S_2))
+        abel_value = bounds._abel_value
+
+        def dropped(bps, vals):
+            return abel_value(bps, vals) - float(bps[1] * (vals[0] - vals[1]))
+
+        with mock.patch.object(bounds, "_abel_value", dropped):
+            yield
+
+    @pytest.mark.usefixtures("right_sum_at_left_endpoints")
+    def test_bound_with_right_sum_at_left_endpoints(self, capsys, worked_weights):
+        code, out, err = run(capsys, "bound", "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        assert json.loads(out)["t_n"] == pytest.approx(0.863, abs=1e-12)
+        assert err.startswith("invariant violation: discrete sum 0.863")
+        assert "exceeds the integral 0.6666666666666666\n" in err
+
+    @pytest.mark.usefixtures("right_sum_at_left_endpoints")
+    def test_enclose_with_right_sum_at_left_endpoints(self, capsys, worked_weights):
+        code, out, err = run(capsys, "enclose", "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        assert json.loads(out)["contains_integral"] is False
+        assert "exceeds the integral" in err
+        assert "escapes the enclosure" in err
+
+    def test_enclose_with_left_sum_at_right_endpoints(self, capsys, worked_weights):
+        with mock.patch.object(cli, "riemann_sum_left", riemann_sum_right):
+            code, out, err = run(capsys, "enclose", "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        got = json.loads(out)
+        assert got["lower"] == got["upper"]
+        assert got["contains_integral"] is False
+        assert err == (
+            "invariant violation: integral 0.6666666666666666 escapes the enclosure "
+            f"[{got['lower']!r}, {got['upper']!r}]\n"
+        )
+
+    def test_bound_with_gap_bound_too_small(self, capsys, worked_weights):
+        ends = bounds._ends
+        with mock.patch.object(bounds, "_ends", lambda g: (ends(g)[1],) * 2):
+            code, out, err = run(capsys, "bound", "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        assert json.loads(out)["gap_bound"] == 0.0
+        assert err.startswith("invariant violation: gap 0.249") and err.endswith(" exceeds its bound 0.0\n")
+
+    @pytest.mark.usefixtures("dropped_abel_term")
+    @pytest.mark.parametrize("command", ["bound", "abel"])
+    def test_dropped_abel_term(self, capsys, worked_weights, command):
+        code, out, err = run(capsys, command, "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        got = json.loads(out)
+        assert got["abel_value"] == pytest.approx(0.375, abs=1e-12)
+        assert err == (
+            f"invariant violation: Abel route {got['abel_value']!r} disagrees with direct sum {got['t_n']!r}\n"
+        )
+
+    def test_abel_with_a_negated_term(self, capsys, worked_weights):
+        with mock.patch.object(cli, "abel_terms", lambda g, p: [-t for t in bounds.abel_terms(g, p)]):
+            code, _, err = run(capsys, "abel", "--weights", worked_weights, "--fn", "power:k=2", "--json")
+        assert code == 3
+        assert err.startswith("invariant violation: negative Abel term -0.375")
+
+    def test_refine_with_a_decreasing_chain(self, capsys, worked_weights):
+        with mock.patch.object(cli, "refinement_chain", lambda g, p, depth: refinement_chain(g, p, depth)[::-1]):
+            code, out, err = run(
+                capsys, "refine", "--weights", worked_weights, "--fn", "power:k=2", "--depth", "1", "--json"
+            )
+        assert code == 3
+        rows = json.loads(out)["rows"]
+        assert err == (
+            f"invariant violation: refinement decreased the sum: {rows[0]['t_n']!r} -> {rows[1]['t_n']!r}\n"
+        )
+
 
 class TestInputBudget:
     """Oversized inputs exit 2 before anything large is allocated."""
@@ -440,6 +551,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol(self, capsys, tol):
         assert run(capsys, "enclose", "--uniform", "4", "--fn", "recip", "--tol", tol)[0] == 1
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("-3", "must be positive and finite, got -3.0"), ("abc", "invalid float value: 'abc'")],
+    )
+    def test_tol_messages_name_the_flag(self, capsys, tol, message):
+        code, out, err = run(capsys, "bound", "--uniform", "4", "--fn", "recip", "--tol", tol)
+        assert (code, out, err) == (1, "", f"error: argument --tol: {message}\n")
 
     def test_negative_weight_is_a_domain_error(self, capsys, tmp_path):
         bad = write_vector(tmp_path, "bad.csv", "0.5,-0.1,0.6\n")

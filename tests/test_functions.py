@@ -14,7 +14,6 @@ from monobound.functions import (
     INCREASING,
     NON_MONOTONE,
     constant,
-    evaluate,
     exponential,
     linear,
     logarithmic,
@@ -38,7 +37,7 @@ STRICT_FIVE = [
 
 class TestEvaluate:
     def test_power_complement_at_02(self):
-        assert evaluate(power_complement(2), 0.2) == pytest.approx(0.96, abs=1e-15)
+        assert power_complement(2)(0.2) == pytest.approx(0.96, abs=1e-15)
 
     def test_constant_everywhere(self):
         g = constant(3.5)

@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from monobound.errors import (
     EmptyInput,
+    MonoboundError,
     NonFiniteValue,
     NonPositiveWeight,
     PointOutsideInterval,
     SumOutOfTolerance,
     TooLarge,
     WeightBelowResolution,
+    WeightUnderflow,
 )
 from monobound.partitions import (
     MAX_INTERVALS,
@@ -46,6 +48,16 @@ class TestFromWeights:
     def test_normalization_divides_by_sum(self):
         w = from_weights([2, 3, 5], normalize=True)
         assert w.weights == (0.2, 0.3, 0.5)
+
+    def test_weight_that_underflows_in_normalisation_is_named(self):
+        # 5e-324 / 4 rounds to 0.0; the error names the weight as given
+        with pytest.raises(WeightUnderflow) as info:
+            from_weights([5e-324, 4.0], normalize=True)
+        assert isinstance(info.value, MonoboundError)
+        assert (info.value.index, info.value.value, info.value.total) == (0, 5e-324, 4.0)
+        assert str(info.value) == (
+            "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
