@@ -30,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from ._summation import _blocked_sum
-from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, integral_of, require_monotone
+from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
-#: Default absolute tolerance for quadrature fallbacks.
+#: Default absolute tolerance of ``strict``, the enclosure slack and the quadrature oracles.
 DEFAULT_QUAD_TOL = 1e-10
 #: Float slack granted to algebraic identities and the bound's checks,
 #: relative to the magnitudes they compare (see BoundReport).
@@ -45,18 +45,18 @@ class BoundReport:
     """Everything the main inequality says about one (g, partition) pair.
 
     ``gap`` is integral - t_n: non-negative for decreasing g, non-positive
-    for increasing g.  ``strict`` is True when the gap clears 10x the
-    quadrature tolerance, False when equality is genuinely attainable
-    (g not strictly monotone), and None when g is strictly monotone but the
-    computed gap sits inside numerical noise (indeterminate at tolerance).
-    ``tol`` is the quadrature tolerance the report was made with and
+    for increasing g.  ``strict`` is True when the gap clears 10x ``tol``,
+    False when equality is genuinely attainable (g not strictly monotone),
+    and None when g is strictly monotone but the computed gap sits inside
+    numerical noise.  ``tol`` is that threshold and the enclosure's slack,
     ``scale`` is M = max(|g(0)|, |g(1)|), the largest |g| on [0, 1]; the
     checks scale their slack by them, and ``to_dict`` leaves both out.
     """
 
+    integral_source = "closed_form"  # the integral is g's; a wire field
+
     t_n: float
     integral: float
-    integral_source: str
     gap: float
     gap_bound: float
     strict: bool | None
@@ -191,9 +191,15 @@ def abel_terms(g, p: CumulativePartition) -> list[float]:
     Each is non-negative when g is decreasing, which is the discrete
     reason the right sum cannot exceed the integral.
     """
+    return _abel_route(g, p)[2]
+
+
+def _abel_route(g, p: CumulativePartition) -> tuple[float, float, list[float]]:
+    """T_n, the Abel value and the Abel terms, from one evaluation of g at S_1..S_n."""
     bps = p.array
     vals = g.values(bps[1:])
-    return (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
+    terms = (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
+    return _weighted_sum(bps, vals)[0], _abel_value(bps, vals), terms
 
 
 def abel_sum(g, p: CumulativePartition) -> float:
@@ -226,11 +232,9 @@ def bound_report(
 
     g is evaluated once at S_1..S_n; the direct sum and the Abel route
     both use those values, so ``evaluation_count`` is n + 2 (the ends for
-    the gap bound) plus any quadrature evaluations.  The integral comes
-    from the closed form when the catalog knows one, otherwise from
-    adaptive quadrature at ``tol``.  Raises NonMonotoneFunction for
-    functions that rise and fall, and propagates ToleranceNotReached from
-    the quadrature fallback.
+    the gap bound).  The integral is g's closed form; ``tol`` is the
+    ``strict`` threshold and the enclosure slack.  Raises
+    NonMonotoneFunction for functions that rise and fall.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -240,7 +244,7 @@ def bound_report(
     vals = g.values(bps[1:])
     t_n, mesh = _weighted_sum(bps, vals)
     abel_value = _abel_value(bps, vals)
-    integral, source, quad_evals = integral_of(g, tol)
+    integral = g.closed_form_integral
     g0, g1 = _ends(g)
 
     gap = integral - t_n
@@ -252,14 +256,13 @@ def bound_report(
     return BoundReport(
         t_n=t_n,
         integral=integral,
-        integral_source=source,
         gap=gap,
         gap_bound=(g0 - g1) * mesh,
         strict=strict,
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
-        evaluation_count=p.n + 2 + quad_evals,
+        evaluation_count=p.n + 2,
         tol=tol,
         scale=max(abs(g0), abs(g1)),
     )

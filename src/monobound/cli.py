@@ -2,23 +2,30 @@
 
 Grammar:
 
-    monobound <command> [--weights FILE | --uniform N] [--fn SPEC]
-                        [--density SPEC] [--x FILE] [--y FILE]
-                        [--tol X] [--depth D] [--json]
+    monobound bound|enclose (--weights FILE | --uniform N) --fn SPEC [--tol X]
+    monobound abel|refine   (--weights FILE | --uniform N) --fn SPEC [--depth D]
+    monobound transform-check --density SPEC --fn SPEC [--tol X]
+    monobound majorize|karamata --x FILE --y FILE [--fn SPEC]
+    monobound catalog
 
-Commands: bound, enclose, abel, transform-check, majorize, karamata,
-refine, catalog.  Weight and vector files are CSV (one value per line or
-comma-separated) or a JSON array.  Function specs: ``power:k=2``,
-``exp:lambda=1.5``, ``log``, ``recip``, ``trig``, ``const:c=1``,
-``linear:m=-1,b=1``, ``table:@file.csv``.  Density specs: ``uniform``,
-``poly:c0,c1,...``, ``tri:peak=0.5``, ``table:@file.csv``.  Convex specs
-for karamata: ``square``, ``expt``, ``abs:c=0.5``, or any function spec.
+and ``--json`` anywhere; ``--depth`` is refine's alone, ``--fn`` karamata's
+(required), and any option a command does not read is a parse error.
+``--tol`` is the ``strict`` threshold and enclosure slack (default 1e-10),
+or transform-check's residual tolerance (1e-8).  Every integral of g is its
+closed form (for ``table:``, the trapezoid sum).  Weight and vector files
+are CSV (one value per line or comma-separated) or a JSON array.  Function
+specs: ``power:k=2``, ``exp:lambda=1.5``, ``log``, ``recip``, ``trig``,
+``const:c=1``, ``linear:m=-1,b=1``, ``table:@file.csv``.  Density specs:
+``uniform``, ``poly:c0,c1,...``, ``tri:peak=0.5``, ``table:@file.csv``.
+Convex specs for karamata: ``square``, ``expt``, ``abs:c=0.5``, or any
+function spec.
 
 Exit codes: 0 success, 1 parse error (also a ``--tol`` that is not positive
 and finite, or a ``--depth`` below 1), 2 domain error (bad weights,
 non-monotone function, failed precondition, a partition over
-``partitions.MAX_INTERVALS``), 3 mathematical-invariant violation.  Code 3
-signals a bug in the math, never bad input, so CI can tell the two apart.
+``partitions.MAX_INTERVALS``, a Simpson sum that overflows), 3
+mathematical-invariant violation.  Code 3 signals a bug in the math, never
+bad input, so CI can tell the two apart.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the
 Abel route agrees with T_n, the sign of the gap and the gap bound;
 ``enclose`` checks those and that [lower, upper] holds the integral;
@@ -39,17 +46,15 @@ from typing import Callable, Sequence
 from . import functions, transform
 from .bounds import (
     DEFAULT_QUAD_TOL,
-    abel_sum,
-    abel_terms,
+    _abel_route,
     abel_violations,
     bound_report,
     refinement_chain,
     refinement_violations,
     riemann_sum_left,
-    riemann_sum_right,
 )
 from .errors import MonoboundError
-from .functions import MonotoneFunction, integral_of, require_monotone
+from .functions import MonotoneFunction, require_monotone
 from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
@@ -304,9 +309,7 @@ def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
 def cmd_abel(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
     p = cumulative(_weights_from(args))
-    t_n = riemann_sum_right(g, p)
-    value = abel_sum(g, p)
-    terms = abel_terms(g, p)
+    t_n, value, terms = _abel_route(g, p)
     payload = {
         "abel_value": value,
         "t_n": t_n,
@@ -365,12 +368,12 @@ def cmd_refine(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
     p = cumulative(_weights_from(args))
     values = refinement_chain(g, p, args.depth)
-    integral, source, _ = integral_of(g, args.tol)
+    integral = g.closed_form_integral
     rows = [
         {"n": p.n * 2**k, "t_n": v, "gap": integral - v}
         for k, v in enumerate(values)
     ]
-    payload = {"integral": integral, "integral_source": source, "rows": rows}
+    payload = {"integral": integral, "integral_source": "closed_form", "rows": rows}
     return payload, refinement_violations(values), None
 
 
@@ -389,16 +392,21 @@ def cmd_catalog(args: argparse.Namespace) -> _CmdResult:
     return {"rows": rows}, [], None
 
 
-#: Each command with its help line, in the order ``--help`` lists them.
+_PARTITION = ("weights", "uniform", "fn")
+
+#: Each command with its help line and the options it reads, in the order
+#: ``--help`` lists them; every command also takes ``--json``.
 _COMMANDS = {
-    "bound": (cmd_bound, "full bound report for weights and a function"),
-    "enclose": (cmd_enclose, "two-sided enclosure of the integral"),
-    "abel": (cmd_abel, "discrete integration-by-parts cross-check"),
-    "transform-check": (cmd_transform_check, "substitution identity residual for a density"),
-    "majorize": (cmd_majorize, "majorization relation between two vectors"),
-    "karamata": (cmd_karamata, "convex-sum inequality on a majorized pair"),
-    "refine": (cmd_refine, "bound sequence under repeated bisection"),
-    "catalog": (cmd_catalog, "list catalog functions and their integrals"),
+    "bound": (cmd_bound, "full bound report for weights and a function", (*_PARTITION, "tol")),
+    "enclose": (cmd_enclose, "two-sided enclosure of the integral", (*_PARTITION, "tol")),
+    "abel": (cmd_abel, "discrete integration-by-parts cross-check", _PARTITION),
+    "transform-check": (
+        cmd_transform_check, "substitution identity residual for a density", ("density", "fn", "tol")
+    ),
+    "majorize": (cmd_majorize, "majorization relation between two vectors", ("x", "y")),
+    "karamata": (cmd_karamata, "convex-sum inequality on a majorized pair", ("x", "y", "fn")),
+    "refine": (cmd_refine, "bound sequence under repeated bisection", (*_PARTITION, "depth")),
+    "catalog": (cmd_catalog, "list catalog functions and their integrals", ()),
 }
 
 
@@ -430,23 +438,28 @@ def _checked(convert: Callable[[str], float], valid: Callable[[float], bool], re
 _tolerance = _checked(float, lambda t: 0.0 < t < math.inf, "positive and finite")
 _depth = _checked(int, lambda d: d >= 1, ">= 1")
 
+#: ``add_argument`` keywords of each option a command may read.
+_OPTIONS = {
+    "weights": {"metavar": "FILE", "help": "weight file: CSV or JSON array"},
+    "uniform": {"type": int, "metavar": "N", "help": "use N equal weights 1/N"},
+    "fn": {"metavar": "SPEC", "help": f"function spec: {_FN_USAGE}"},
+    "density": {"metavar": "SPEC", "help": f"density spec: {_DENSITY_USAGE}"},
+    "x": {"metavar": "FILE", "help": "left vector"},
+    "y": {"metavar": "FILE", "help": "right vector"},
+    "tol": {"type": _tolerance, "metavar": "X", "help": "tolerance (default 1e-10; 1e-8 for transform-check)"},
+    "depth": {"type": _depth, "default": DEFAULT_DEPTH, "metavar": "D", "help": "bisection depth"},
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="monobound", description="Riemann-sum bounds for monotone functions on [0, 1]")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     sub.required = True
-    for name, (run, help_text) in _COMMANDS.items():
-        tol = DEFAULT_RESIDUAL_TOL if name == "transform-check" else DEFAULT_QUAD_TOL
+    for name, (run, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
-        p.add_argument("--weights", metavar="FILE", help="weight file: CSV or JSON array")
-        p.add_argument("--uniform", type=int, metavar="N", help="use N equal weights 1/N")
-        p.add_argument("--fn", metavar="SPEC", help=f"function spec: {_FN_USAGE}")
-        p.add_argument("--density", metavar="SPEC", help=f"density spec: {_DENSITY_USAGE}")
-        p.add_argument("--x", metavar="FILE", help="left vector for majorize/karamata")
-        p.add_argument("--y", metavar="FILE", help="right vector for majorize/karamata")
-        p.add_argument("--tol", type=_tolerance, default=tol, metavar="X", help="tolerance (default 1e-10; 1e-8 for transform-check)")
-        p.add_argument("--depth", type=_depth, default=DEFAULT_DEPTH, metavar="D", help="bisection depth for refine")
+        p.set_defaults(run=run, tol=DEFAULT_RESIDUAL_TOL if name == "transform-check" else DEFAULT_QUAD_TOL)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     return parser
 

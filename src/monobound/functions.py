@@ -10,7 +10,8 @@ Catalog members (all strictly decreasing):
 
 plus ``constant(c)`` and ``linear(m, b)`` for equality audits, and
 ``tabulated(points)`` for user data, evaluated by linear interpolation
-between knots.  Analytic members carry their direction as a fact;
+between knots, whose integral is the trapezoid sum.  Every member knows
+its integral in closed form.  Analytic members carry their direction as a fact;
 :func:`probe_monotonicity` is a sampling heuristic meant to guard inputs,
 not a proof.
 """
@@ -23,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._summation import exact_sum
 from .errors import DomainViolation, NonMonotoneFunction
 from .quadrature import batched_quadrature
 
@@ -55,16 +57,16 @@ class _UnitIntervalFunction:
 class MonotoneFunction(_UnitIntervalFunction):
     """Descriptor for a function g on [0, 1] with known monotonicity.
 
-    ``closed_form_integral`` is the analytic value of the integral of g
-    over [0, 1], or None when no closed form is available (tabulated data).
-    Instances are immutable; evaluation is pure.
+    ``closed_form_integral`` is the integral of g over [0, 1]: analytic for
+    catalog members, the trapezoid sum for tabulated data.  Instances are
+    immutable; evaluation is pure.
     """
 
     kind: str
     direction: str
     strictly_monotone: bool
     formula: str
-    closed_form_integral: float | None
+    closed_form_integral: float
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
@@ -202,16 +204,19 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     Knot x-values must be strictly increasing with the first at 0 and the
     last at 1.  Direction is classified from the exact signs of successive
     y-differences; knot data that rises and falls yields a function whose
-    direction is "non_monotone", which bound operations reject.
+    direction is "non_monotone", which bound operations reject.  The
+    integral is the trapezoid sum, exact for the interpolant; halving each
+    y first keeps every term finite (bits of (y0 + y1) / 2 when normal).
     """
     xs, ys = knot_arrays(points, "tabulated function")
-    direction, strict = _direction_of(np.diff(ys), 0.0)
+    with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
+        direction, strict = _direction_of(np.diff(ys), 0.0)
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
         strictly_monotone=strict,
         formula=f"piecewise linear through {xs.size} knots",
-        closed_form_integral=None,
+        closed_form_integral=exact_sum(np.diff(xs) * (0.5 * ys[:-1] + 0.5 * ys[1:])),
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
     )
@@ -243,23 +248,10 @@ def quadrature_integral(g: MonotoneFunction, tol: float = 1e-10) -> float:
     """Integral of g over [0, 1] by adaptive quadrature, error <= tol.
 
     Independent of ``g.closed_form_integral``; the two agree within tol
-    for every catalog member, which the test suite cross-checks.  Raises
-    ToleranceNotReached when the error estimate cannot be certified.
+    for every catalog member and table, which the test suite cross-checks.
+    Raises ToleranceNotReached when the error estimate cannot be certified.
     """
     return batched_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks).value
-
-
-def integral_of(g: MonotoneFunction, tol: float) -> tuple[float, str, int]:
-    """(value, source, evaluations of g) of the integral of g over [0, 1].
-
-    The one place that picks the source: the closed form when the catalog
-    knows one (no evaluations), else adaptive quadrature at ``tol``, which
-    propagates ToleranceNotReached.
-    """
-    if g.closed_form_integral is not None:
-        return g.closed_form_integral, "closed_form", 0
-    q = batched_quadrature(g._fn, 0.0, 1.0, tol=tol, breakpoints=g.kinks)
-    return q.value, "quadrature", q.evaluations
 
 
 def require_monotone(g: MonotoneFunction, op: str, decreasing: bool = False) -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import compensated_prefix_sums
-from .errors import ToleranceNotReached
+from .errors import NonFiniteValue, ToleranceNotReached
 
 # Accept a panel only after this many bisections, so a symmetric integrand
 # cannot fool the very first error estimate.
@@ -52,7 +52,8 @@ class QuadratureResult:
 
 
 def _simpson(fa, fm, fb, width):
-    return width * (fa + 4.0 * fm + fb) / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in batched_quadrature
+        return width * (fa + 4.0 * fm + fb) / 6.0
 
 
 def _push(stack: list, depth: int, panels: np.ndarray) -> None:
@@ -73,7 +74,8 @@ def batched_quadrature(
 
     ``fv`` maps a float64 array of points to an array of the values there.
     Raises ToleranceNotReached when the accumulated error estimate still
-    exceeds ``tol`` after the subdivision depth limit.
+    exceeds ``tol`` after the subdivision depth limit, and NonFiniteValue as
+    soon as a block's Simpson sums are not finite, which no split can mend.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -108,8 +110,11 @@ def batched_quadrature(
         evals += 2 * k
         s_left = _simpson(f0, fml, fm, xm - x0)
         s_right = _simpson(fm, fmr, f1, x1 - xm)
-        s_half = s_left + s_right
-        delta = s_half - s_whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_half = s_left + s_right
+            delta = s_half - s_whole
+        if not np.isfinite(delta).all():  # a non-finite sum makes delta non-finite too
+            raise NonFiniteValue("a Simpson sum of the integrand")
         size = np.abs(delta)
         accept = ((size <= 15.0 * loc_tol) & (depth >= _MIN_DEPTH)) | (depth >= _MAX_DEPTH)
         lefts.append(x0[accept])

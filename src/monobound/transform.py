@@ -23,7 +23,7 @@ import numpy as np
 from ._summation import compensated_prefix_sums, exact_sum
 from .bounds import DEFAULT_QUAD_TOL, bound_report
 from .errors import EmptyInput, LengthMismatch, NotNormalized
-from .functions import MonotoneFunction, _UnitIntervalFunction, integral_of, knot_arrays, require_monotone
+from .functions import MonotoneFunction, _UnitIntervalFunction, knot_arrays, require_monotone
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 from .quadrature import batched_quadrature
 
@@ -33,16 +33,25 @@ _NONNEG_GRID = 1001
 
 @dataclass(frozen=True)
 class Density(_UnitIntervalFunction):
-    """Probability density on [0, 1]; sign and mass are verified at construction."""
+    """Probability density on [0, 1] and its CDF ``_cdf``, built together by
+    a constructor that knows the mass in closed form; the sign is checked here."""
 
     kind: str
     formula: str
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
+    _cdf: Callable = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        _check_density(self._fn, self.kinks)
+        # nonnegativity on a sampled grid (heuristic guard, like the probe)
+        grid = np.linspace(0.0, 1.0, _NONNEG_GRID)
+        if self.kinks:
+            grid = np.union1d(grid, np.array(self.kinks))
+        vals = np.asarray(self._fn(grid), dtype=float)
+        if (vals < -1e-12).any():
+            i = int(np.argmin(vals))
+            raise ValueError(f"density is negative: f({grid[i]!r}) = {vals[i]!r}")
 
 
 @dataclass(frozen=True)
@@ -82,40 +91,33 @@ class ExpectationBound:
     holds: bool
 
 
-def _check_density(pdf: Callable, kinks: tuple[float, ...]) -> None:
-    # nonnegativity on a sampled grid (heuristic guard, like the probe)
-    grid = np.linspace(0.0, 1.0, _NONNEG_GRID)
-    if kinks:
-        grid = np.union1d(grid, np.array(kinks))
-    vals = np.asarray(pdf(grid), dtype=float)
-    if (vals < -1e-12).any():
-        i = int(np.argmin(vals))
-        raise ValueError(f"density is negative: f({grid[i]!r}) = {vals[i]!r}")
-    # unit mass, verified by the quadrature oracle
-    mass = batched_quadrature(pdf, 0.0, 1.0, tol=1e-10, breakpoints=kinks).value
-    if abs(mass - 1.0) > _MASS_TOLERANCE:
-        raise NotNormalized(mass)
-
-
 def uniform_density() -> Density:
     """f(x) = 1."""
-    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x)
+    cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x, _cdf=cdf)
 
 
 def polynomial_density(coefficients: Sequence[float]) -> Density:
-    """f(x) = c0 + c1*x + ... ; must be nonnegative with unit mass."""
+    """f(x) = c0 + c1*x + ... ; nonnegative, and its antiderivative's value at
+    1, the mass sum_j c_j/(j + 1), within 1e-9 of 1; the CDF is their ratio."""
     coeffs = tuple(float(c) for c in coefficients)
     if not coeffs:
         raise EmptyInput("polynomial coefficients")
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("polynomial coefficients must be finite")
     terms = " + ".join(f"{c:g}*x^{j}" if j else f"{c:g}" for j, c in enumerate(coeffs))
-    return Density(
+    anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
+    mass = math.fsum(anti)
+    f = Density(
         kind="polynomial",
         formula=terms,
         params=tuple((f"c{j}", c) for j, c in enumerate(coeffs)),
         _fn=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+        _cdf=lambda x: np.clip(np.polynomial.polynomial.polyval(x, anti) / mass, 0.0, 1.0),
     )
+    if abs(mass - 1.0) > _MASS_TOLERANCE:
+        raise NotNormalized(mass)
+    return f
 
 
 def triangular_density(peak: float) -> Density:
@@ -125,13 +127,21 @@ def triangular_density(peak: float) -> Density:
         raise ValueError(f"peak must lie in [0, 1], got {p!r}")
     if p == 0.0:
         pdf = lambda x: 2.0 * (1.0 - x)
+        cdf = lambda x: np.clip(x * (2.0 - x), 0.0, 1.0)
     elif p == 1.0:
         pdf = lambda x: 2.0 * x
+        cdf = lambda x: np.clip(np.square(x), 0.0, 1.0)
     else:
-        def pdf(x, _p=p):
+        def pdf(x):
             x = np.asarray(x, dtype=float)
             with np.errstate(invalid="ignore"):
-                return np.where(x <= _p, 2.0 * x / _p, 2.0 * (1.0 - x) / (1.0 - _p))
+                return np.where(x <= p, 2.0 * x / p, 2.0 * (1.0 - x) / (1.0 - p))
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(invalid="ignore"):
+                out = np.where(x <= p, np.square(x) / p, 1.0 - np.square(1.0 - x) / (1.0 - p))
+            return np.clip(out, 0.0, 1.0)
     kinks = (p,) if 0.0 < p < 1.0 else ()
     return Density(
         kind="triangular",
@@ -139,6 +149,7 @@ def triangular_density(peak: float) -> Density:
         params=(("peak", p),),
         kinks=kinks,
         _fn=pdf,
+        _cdf=cdf,
     )
 
 
@@ -146,7 +157,10 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     """Piecewise-linear density through knots spanning [0, 1].
 
     Knot values are rescaled so the trapezoid mass is exactly 1; negative
-    values are rejected before rescaling.
+    values are rejected before rescaling.  The CDF is the cumulative
+    trapezoid table at the knots with the exact quadratic interpolant of
+    the linear segments in between, which is monotone and cannot overshoot
+    [0, 1].
     """
     xs, ys = knot_arrays(knots, "tabulated density")
     if (ys < 0.0).any():
@@ -155,74 +169,42 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     if mass <= 0.0:
         raise NotNormalized(mass)
     ys = ys / mass
+    table = compensated_prefix_sums(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)
+    table[-1] = 1.0
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        t = x - xs[idx]
+        h = xs[idx + 1] - xs[idx]
+        out = table[idx] + t * ys[idx] + t * t * (ys[idx + 1] - ys[idx]) / (2.0 * h)
+        return np.clip(out, 0.0, 1.0)
+
     return Density(
         kind="tabulated",
         formula=f"piecewise linear through {xs.size} knots (renormalized)",
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
+        _cdf=cdf,
     )
 
 
 def cdf_of(f: Density) -> CDF:
-    """CDF with a closed-form antiderivative per density kind.
-
-    Tabulated densities use the cumulative trapezoid table at the knots
-    with the exact quadratic interpolant of the linear segments in between,
-    which is monotone and cannot overshoot [0, 1].
-    """
-    if f.kind == "uniform":
-        fn = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    elif f.kind == "polynomial":
-        coeffs = tuple(v for _, v in f.params)
-        anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
-        mass = math.fsum(anti)
-        fn = lambda x: np.clip(np.polynomial.polynomial.polyval(x, anti) / mass, 0.0, 1.0)
-    elif f.kind == "triangular":
-        p = f.params[0][1]
-        if p == 0.0:
-            fn = lambda x: np.clip(x * (2.0 - x), 0.0, 1.0)
-        elif p == 1.0:
-            fn = lambda x: np.clip(np.square(x), 0.0, 1.0)
-        else:
-            def fn(x, _p=p):
-                x = np.asarray(x, dtype=float)
-                with np.errstate(invalid="ignore"):
-                    out = np.where(
-                        x <= _p,
-                        np.square(x) / _p,
-                        1.0 - np.square(1.0 - x) / (1.0 - _p),
-                    )
-                return np.clip(out, 0.0, 1.0)
-    elif f.kind == "tabulated":
-        xa = np.array((0.0,) + f.kinks + (1.0,))
-        fa = f.values(xa)
-        table = compensated_prefix_sums(np.diff(xa) * (fa[:-1] + fa[1:]) / 2.0)
-        table[-1] = 1.0
-
-        def fn(x, _xa=xa, _fa=fa, _table=table):
-            x = np.asarray(x, dtype=float)
-            idx = np.clip(np.searchsorted(_xa, x, side="right") - 1, 0, len(_xa) - 2)
-            t = x - _xa[idx]
-            h = _xa[idx + 1] - _xa[idx]
-            out = _table[idx] + t * _fa[idx] + t * t * (_fa[idx + 1] - _fa[idx]) / (2.0 * h)
-            return np.clip(out, 0.0, 1.0)
-    else:
-        raise ValueError(f"unknown density kind {f.kind!r}")
-    return CDF(density=f, _fn=fn)
+    """The CDF that f's constructor built with it."""
+    return CDF(density=f, _fn=f._cdf)
 
 
 def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> TransformReport:
     """Verify integral of f*g(F) equals integral of g, within ``tol``.
 
     The left side is integrated adaptively with panel edges at the
-    density's kinks; the right side uses g's closed form when available.
+    density's kinks; the right side is g's closed form.
     The check is numerical: a passing report certifies the residual, not
     the identity in the abstract.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    F = cdf_of(f)
-    pdf, cdf_fn, gfn = f._fn, F._fn, g._fn
+    pdf, cdf_fn, gfn = f._fn, f._cdf, g._fn
     lhs = batched_quadrature(
         lambda x: pdf(x) * gfn(cdf_fn(x)),
         0.0,
@@ -230,7 +212,7 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
         tol=tol / 2.0,
         breakpoints=f.kinks,
     ).value
-    rhs = integral_of(g, tol / 2.0)[0]
+    rhs = g.closed_form_integral
     residual = abs(lhs - rhs)
     return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=tol, passed=residual <= tol)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monobound.bounds import (
-    DEFAULT_QUAD_TOL,
     BoundReport,
     abel_sum,
     abel_terms,
@@ -31,7 +31,6 @@ from monobound.functions import (
     tabulated,
     trigonometric,
 )
-from monobound.quadrature import adaptive_quadrature
 from monobound.partitions import (
     RefinementPlan,
     cumulative,
@@ -137,12 +136,14 @@ class TestBoundReport:
         r = bound_report(reciprocal(), cumulative(uniform_weights(n)))
         assert r.evaluation_count == n + 2
 
-    def test_quadrature_evaluations_are_counted(self):
+    def test_tabulated_evaluations_are_counted(self):
+        # the trapezoid integral was formed at construction, so a table is
+        # evaluated at S_1..S_n and the ends only, like any catalog member
         g = tabulated([(0.0, 2.0), (0.3, 1.0), (0.8, 0.9), (1.0, 0.1)])
+        points = []
+        counted = dataclasses.replace(g, _fn=lambda x: points.append(np.size(x)) or g._fn(x))
         p = cumulative(uniform_weights(7))
-        q = adaptive_quadrature(g._fn, 0.0, 1.0, tol=DEFAULT_QUAD_TOL, breakpoints=g.kinks)
-        assert q.evaluations > 0
-        assert bound_report(g, p).evaluation_count == p.n + 2 + q.evaluations
+        assert bound_report(counted, p).evaluation_count == sum(points) == p.n + 2
 
     def test_constant_equality_case(self):
         r = bound_report(constant(3.0), worked_partition())
@@ -154,11 +155,11 @@ class TestBoundReport:
         r = bound_report(linear(-1, 1), cumulative(uniform_weights(4)))
         assert r.gap == pytest.approx(1.0 / 8.0, abs=1e-12)
 
-    def test_tabulated_goes_through_quadrature(self):
+    def test_tabulated_integral_is_the_closed_form(self):
         g = tabulated([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         r = bound_report(g, worked_partition())
-        assert r.integral_source == "quadrature"
-        assert r.integral == pytest.approx(0.5, abs=1e-9)
+        assert r.integral_source == "closed_form"
+        assert r.integral == g.closed_form_integral == 0.5
         assert r.invariant_violations() == []
 
     def test_non_monotone_rejected_with_witness(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,11 +6,12 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from monobound import bounds, cli, majorization
 from monobound.bounds import bound_report, refinement_chain, riemann_sum_right
-from monobound.cli import main
+from monobound.cli import build_parser, main
 from monobound.functions import power_complement
 from monobound.majorization import BOTH, MajorizationVerdict
 from monobound.partitions import cumulative, from_weights
@@ -90,13 +92,13 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["n"] == 3
 
-    def test_tabulated_function_uses_quadrature(self, capsys, tmp_path):
+    def test_tabulated_function_uses_closed_form(self, capsys, tmp_path):
         knots = write_vector(tmp_path, "knots.csv", "0,1\n0.5,0.5\n1,0\n")
         code, out, _ = run(capsys, "bound", "--uniform", "4", "--fn", f"table:@{knots}", "--json")
         assert code == 0
         got = json.loads(out)
-        assert got["integral_source"] == "quadrature"
-        assert got["integral"] == pytest.approx(0.5, abs=1e-9)
+        assert got["integral_source"] == "closed_form"
+        assert got["integral"] == 0.5
 
 
     def test_tiny_exponential_rate_is_not_an_invariant_violation(self, capsys):
@@ -155,6 +157,16 @@ class TestAbel:
         got = json.loads(out)
         assert got["terms"] == []
         assert got["abel_value"] == got["t_n"]
+
+    def test_g_is_evaluated_once_at_each_breakpoint(self, capsys):
+        g = power_complement(2)
+        points = []
+        counted = dataclasses.replace(g, _fn=lambda x: points.append(np.size(x)) or g._fn(x))
+        with mock.patch.object(cli, "parse_fn_spec", lambda spec: counted):
+            code, out, _ = run(capsys, "abel", "--uniform", "7", "--fn", "power:k=2", "--json")
+        assert code == 0
+        assert sum(points) == 7
+        assert len(json.loads(out)["terms"]) == 6
 
 
 class TestTransformCheck:
@@ -454,7 +466,11 @@ class TestPlantedBugs:
         )
 
     def test_abel_with_a_negated_term(self, capsys, worked_weights):
-        with mock.patch.object(cli, "abel_terms", lambda g, p: [-t for t in bounds.abel_terms(g, p)]):
+        def negated(g, p):
+            t_n, value, terms = bounds._abel_route(g, p)
+            return t_n, value, [-t for t in terms]
+
+        with mock.patch.object(cli, "_abel_route", negated):
             code, _, err = run(capsys, "abel", "--weights", worked_weights, "--fn", "power:k=2", "--json")
         assert code == 3
         assert err.startswith("invariant violation: negative Abel term -0.375")
@@ -592,6 +608,61 @@ class TestExitCodes:
     def test_errors_print_nothing_to_stdout(self, capsys):
         code, out, err = run(capsys, "bound", "--uniform", "4", "--fn", "sine")
         assert code == 1 and out == "" and err != ""
+
+
+class TestHugeTable:
+    """Knots near 1e308: the closed form stays finite, quadrature refuses."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        return write_vector(tmp_path, "big.csv", "0,1e308\n1,1e308\n")
+
+    @pytest.mark.parametrize("command", ["bound", "enclose", "refine"])
+    def test_bound_family_uses_the_closed_form(self, capsys, big, command):
+        code, out, err = run(capsys, command, "--uniform", "3", "--fn", f"table:@{big}", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["integral"] == 1e308
+
+    def test_transform_check_is_a_domain_error(self, capsys, big):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "transform-check", "--density", "uniform", "--fn", f"table:@{big}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "domain error: a Simpson sum of the integrand is not finite in float64; rescale the inputs\n"
+        assert peak < 8 * 2**20
+
+
+#: The options each command reads; every command also takes --json.
+ACCEPTED = {
+    "bound": {"weights", "uniform", "fn", "tol"},
+    "enclose": {"weights", "uniform", "fn", "tol"},
+    "abel": {"weights", "uniform", "fn"},
+    "transform-check": {"density", "fn", "tol"},
+    "majorize": {"x", "y"},
+    "karamata": {"x", "y", "fn"},
+    "refine": {"weights", "uniform", "fn", "depth"},
+    "catalog": set(),
+}
+VALUES = {"weights": "w.csv", "uniform": "3", "fn": "recip", "density": "uniform",
+          "x": "x.csv", "y": "y.csv", "tol": "1e-9", "depth": "2"}
+FOREIGN = [(c, o) for c in ACCEPTED for o in VALUES if o not in ACCEPTED[c]]
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command", ACCEPTED)
+    def test_options_a_command_reads_are_parsed(self, command):
+        for option in ACCEPTED[command]:
+            args = build_parser().parse_args([command, f"--{option}", VALUES[option], "--json"])
+            assert args.json is True and getattr(args, option) is not None
+
+    @pytest.mark.parametrize("command, option", FOREIGN, ids=[f"{c}--{o}" for c, o in FOREIGN])
+    def test_options_a_command_ignores_are_refused(self, capsys, command, option):
+        code, out, err = run(capsys, command, f"--{option}", VALUES[option])
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: --{option} {VALUES[option]}\n"
 
 
 class TestEntryPoint:

@@ -1,9 +1,12 @@
 import decimal
 import math
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from monobound.bounds import bound_report
@@ -86,9 +89,9 @@ class TestClosedForm:
     def test_linear(self):
         assert linear(-1, 1).closed_form_integral == 0.5
 
-    def test_tabulated_has_none(self):
-        g = tabulated([(0.0, 1.0), (1.0, 0.0)])
-        assert g.closed_form_integral is None
+    def test_tabulated_is_the_trapezoid_sum(self):
+        g = tabulated([(0.0, 1.0), (0.25, 0.5), (1.0, 0.0)])
+        assert g.closed_form_integral == 0.25 * 0.75 + 0.75 * 0.25
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 0.5])
     def test_power_family(self, k):
@@ -161,6 +164,62 @@ class TestQuadratureIntegral:
         g = tabulated([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         # trapezoid areas by hand: 0.5*(1+0.5)/2 + 0.5*(0.5+0)/2 = 0.5
         assert quadrature_integral(g, 1e-10) == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("knots", [2, 3, 17, 256, 5000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jittered_tables_agree_with_the_closed_form(self, knots, seed):
+        rng = np.random.default_rng([seed, knots])
+        xs = np.linspace(0.0, 1.0, knots)
+        xs[1:-1] += rng.uniform(-0.4, 0.4, knots - 2) / (knots - 1)
+        ys = rng.uniform(-2.0, 2.0, knots)
+        g = tabulated(list(zip(xs.tolist(), ys.tolist())))
+        assert abs(quadrature_integral(g, 1e-10) - g.closed_form_integral) <= 1e-10
+
+
+UNIT_ROUNDOFF = 2.0**-53
+#: Smallest subnormal: halving a y or forming a product may underflow by it.
+ETA = 2.0**-1074
+
+
+def interpolant_integral(xs, ys) -> Fraction:
+    """Exact integral of the piecewise-linear interpolant through float knots."""
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    return sum((x[i + 1] - x[i]) * (y[i] + y[i + 1]) / 2 for i in range(len(x) - 1))
+
+
+@st.composite
+def knot_tables(draw):
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=40, unique=True))
+    xs = [0.0, *sorted(inner), 1.0]
+    magnitude = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    ys = draw(st.lists(magnitude, min_size=len(xs), max_size=len(xs)))
+    return xs, ys
+
+
+class TestTabulatedClosedForm:
+    @given(knot_tables())
+    def test_within_four_units_of_the_exact_integral(self, table):
+        # width rounding, the product and the final rounding are one unit
+        # each; halving y is exact above the subnormals
+        xs, ys = table
+        got = tabulated(list(zip(xs, ys))).closed_form_integral
+        x = [Fraction(v) for v in xs]
+        scale = sum((x[i + 1] - x[i]) * (abs(Fraction(ys[i])) + abs(Fraction(ys[i + 1]))) / 2
+                    for i in range(len(xs) - 1))
+        bound = 4 * Fraction(UNIT_ROUNDOFF) * scale + 2 * len(xs) * Fraction(ETA)
+        assert abs(Fraction(got) - interpolant_integral(xs, ys)) <= bound
+
+    @pytest.mark.parametrize("ys, want", [
+        ([1e308, 1e308], 1e308),
+        ([-1e308, -1e308, -1e308], -1e308),
+        ([1e308, -1e308, 1e308], 0.0),
+        ([1.7976931348623157e308, 1.7976931348623157e308], 1.7976931348623157e308),
+    ])
+    def test_huge_knots_give_a_finite_integral(self, ys, want):
+        xs = np.linspace(0.0, 1.0, len(ys)).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tabulated(list(zip(xs, ys))).closed_form_integral == want
 
 
 class TestProbe:

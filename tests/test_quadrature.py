@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from monobound import quadrature
-from monobound.errors import ToleranceNotReached
+from monobound.errors import NonFiniteValue, ToleranceNotReached
 from monobound.quadrature import (
     _MAX_DEPTH,
     _MIN_DEPTH,
@@ -258,3 +258,25 @@ class TestBlocks:
         assert accepted > 2**20
         assert peak < 4 * 3 * 8 * accepted
         assert r.value == pytest.approx(1.0 - math.cos(1.0), abs=1e-10)
+
+
+class TestNonFinitePanels:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+    def test_refused_before_the_panels_multiply(self, value):
+        # halving a panel cannot make its Simpson sums finite; splitting such
+        # panels down to _MAX_DEPTH used to exhaust memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteValue, match="rescale the inputs"):
+                batched_quadrature(lambda x: np.full_like(x, value))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_one_bad_panel_among_finite_ones(self):
+        def fv(x):
+            return np.where(x > 0.75, np.nan, x)
+
+        with pytest.raises(NonFiniteValue):
+            batched_quadrature(fv, breakpoints=(0.5, 0.75))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monobound import quadrature, transform
 from monobound.errors import EmptyInput, LengthMismatch, NonMonotoneFunction, NotNormalized
 from monobound.functions import (
     constant,
@@ -79,6 +80,17 @@ class TestDensities:
     def test_tabulated_rejects_negative_knots(self):
         with pytest.raises(ValueError):
             tabulated_density([(0.0, 1.0), (0.5, -0.2), (1.0, 1.0)])
+
+    def test_construction_runs_no_quadrature(self, monkeypatch):
+        # every constructor knows its mass in closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        for module in (quadrature, transform):
+            monkeypatch.setattr(module, "batched_quadrature", refuse)
+        assert len(catalog_densities()) == 5
+        with pytest.raises(NotNormalized):
+            polynomial_density([1.0, 1.0])
 
 
 class TestCdf:
