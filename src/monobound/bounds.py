@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._summation import _blocked_sum
+from ._summation import Producer, _blocked_sum
+from .errors import NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
@@ -123,6 +124,17 @@ def refinement_violations(values: list[float]) -> list[str]:
     ]
 
 
+def _finite_sum(n: int, produce: Producer, what: str) -> float:
+    """``_blocked_sum``, or NonFiniteValue naming ``what`` if a value or the sum is not finite."""
+    try:
+        total = _blocked_sum(n, produce)
+    except (ValueError, OverflowError):  # fsum's inf - inf and intermediate overflow
+        total = math.nan
+    if not math.isfinite(total):
+        raise NonFiniteValue(what)
+    return total
+
+
 def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """sum_i (S_i - S_{i-1}) * vals_i and the largest width, in one blocked pass.
 
@@ -139,7 +151,7 @@ def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
         out *= vals[start:stop]
         return out
 
-    return _blocked_sum(vals.size, produce), mesh
+    return _finite_sum(vals.size, produce, "the Riemann sum of g"), mesh
 
 
 def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
@@ -160,7 +172,8 @@ def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
             out[-1] = vals[-1]
         return out
 
-    return _blocked_sum(n, produce)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan or inf ends in NonFiniteValue
+        return _finite_sum(n, produce, "the Abel sum of g")
 
 
 def _ends(g) -> tuple[float, float]:
@@ -173,7 +186,8 @@ def riemann_sum_right(g, p: CumulativePartition) -> float:
     """sum_i (S_i - S_{i-1}) * g(S_i), compensated, in index order.
 
     A plain sum with no monotonicity hypothesis; it is a lower bound of the
-    integral only when g is decreasing.
+    integral only when g is decreasing.  Raises NonFiniteValue when a value
+    of g or the sum is not finite, as do the left, Abel and chain sums.
     """
     bps = p.array
     return _weighted_sum(bps, g.values(bps[1:]))[0]
@@ -198,8 +212,8 @@ def _abel_route(g, p: CumulativePartition) -> tuple[float, float, list[float]]:
     """T_n, the Abel value and the Abel terms, from one evaluation of g at S_1..S_n."""
     bps = p.array
     vals = g.values(bps[1:])
-    terms = (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
-    return _weighted_sum(bps, vals)[0], _abel_value(bps, vals), terms
+    t_n, abel_value = _weighted_sum(bps, vals)[0], _abel_value(bps, vals)  # non-finite first
+    return t_n, abel_value, (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
 
 
 def abel_sum(g, p: CumulativePartition) -> float:
@@ -234,7 +248,8 @@ def bound_report(
     both use those values, so ``evaluation_count`` is n + 2 (the ends for
     the gap bound).  The integral is g's closed form; ``tol`` is the
     ``strict`` threshold and the enclosure slack.  Raises
-    NonMonotoneFunction for functions that rise and fall.
+    NonMonotoneFunction for functions that rise and fall, and NonFiniteValue
+    for a value of g, sum, gap or gap bound that is not finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -247,7 +262,9 @@ def bound_report(
     integral = g.closed_form_integral
     g0, g1 = _ends(g)
 
-    gap = integral - t_n
+    gap, gap_bound = integral - t_n, (g0 - g1) * mesh
+    if not (math.isfinite(gap) and math.isfinite(gap_bound)):
+        raise NonFiniteValue("the gap or its bound")
     if (-gap if g.direction == INCREASING else gap) > 10.0 * tol:
         strict: bool | None = True
     else:
@@ -257,7 +274,7 @@ def bound_report(
         t_n=t_n,
         integral=integral,
         gap=gap,
-        gap_bound=(g0 - g1) * mesh,
+        gap_bound=gap_bound,
         strict=strict,
         abel_value=abel_value,
         n=p.n,

@@ -279,7 +279,8 @@ def probe_monotonicity(g: MonotoneFunction, grid_size: int = 101) -> Monotonicit
     grid = np.linspace(0.0, 1.0, grid_size)
     if g.kinks:
         grid = np.union1d(grid, np.array(g.kinks))
-    diffs = np.diff(g.values(grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, a tie
+        diffs = np.diff(g.values(grid))
     direction, strict = _direction_of(diffs, PROBE_TOLERANCE)
     if direction != NON_MONOTONE:
         return MonotonicityVerdict(direction, strict)

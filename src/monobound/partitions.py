@@ -62,6 +62,23 @@ def _check_positive(a: np.ndarray) -> None:
         raise NonPositiveWeight(i, float(a[i]))
 
 
+def _check_sum(a: np.ndarray) -> None:
+    """Raise SumOutOfTolerance unless positive weights sum to 1 within SUM_TOLERANCE."""
+    # Summed in any order, n positive weights err by at most gamma_(n-1)
+    # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
+    # plain sum, covers that error and the exact sum's own rounding with
+    # room to spare, so a plain sum that clears the tolerance by
+    # ``bound`` settles it as the exact sum would.  Near the edge, and
+    # for the error message, the exact sum decides.
+    with np.errstate(over="ignore"):
+        plain = float(np.sum(a))
+    bound = 4.0 * a.size * 2.0**-53 * plain
+    if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
+        total = _weight_sum(a)
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise SumOutOfTolerance(total, SUM_TOLERANCE)
+
+
 def _weight_sum(a: np.ndarray) -> float:
     """``exact_sum`` of positive finite weights; NonFiniteValue if it overflows."""
     try:
@@ -74,8 +91,8 @@ class _ArrayBacked:
     """Equality, hashing and the read-only array of the array-backed types.
 
     The public constructor validates a copy of its argument; ``_adopt``
-    validates and takes over an array the library has just built, which no
-    one else references, without a second copy.
+    validates (unless ``checked``) and takes over an array the library has
+    just built, which no one else references, without a second copy.
     """
 
     array: np.ndarray
@@ -84,9 +101,9 @@ class _ArrayBacked:
         self._freeze(self._validated(_float_array(self.array)))
 
     @classmethod
-    def _adopt(cls, a: np.ndarray):
+    def _adopt(cls, a: np.ndarray, checked: bool = False):
         obj = object.__new__(cls)
-        obj._freeze(cls._validated(a))
+        obj._freeze(a if checked else cls._validated(a))
         return obj
 
     @staticmethod
@@ -119,19 +136,7 @@ class WeightVector(_ArrayBacked):
         if a.size == 0:
             raise EmptyInput("weight vector")
         _check_positive(a)
-        # Summed in any order, n positive weights err by at most gamma_(n-1)
-        # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
-        # plain sum, covers that error and the exact sum's own rounding with
-        # room to spare, so a plain sum that clears the tolerance by
-        # ``bound`` settles it as the exact sum would.  Near the edge, and
-        # for the error message, the exact sum decides.
-        with np.errstate(over="ignore"):
-            plain = float(np.sum(a))
-        bound = 4.0 * a.size * 2.0**-53 * plain
-        if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
-            total = _weight_sum(a)
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                raise SumOutOfTolerance(total, SUM_TOLERANCE)
+        _check_sum(a)
         return a
 
     @property
@@ -214,7 +219,7 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     any positive weights are accepted and divided by their exact sum,
     leaving a sum within 1e-15 of 1.  A weight total that overflows float64
     raises NonFiniteValue, and a weight the division rounds to 0.0 raises
-    WeightUnderflow.
+    WeightUnderflow; the quotients are checked once, not as a new input.
     """
     a = _float_array(weights, copy=not normalize)
     if a.size == 0:
@@ -223,11 +228,12 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
         return WeightVector._adopt(a)
     _check_positive(a)
     total = _weight_sum(a)
-    try:
-        return WeightVector._adopt(a / total)
-    except NonPositiveWeight as exc:
-        # every input weight is positive, so this one underflowed in the division
-        raise WeightUnderflow(exc.index, float(a[exc.index]), total) from None
+    q = a / total  # each 0 < a_i <= total, so q lies in [0, 1] and a zero underflowed
+    if not q.min() > 0.0:
+        i = int(np.argmin(q))
+        raise WeightUnderflow(i, float(a[i]), total)
+    _check_sum(q)
+    return WeightVector._adopt(q, checked=True)
 
 
 def cumulative(w: WeightVector) -> CumulativePartition:

@@ -26,3 +26,13 @@ class NeumaierSum:
     @property
     def value(self) -> float:
         return self._total + self._compensation
+
+
+def neumaier_prefixes(values) -> list[float]:
+    """[0.0] and :class:`NeumaierSum`'s ``value`` after each of ``values``."""
+    acc = NeumaierSum()
+    out = [0.0]
+    for v in values:
+        acc.add(v)
+        out.append(acc.value)
+    return out

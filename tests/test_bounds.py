@@ -18,7 +18,7 @@ from monobound.bounds import (
     riemann_sum_left,
     riemann_sum_right,
 )
-from monobound.errors import NonMonotoneFunction
+from monobound.errors import NonFiniteValue, NonMonotoneFunction
 from monobound.functions import (
     DECREASING,
     INCREASING,
@@ -346,3 +346,46 @@ class TestRefinementChain:
         q = refine(p, RefinementPlan(((i, m),)))
         g = trigonometric()
         assert riemann_sum_right(g, q) >= riemann_sum_right(g, p) - 1e-12
+
+
+class TestNonFiniteValues:
+    """Values of g, or sums of them, that overflow float64.
+
+    Every route raises NonFiniteValue, on the fsum path (n = 3) and through
+    the blocked core (n = 2000), and no floating-point warning is raised on
+    the way (warnings are errors here).
+    """
+
+    steep = tabulated([(0.0, 1e308), (1.0, -1e308)])  # -inf strictly between the knots
+    vee = tabulated([(0.0, 1e308), (0.5, -1e308), (1.0, 1e308)])  # -inf, then +inf
+    third = 1.0 / 3.0  # S_1 of uniform_weights(3)
+    # finite at every S_i of uniform_weights(3), but g(S_1) - g(S_2) overflows
+    cliff = tabulated([(0.0, 1e308), (third, 1e308), (0.34, -1e308), (1.0, -1e308)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 2000], ids=["fsum", "blocked"])
+    @pytest.mark.parametrize("g", [steep, vee], ids=["steep", "vee"])
+    @pytest.mark.parametrize("route", [riemann_sum_right, riemann_sum_left, abel_sum, abel_terms])
+    def test_values_that_are_not_finite(self, route, g, n):
+        with pytest.raises(NonFiniteValue, match="the (Riemann|Abel) sum of g is not finite"):
+            route(g, cumulative(uniform_weights(n)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 2000], ids=["fsum", "blocked"])
+    def test_bound_report_and_chain_decide_from_t_n(self, n):
+        p = cumulative(uniform_weights(n))
+        with pytest.raises(NonFiniteValue, match="the Riemann sum of g"):
+            bound_report(self.steep, p)
+        with pytest.raises(NonFiniteValue, match="the Riemann sum of g"):
+            refinement_chain(self.steep, p, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_differences_and_gap_bound(self):
+        p = cumulative(uniform_weights(3))
+        assert math.isfinite(riemann_sum_right(self.cliff, p))
+        for route in (abel_sum, bound_report):
+            with pytest.raises(NonFiniteValue, match="the Abel sum of g"):
+                route(self.cliff, p)
+        kink = tabulated([(0.0, 1e308), (0.01, 0.0), (1.0, -1e308)])  # g(0) - g(1) overflows
+        with pytest.raises(NonFiniteValue, match="the gap or its bound"):
+            bound_report(kink, p)

@@ -635,6 +635,54 @@ class TestHugeTable:
         assert peak < 8 * 2**20
 
 
+class TestNonFiniteTable:
+    """Knots whose slopes overflow, so np.interp gives inf between them.
+
+    The bound family refuses them with a domain error, and no
+    floating-point warning is raised on the way (warnings are errors here).
+    """
+
+    TABLES = {
+        "steep": "0,1e308\n1,-1e308\n",  # decreasing; -inf strictly between the knots
+        "vee": "0,1e308\n0.5,-1e308\n1,1e308\n",  # falls and rises; -inf, then +inf
+        # finite slope where the breakpoints of --uniform 3 lie, but g(0) - g(1) overflows
+        "kink": "0,1e308\n0.01,0\n1,-1e308\n",
+    }
+    RIEMANN = "the Riemann sum of g is not finite"
+
+    CASES = [
+        ("steep", "bound", RIEMANN),
+        ("steep", "enclose", RIEMANN),
+        ("steep", "abel", RIEMANN),
+        ("steep", "refine", RIEMANN),
+        ("vee", "bound", "bound_report requires a monotone function; direction changes"),
+        ("vee", "enclose", "enclose requires a monotone function; direction changes"),
+        ("vee", "abel", RIEMANN),
+        ("vee", "refine", "refinement_chain requires a monotone function; direction changes"),
+        ("kink", "bound", "the gap or its bound is not finite"),
+        ("kink", "enclose", "the gap or its bound is not finite"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("table, command, message", CASES, ids=[f"{t}-{c}" for t, c, _ in CASES])
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_is_a_domain_error(self, capsys, tmp_path, table, command, message, fmt):
+        knots = write_vector(tmp_path, "knots.csv", self.TABLES[table])
+        code, out, err = run(capsys, command, "--uniform", "3", "--fn", f"table:@{knots}", *fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"domain error: {message}")
+
+    @pytest.mark.parametrize("table", ["steep", "vee"])
+    def test_under_python_warnings_as_errors(self, tmp_path, table):
+        knots = write_vector(tmp_path, "knots.csv", self.TABLES[table])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "monobound", "bound", "--uniform", "3", "--fn", f"table:@{knots}"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("domain error: ")
+
+
 #: The options each command reads; every command also takes --json.
 ACCEPTED = {
     "bound": {"weights", "uniform", "fn", "tol"},

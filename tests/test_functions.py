@@ -239,6 +239,16 @@ class TestProbe:
         a, b = verdict.witness
         assert 0.0 <= a < b <= 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_slopes_probe_without_warnings(self):
+        # np.interp gives -inf and +inf between these knots, and inf - inf
+        # counts as a tie, not as a RuntimeWarning
+        g = tabulated([(0.0, 1e308), (0.5, -1e308), (1.0, 1e308)])
+        verdict = probe_monotonicity(g)
+        assert verdict.direction == NON_MONOTONE
+        a, b = verdict.witness
+        assert 0.0 <= a < b <= 1.0
+
     @pytest.mark.parametrize("g", STRICT_FIVE, ids=lambda g: g.kind)
     def test_catalog_functions_strictly_decreasing(self, g):
         verdict = probe_monotonicity(g)

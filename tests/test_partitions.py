@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from monobound import _summation, partitions
+from monobound._summation import compensated_prefix_sums
 from monobound.errors import (
     EmptyInput,
     MonoboundError,
@@ -30,6 +33,7 @@ from monobound.partitions import (
     uniform_weights,
     weights_of,
 )
+from oracles import neumaier_prefixes
 
 weight_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=64
@@ -58,6 +62,18 @@ class TestFromWeights:
         assert str(info.value) == (
             "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
         )
+
+    @pytest.mark.parametrize("raw", [[2.0, 3.0, 5.0], [5e-324, 4.0, 5e-324]], ids=["valid", "underflow"])
+    def test_normalization_checks_positivity_once(self, raw):
+        # the input is checked; the quotients only for underflow and their sum
+        calls = []
+        real = partitions._check_positive
+        with mock.patch.object(partitions, "_check_positive", lambda a: calls.append(a) or real(a)):
+            try:
+                from_weights(raw, normalize=True)
+            except WeightUnderflow as exc:
+                assert exc.index == 0
+        assert len(calls) == 1 and calls[0].tolist() == raw
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -186,6 +202,30 @@ class TestCumulative:
         # S_2 rounds back to S_1 < 1, and the snap of S_n to 1.0 separates them
         p = cumulative(from_weights([1.0 - 2.0**-53, 1e-17]))
         assert p.breakpoints == (0.0, 1.0 - 2.0**-53, 1.0)
+
+    @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
+    @pytest.mark.parametrize("index", [2, 7, 8, 14, 15])
+    def test_lost_weight_at_a_block_edge(self, index, chunk):
+        # with 7-value blocks, S_7 and S_14 end a block of the prefix sweep
+        # and S_8 and S_15 start one
+        w = from_weights([1.0] * (index - 1) + [1e-17] + [1.0] * 3, normalize=True)
+        total = float(compensated_prefix_sums(w.array[:index - 1])[-1])
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            with pytest.raises(WeightBelowResolution) as info:
+                cumulative(w)
+        assert (info.value.index, info.value.value, info.value.total) == (index, w.array[index - 1], total)
+
+    @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
+    @pytest.mark.parametrize("n", [6, 7, 8, 14, 15])
+    def test_snap_at_a_block_edge(self, n, chunk):
+        # halving weights up to n - 1 sum exactly to 1 - 2**-53; the lost last
+        # weight leaves S_n = S_(n-1), and the snap of S_n to 1.0 separates them
+        head = [2.0**-j for j in range(1, n - 1)]
+        head.append(2.0 ** -(n - 2) - 2.0**-53)
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            p = cumulative(from_weights(head + [1e-17]))
+        assert p.array[-2:].tolist() == [1.0 - 2.0**-53, 1.0]
+        assert p.array[:-1].tolist() == neumaier_prefixes(head)
 
     def test_snap_below_the_previous_breakpoint_is_not_blamed_on_a_weight(self):
         with pytest.raises(ValueError, match="strictly increasing") as info:

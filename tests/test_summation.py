@@ -4,8 +4,10 @@
 ``compensated_prefix_sums`` against the Neumaier loop.
 """
 
+import contextlib
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -13,12 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from monobound import _summation
+from monobound import _summation, bounds
 from monobound._summation import compensated_prefix_sums, exact_sum
 from monobound.bounds import abel_sum, bound_report, riemann_sum_left, riemann_sum_right
 from monobound.functions import exponential, logarithmic, reciprocal
 from monobound.partitions import cumulative, from_weights
-from oracles import NeumaierSum
+from oracles import neumaier_prefixes
+
+# Large block sizes: a fixed 2**16 and the default, if it differs, so that
+# case names do not move when the default is retuned
+LARGE_CHUNKS = tuple(dict.fromkeys((1 << 16, _summation._CHUNK)))
 
 # sign and mantissa times 10^e: magnitudes from about 1e-300 to 1e300, and
 # at most 64 of them, so no prefix overflows
@@ -28,15 +34,6 @@ wide = st.builds(
     st.integers(min_value=-300, max_value=299),
 )
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
-
-
-def neumaier_prefixes(values):
-    acc = NeumaierSum()
-    out = [0.0]
-    for v in values:
-        acc.add(v)
-        out.append(acc.value)
-    return out
 
 
 def assert_same_bits(values):
@@ -81,7 +78,30 @@ class TestMatchesNeumaierLoop:
         with mock.patch.object(_summation, "_CHUNK", 7):
             assert_same_bits(values)
 
-    @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 13, 14, 15, 50])
+    @given(data=st.data())
+    def test_sizes_at_block_edges(self, n, data):
+        # each 7-value block seeds both cumsums with the carries of the last
+        values = data.draw(st.lists(st.one_of(wide, finite), min_size=n, max_size=n))
+        with mock.patch.object(_summation, "_CHUNK", 7):
+            assert_same_bits(values)
+
+    @pytest.mark.parametrize("n, chunk", [(10**5, 2**10), (10**6, _summation._CHUNK)])
+    def test_memory_is_the_result_plus_one_block(self, n, chunk):
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            tracemalloc.start()
+            try:
+                out = compensated_prefix_sums(values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.size == n + 1
+        # the result, an error and a TwoSum buffer of one block each, and a
+        # few small objects
+        assert peak <= (n + 1) * 8 + 2 * (chunk + 1) * 8 + 4096
+
+    @pytest.mark.parametrize("chunk", [7, *LARGE_CHUNKS])
     @pytest.mark.parametrize(
         "head", [[1e308, 1e308], [-1e308, -1e308, -1e308], [1.7e308, 1e-300, 1.7e308]]
     )
@@ -241,6 +261,34 @@ def fsum_list_calls():
     return calls, mock.patch.object(_summation.math, "fsum", spy)
 
 
+@contextlib.contextmanager
+def counted_passes():
+    """Spy on the blocked core: the passes over its values each sum makes.
+
+    A pass is one ``produce`` call per block, so a sum of at least CUTOFF
+    values makes 1 pass when one extraction round decides, 2 when two
+    rounds do, and 3 when fsum does.
+    """
+    passes = []
+    real = _summation._blocked_sum
+
+    def spy(n, produce):
+        calls = 0
+
+        def counted(start, stop, out):
+            nonlocal calls
+            calls += 1
+            return produce(start, stop, out)
+
+        total = real(n, counted)
+        if n >= CUTOFF:
+            passes.append(calls / -(-n // _summation._CHUNK))
+        return total
+
+    with mock.patch.object(_summation, "_blocked_sum", spy), mock.patch.object(bounds, "_blocked_sum", spy):
+        yield passes
+
+
 class TestCertificate:
     """Cases built so that a wrong extraction or error bound gives a wrong bit.
 
@@ -274,8 +322,27 @@ class TestCertificate:
             assert_matches_fsum(midpoint_case(seed, 2.0**-43, Fraction(2) ** -110))
         assert calls == [1004]  # only the reference's own call
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["below", "above"])
     @pytest.mark.parametrize(
-        "j, chunk", [(10, _summation._CHUNK), (10, 7), (12, _summation._CHUNK), (12, 7), (17, _summation._CHUNK)]
+        "off, passes", [(2**-60, 1), (2**-110, 2), (2**-145, 3)], ids=["round-one", "round-two", "fsum"]
+    )
+    @pytest.mark.parametrize("chunk", [_summation._CHUNK, 7], ids=["one-block", "7-blocks"])
+    def test_the_pass_that_decides(self, seed, sign, off, passes, chunk):
+        # one round's bound is 2**-74 for one block (e = 1, k = 10) and
+        # about 2**-92 for 7-value blocks (k = 4), two rounds' 2**-117 and
+        # 2**-141: 2**-60 off a midpoint lies outside both, 2**-110 between
+        # them and 2**-145 inside both
+        values = midpoint_case(seed, 2.0**-43, sign * Fraction(off))
+        with mock.patch.object(_summation, "_CHUNK", chunk):
+            for v in (values, -values):
+                with counted_passes() as counted:
+                    assert_matches_fsum(v)
+                assert counted == [passes]
+
+    @pytest.mark.parametrize(
+        "j, chunk",
+        [(j, c) for c in LARGE_CHUNKS for j in (10, 12, 17)] + [(10, 7), (12, 7)],
     )
     @pytest.mark.parametrize("minus", [3, 2, 1])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
@@ -317,7 +384,8 @@ class TestCertificate:
     @pytest.mark.parametrize("kind", ["near_uniform", "lognormal", "geometric"])
     def test_fast_path_decides_realistic_weights(self, kind):
         # the three weight shapes of the bound-large benchmark, and the sums
-        # a certification makes of them; none may fall back to fsum
+        # a certification makes of them; none may fall back to a second
+        # pass or to fsum
         rng = np.random.default_rng(20261018)
         n = 10**5
         if kind == "near_uniform":
@@ -327,11 +395,14 @@ class TestCertificate:
         else:
             a = (10.0 ** -rng.uniform(4.0, 8.0)) ** (np.arange(n) / n) * rng.uniform(0.5, 1.5, n)
         calls, spy = fsum_list_calls()
-        with spy:
+        with spy, counted_passes() as passes:
             p = cumulative(from_weights(a, normalize=True))
             report = bound_report(reciprocal(), p)
             riemann_sum_left(reciprocal(), p)
         assert calls == []
+        # the weight total, T_n, the Abel value and the left sum: one
+        # extraction round decides each, and the second never runs
+        assert passes == [1, 1, 1, 1]
         assert report.invariant_violations() == []
 
 
@@ -455,7 +526,7 @@ class TestBlockedCore:
 
 
 def fused_sizes():
-    for chunk in (7, _summation._CHUNK):
+    for chunk in (7, *LARGE_CHUNKS):
         for n in (CUTOFF - 1, CUTOFF, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
             yield pytest.param(chunk, n, id=f"chunk{chunk}-n{n}")
 
