@@ -10,18 +10,18 @@ every finite n, with an exact closed form in the linear uniform case.
 """
 
 from monobound import (
+    CumulativePartition,
     bound_report,
     constant,
     cumulative,
     linear,
-    partition_from_sequence,
     power_complement,
     refinement_chain,
     uniform_weights,
 )
 
 g = power_complement(2)
-trivial = partition_from_sequence([0.0, 1.0])
+trivial = CumulativePartition([0.0, 1.0])
 
 print("bisection chain for", g.formula, "starting from the single interval [0, 1]:")
 for k, value in enumerate(refinement_chain(g, trivial, depth=6)):

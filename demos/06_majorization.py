@@ -12,7 +12,6 @@ the relation into a sum comparison: sum g(x_i) <= sum g(y_i).
 import math
 
 from monobound import (
-    cumulative_majorization_bridge,
     from_weights,
     generate_majorized_pair,
     is_majorized,
@@ -44,6 +43,6 @@ print("relation      ", is_majorized(gx, gy).relation)
 # by every other split of the same total, so it is the evenest one.
 print()
 w = from_weights([0.2, 0.3, 0.5])
-bridge = cumulative_majorization_bridge(uniform_weights(3), w)
+bridge = is_majorized(uniform_weights(3), w)
 print("uniform(3) vs (0.2, 0.3, 0.5):", bridge.relation)
 assert bridge.relation == "x_majorized_by_y"

@@ -66,30 +66,23 @@ from .majorization import (
     KaramataReport,
     MajorizationVerdict,
     RealVector,
-    cumulative_majorization_bridge,
     generate_majorized_pair,
     is_majorized,
     karamata_check,
 )
 from .partitions import (
     CumulativePartition,
-    RefinementPlan,
     WeightVector,
     bisect_all,
     cumulative,
     from_weights,
-    partition_from_sequence,
-    refine,
     uniform_weights,
-    weights_of,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature
 from .transform import (
-    CDF,
     Density,
     ExpectationBound,
     TransformReport,
-    cdf_of,
     empirical_partition,
     expectation_upper_bound,
     pit_identity_check,
@@ -103,7 +96,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CDF",
     "CONSTANT",
     "CumulativePartition",
     "DECREASING",
@@ -128,7 +120,6 @@ __all__ = [
     "PointOutsideInterval",
     "QuadratureResult",
     "RealVector",
-    "RefinementPlan",
     "SumOutOfTolerance",
     "SumOverflow",
     "ToleranceNotReached",
@@ -142,10 +133,8 @@ __all__ = [
     "adaptive_quadrature",
     "bisect_all",
     "bound_report",
-    "cdf_of",
     "constant",
     "cumulative",
-    "cumulative_majorization_bridge",
     "empirical_partition",
     "expectation_upper_bound",
     "exponential",
@@ -157,14 +146,12 @@ __all__ = [
     "karamata_check",
     "linear",
     "logarithmic",
-    "partition_from_sequence",
     "pit_identity_check",
     "polynomial_density",
     "power_complement",
     "probe_monotonicity",
     "quadrature_integral",
     "reciprocal",
-    "refine",
     "refinement_chain",
     "render_json",
     "riemann_sum_left",
@@ -175,5 +162,4 @@ __all__ = [
     "trigonometric",
     "uniform_density",
     "uniform_weights",
-    "weights_of",
 ]

@@ -176,10 +176,12 @@ def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
         return _finite_sum(n, produce, "the Abel sum of g")
 
 
-def _ends(g) -> tuple[float, float]:
-    """g(0) and g(1), from one evaluation."""
-    ends = g.values(np.array([0.0, 1.0]))
-    return float(ends[0]), float(ends[1])
+def _gap_bound(g0: float, g1: float, mesh: float, gap: float = 0.0) -> float:
+    """(g0 - g1) * mesh; NonFiniteValue if it, or ``gap``, is not finite."""
+    bound = (g0 - g1) * mesh
+    if not (math.isfinite(bound) and math.isfinite(gap)):
+        raise NonFiniteValue("the gap or its bound")
+    return bound
 
 
 def riemann_sum_right(g, p: CumulativePartition) -> float:
@@ -231,12 +233,13 @@ def gap_bound(g, p: CumulativePartition) -> float:
 
     Follows from bounding each rectangle deficit by its width times the
     function's drop over the interval, then telescoping the drops.
-    Requires g decreasing (constant gives 0).
+    Requires g decreasing (constant gives 0); a bound that is not finite
+    raises NonFiniteValue, as in :func:`bound_report`.
     """
     if isinstance(g, MonotoneFunction):
         require_monotone(g, "gap_bound", decreasing=True)
-    g0, g1 = _ends(g)
-    return (g0 - g1) * float(np.diff(p.array).max())
+    g0, g1 = g.values(np.array([0.0, 1.0])).tolist()
+    return _gap_bound(g0, g1, float(np.diff(p.array).max()))
 
 
 def bound_report(
@@ -244,10 +247,11 @@ def bound_report(
 ) -> BoundReport:
     """Full report: T_n, integral, gap, gap bound, Abel value, strictness.
 
-    g is evaluated once at S_1..S_n; the direct sum and the Abel route
-    both use those values, so ``evaluation_count`` is n + 2 (the ends for
-    the gap bound).  The integral is g's closed form; ``tol`` is the
-    ``strict`` threshold and the enclosure slack.  Raises
+    g is evaluated once, at S_0..S_n: the direct sum and the Abel route
+    use the values at S_1..S_n, and the gap bound and ``scale`` the first
+    and last, g(0) and g(1), so ``evaluation_count`` is n + 1.  The
+    integral is g's closed form; ``tol`` is the ``strict`` threshold and
+    the enclosure slack.  Raises
     NonMonotoneFunction for functions that rise and fall, and NonFiniteValue
     for a value of g, sum, gap or gap bound that is not finite.
     """
@@ -256,15 +260,14 @@ def bound_report(
     require_monotone(g, "bound_report")
 
     bps = p.array
-    vals = g.values(bps[1:])
-    t_n, mesh = _weighted_sum(bps, vals)
-    abel_value = _abel_value(bps, vals)
+    vals = g.values(bps)
+    t_n, mesh = _weighted_sum(bps, vals[1:])
+    abel_value = _abel_value(bps, vals[1:])
     integral = g.closed_form_integral
-    g0, g1 = _ends(g)
+    g0, g1 = float(vals[0]), float(vals[-1])
 
-    gap, gap_bound = integral - t_n, (g0 - g1) * mesh
-    if not (math.isfinite(gap) and math.isfinite(gap_bound)):
-        raise NonFiniteValue("the gap or its bound")
+    gap = integral - t_n
+    gap_bound = _gap_bound(g0, g1, mesh, gap)
     if (-gap if g.direction == INCREASING else gap) > 10.0 * tol:
         strict: bool | None = True
     else:
@@ -279,7 +282,7 @@ def bound_report(
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
-        evaluation_count=p.n + 2,
+        evaluation_count=p.n + 1,
         tol=tol,
         scale=max(abs(g0), abs(g1)),
     )

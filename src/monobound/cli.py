@@ -118,21 +118,20 @@ def parse_vector_text(text: str, origin: str) -> list[float]:
         raise CliParseError(f"{origin}: {exc}") from exc
 
 
-def read_vector_file(path: str) -> list[float]:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
-    return parse_vector_text(text, path)
+
+
+def read_vector_file(path: str) -> list[float]:
+    return parse_vector_text(_read_text(path), path)
 
 
 def read_table_file(path: str) -> list[tuple[float, float]]:
     """Two-column (x, y) knots from CSV rows or a JSON array of pairs."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from exc
-    stripped = text.strip()
+    stripped = _read_text(path).strip()
     if not stripped:
         raise CliParseError(f"{path}: no knots found")
     if stripped.startswith("["):

@@ -96,9 +96,7 @@ def as_real_vector(v: VectorLike) -> RealVector:
     if isinstance(v, RealVector):
         return v
     if isinstance(v, WeightVector):  # finite and read-only already: share it
-        shared = object.__new__(RealVector)
-        shared._freeze(v.array)
-        return shared
+        return RealVector._adopt(v.array, checked=True)
     return RealVector(np.asarray(v, dtype=float).ravel())
 
 
@@ -219,15 +217,3 @@ def generate_majorized_pair(n: int, transfers: int, seed: int) -> tuple[RealVect
         x[j] += delta
         transfers -= m
     return RealVector(x), RealVector(y)
-
-
-def cumulative_majorization_bridge(w1: WeightVector, w2: WeightVector) -> MajorizationVerdict:
-    """Majorization verdict between two weight vectors of equal length.
-
-    Both sum to 1, so the total check holds automatically and the verdict
-    ranks how evenly the two vectors spread their mass; the uniform vector
-    is majorized by every other weight vector of the same length.
-    """
-    if w1.n != w2.n:
-        raise LengthMismatch(w1.n, w2.n)
-    return is_majorized(w1, w2)

@@ -33,15 +33,16 @@ _NONNEG_GRID = 1001
 
 @dataclass(frozen=True)
 class Density(_UnitIntervalFunction):
-    """Probability density on [0, 1] and its CDF ``_cdf``, built together by
-    a constructor that knows the mass in closed form; the sign is checked here."""
+    """Probability density on [0, 1] and its CDF ``cdf`` (an array of points to
+    F, clamped into [0, 1]), built together by a constructor that knows the
+    mass in closed form; the sign is checked here."""
 
     kind: str
     formula: str
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
-    _cdf: Callable = field(repr=False, compare=False, default=None)
+    cdf: Callable = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         # nonnegativity on a sampled grid (heuristic guard, like the probe)
@@ -52,14 +53,6 @@ class Density(_UnitIntervalFunction):
         if (vals < -1e-12).any():
             i = int(np.argmin(vals))
             raise ValueError(f"density is negative: f({grid[i]!r}) = {vals[i]!r}")
-
-
-@dataclass(frozen=True)
-class CDF(_UnitIntervalFunction):
-    """F(x) = integral of the density from 0 to x, clamped into [0, 1]."""
-
-    density: Density
-    _fn: Callable = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,7 @@ class ExpectationBound:
 def uniform_density() -> Density:
     """f(x) = 1."""
     cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x, _cdf=cdf)
+    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x, cdf=cdf)
 
 
 def polynomial_density(coefficients: Sequence[float]) -> Density:
@@ -113,7 +106,7 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
         formula=terms,
         params=tuple((f"c{j}", c) for j, c in enumerate(coeffs)),
         _fn=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-        _cdf=lambda x: np.clip(np.polynomial.polynomial.polyval(x, anti) / mass, 0.0, 1.0),
+        cdf=lambda x: np.clip(np.polynomial.polynomial.polyval(x, anti) / mass, 0.0, 1.0),
     )
     if abs(mass - 1.0) > _MASS_TOLERANCE:
         raise NotNormalized(mass)
@@ -149,7 +142,7 @@ def triangular_density(peak: float) -> Density:
         params=(("peak", p),),
         kinks=kinks,
         _fn=pdf,
-        _cdf=cdf,
+        cdf=cdf,
     )
 
 
@@ -185,13 +178,8 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
         formula=f"piecewise linear through {xs.size} knots (renormalized)",
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
-        _cdf=cdf,
+        cdf=cdf,
     )
-
-
-def cdf_of(f: Density) -> CDF:
-    """The CDF that f's constructor built with it."""
-    return CDF(density=f, _fn=f._cdf)
 
 
 def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> TransformReport:
@@ -204,7 +192,7 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    pdf, cdf_fn, gfn = f._fn, f._cdf, g._fn
+    pdf, cdf_fn, gfn = f._fn, f.cdf, g._fn
     lhs = batched_quadrature(
         lambda x: pdf(x) * gfn(cdf_fn(x)),
         0.0,

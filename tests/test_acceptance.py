@@ -33,13 +33,7 @@ from monobound.functions import (
     trigonometric,
 )
 from monobound.majorization import generate_majorized_pair, is_majorized, karamata_check
-from monobound.partitions import (
-    RefinementPlan,
-    cumulative,
-    from_weights,
-    refine,
-    uniform_weights,
-)
+from monobound.partitions import CumulativePartition, cumulative, from_weights, uniform_weights
 from monobound.transform import pit_identity_check, polynomial_density, triangular_density, tabulated_density, uniform_density
 
 CORPUS_SEED = 20260815
@@ -176,7 +170,7 @@ def test_criterion_06_refinement_monotonicity():
         index = int(rng.integers(1, p.n + 1))
         lo, hi = p.breakpoints[index - 1], p.breakpoints[index]
         point = lo + (hi - lo) * rng.uniform(0.2, 0.8)
-        refined = refine(p, RefinementPlan(((index, point),)))
+        refined = CumulativePartition(sorted(p.breakpoints + (point,)))
         worst = min(worst, riemann_sum_right(g, refined) - riemann_sum_right(g, p))
     ok = worst >= -1e-12
     assert _verdict(

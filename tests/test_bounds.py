@@ -32,11 +32,9 @@ from monobound.functions import (
     trigonometric,
 )
 from monobound.partitions import (
-    RefinementPlan,
+    CumulativePartition,
     cumulative,
     from_weights,
-    partition_from_sequence,
-    refine,
     uniform_weights,
 )
 
@@ -132,18 +130,38 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("n", [1, 3, 10, 1000])
     def test_g_evaluated_once_per_breakpoint(self, n):
-        # S_1..S_n once, shared by the direct and Abel routes, plus g(0), g(1)
+        # S_0..S_n once: S_1..S_n for the direct and Abel routes, the ends
+        # S_0 = 0 and S_n = 1 for the gap bound and the scale
         r = bound_report(reciprocal(), cumulative(uniform_weights(n)))
-        assert r.evaluation_count == n + 2
+        assert r.evaluation_count == n + 1
 
     def test_tabulated_evaluations_are_counted(self):
         # the trapezoid integral was formed at construction, so a table is
-        # evaluated at S_1..S_n and the ends only, like any catalog member
+        # evaluated at the breakpoints only, in one call, like any catalog member
         g = tabulated([(0.0, 2.0), (0.3, 1.0), (0.8, 0.9), (1.0, 0.1)])
-        points = []
-        counted = dataclasses.replace(g, _fn=lambda x: points.append(np.size(x)) or g._fn(x))
+        calls = []
+        counted = dataclasses.replace(g, _fn=lambda x: calls.append(np.size(x)) or g._fn(x))
         p = cumulative(uniform_weights(7))
-        assert bound_report(counted, p).evaluation_count == sum(points) == p.n + 2
+        assert bound_report(counted, p).evaluation_count == sum(calls) == p.n + 1
+        assert calls == [p.n + 1]
+
+    @pytest.mark.parametrize("g", CATALOG, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("n", [1, 3, 511, 4099])
+    @pytest.mark.parametrize("shape", ["uniform", "lognormal", "geometric"])
+    def test_ends_match_a_separate_evaluation(self, g, n, shape):
+        # g(0) and g(1) come from the one evaluation at S_0..S_n; they carry
+        # the bits of g evaluated at 0 and 1 alone
+        raw = {
+            "uniform": np.ones(n),
+            "lognormal": np.random.default_rng(n).lognormal(0.0, 2.0, n),
+            "geometric": 0.999 ** np.arange(n),
+        }[shape]
+        p = cumulative(from_weights(raw, normalize=True))
+        g0, g1 = g.values([0.0, 1.0]).tolist()
+        r = bound_report(g, p)
+        assert r.gap_bound == (g0 - g1) * float(np.diff(p.array).max())
+        assert r.scale == max(abs(g0), abs(g1))
+        assert gap_bound(g, p) == r.gap_bound
 
     def test_constant_equality_case(self):
         r = bound_report(constant(3.0), worked_partition())
@@ -308,7 +326,7 @@ class TestEnclosure:
 
 class TestRefinementChain:
     def test_bisection_values_from_trivial_partition(self):
-        chain = refinement_chain(power_complement(2), partition_from_sequence([0.0, 1.0]), 3)
+        chain = refinement_chain(power_complement(2), CumulativePartition([0.0, 1.0]), 3)
         # brute-force bisection sums: all breakpoints are exact dyadics
         assert chain == [0.0, 0.375, 0.53125, 0.6015625]
 
@@ -343,7 +361,7 @@ class TestRefinementChain:
         m = lo + (hi - lo) * frac
         if not lo < m < hi:
             return
-        q = refine(p, RefinementPlan(((i, m),)))
+        q = CumulativePartition(sorted(p.breakpoints + (m,)))
         g = trigonometric()
         assert riemann_sum_right(g, q) >= riemann_sum_right(g, p) - 1e-12
 
@@ -387,5 +405,6 @@ class TestNonFiniteValues:
             with pytest.raises(NonFiniteValue, match="the Abel sum of g"):
                 route(self.cliff, p)
         kink = tabulated([(0.0, 1e308), (0.01, 0.0), (1.0, -1e308)])  # g(0) - g(1) overflows
-        with pytest.raises(NonFiniteValue, match="the gap or its bound"):
-            bound_report(kink, p)
+        for route in (gap_bound, bound_report):
+            with pytest.raises(NonFiniteValue, match="the gap or its bound"):
+                route(kink, p)

@@ -447,8 +447,7 @@ class TestPlantedBugs:
         )
 
     def test_bound_with_gap_bound_too_small(self, capsys, worked_weights):
-        ends = bounds._ends
-        with mock.patch.object(bounds, "_ends", lambda g: (ends(g)[1],) * 2):
+        with mock.patch.object(bounds, "_gap_bound", lambda *args: 0.0):
             code, out, err = run(capsys, "bound", "--weights", worked_weights, "--fn", "power:k=2", "--json")
         assert code == 3
         assert json.loads(out)["gap_bound"] == 0.0

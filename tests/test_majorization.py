@@ -13,7 +13,6 @@ from monobound.majorization import (
     MajorizationVerdict,
     RealVector,
     as_real_vector,
-    cumulative_majorization_bridge,
     generate_majorized_pair,
     is_majorized,
     karamata_check,
@@ -447,26 +446,28 @@ class TestGenerator:
 
 
 class TestBridge:
+    """Weight vectors compare by majorization directly: both sum to 1."""
+
     def test_uniform_is_majorized_by_everything(self):
         w = from_weights([0.2, 0.3, 0.5])
-        v = cumulative_majorization_bridge(uniform_weights(3), w)
+        v = is_majorized(uniform_weights(3), w)
         assert v.relation == "x_majorized_by_y"
 
     def test_self_comparison(self):
         w = from_weights([0.2, 0.3, 0.5])
-        assert cumulative_majorization_bridge(w, w).relation == "both"
+        assert is_majorized(w, w).relation == "both"
 
     def test_hand_checked_weight_pair(self):
         w1 = from_weights([0.2, 0.3, 0.5])
         w2 = from_weights([0.25, 0.25, 0.5])
         # sorted prefixes: (0.5, 0.8) vs (0.5, 0.75), so w2 is majorized by w1
-        assert cumulative_majorization_bridge(w1, w2).relation == "y_majorized_by_x"
+        assert is_majorized(w1, w2).relation == "y_majorized_by_x"
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            cumulative_majorization_bridge(uniform_weights(2), uniform_weights(3))
+            is_majorized(uniform_weights(2), uniform_weights(3))
 
     def test_totals_match_automatically(self):
-        v = cumulative_majorization_bridge(uniform_weights(4), from_weights([0.1, 0.2, 0.3, 0.4]))
+        v = is_majorized(uniform_weights(4), from_weights([0.1, 0.2, 0.3, 0.4]))
         assert v.relation != "total_mismatch"
         assert v.prefix_margins[-1] == pytest.approx(0.0, abs=1e-12)

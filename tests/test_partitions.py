@@ -22,16 +22,12 @@ from monobound.partitions import (
     MAX_INTERVALS,
     SUM_TOLERANCE,
     CumulativePartition,
-    RefinementPlan,
     WeightVector,
     bisect_all,
     cumulative,
     from_weights,
-    partition_from_sequence,
-    refine,
     require_within_budget,
     uniform_weights,
-    weights_of,
 )
 from oracles import neumaier_prefixes
 
@@ -235,89 +231,47 @@ class TestCumulative:
 
 class TestRoundTrip:
     def test_weights_of_worked_partition(self):
-        p = partition_from_sequence([0.0, 0.2, 0.5, 1.0])
-        assert weights_of(p).weights == (0.2, 0.3, 0.5)
+        p = CumulativePartition([0.0, 0.2, 0.5, 1.0])
+        assert p.widths() == (0.2, 0.3, 0.5)
 
     def test_weights_of_trivial(self):
-        assert weights_of(partition_from_sequence([0.0, 1.0])).weights == (1.0,)
+        assert CumulativePartition([0.0, 1.0]).widths() == (1.0,)
 
     def test_weights_of_quarters(self):
-        p = partition_from_sequence([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert weights_of(p).weights == (0.25,) * 4
+        p = CumulativePartition([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert p.widths() == (0.25,) * 4
 
     @given(weight_lists)
     def test_round_trip_within_1e12(self, raw):
         w = from_weights(raw, normalize=True)
-        back = weights_of(cumulative(w))
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(w.weights, back.weights))
+        back = cumulative(w).widths()
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(w.weights, back))
 
     @given(weight_lists)
     def test_partition_round_trip_within_1e12(self, raw):
         p = cumulative(from_weights(raw, normalize=True))
-        again = cumulative(weights_of(p))
+        again = cumulative(WeightVector(p.widths()))
         assert all(abs(a - b) <= 1e-12 for a, b in zip(p.breakpoints, again.breakpoints))
-
-
-class TestRefine:
-    def test_single_insertion(self):
-        p = partition_from_sequence([0.0, 0.5, 1.0])
-        q = refine(p, RefinementPlan(((1, 0.25),)))
-        assert q.breakpoints == (0.0, 0.25, 0.5, 1.0)
-
-    def test_two_insertions_rebuild_worked_partition(self):
-        p = partition_from_sequence([0.0, 1.0])
-        q = refine(p, RefinementPlan(((1, 0.2), (1, 0.5))))
-        assert q.breakpoints == (0.0, 0.2, 0.5, 1.0)
-
-    def test_empty_plan_is_identity(self):
-        p = partition_from_sequence([0.0, 0.2, 0.5, 1.0])
-        assert refine(p, RefinementPlan(())).breakpoints == p.breakpoints
-
-    def test_point_outside_interval_rejected(self):
-        p = partition_from_sequence([0.0, 0.5, 1.0])
-        with pytest.raises(PointOutsideInterval):
-            refine(p, RefinementPlan(((1, 0.7),)))
-        with pytest.raises(PointOutsideInterval):
-            refine(p, RefinementPlan(((3, 0.7),)))
-
-    def test_endpoint_is_not_interior(self):
-        p = partition_from_sequence([0.0, 0.5, 1.0])
-        with pytest.raises(PointOutsideInterval):
-            refine(p, RefinementPlan(((1, 0.5),)))
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError):
-            RefinementPlan(((1, 0.25), (1, 0.25)))
-
-    @given(weight_lists, st.floats(min_value=0.1, max_value=0.9))
-    def test_refine_keeps_all_old_breakpoints(self, raw, frac):
-        p = cumulative(from_weights(raw, normalize=True))
-        lo, hi = p.breakpoints[0], p.breakpoints[1]
-        m = lo + (hi - lo) * frac
-        if not lo < m < hi:  # degenerate float placement
-            return
-        q = refine(p, RefinementPlan(((1, m),)))
-        assert set(p.breakpoints) <= set(q.breakpoints)
 
 
 class TestPartitionValidation:
     def test_first_breakpoint_must_be_zero(self):
         with pytest.raises(ValueError):
-            partition_from_sequence([0.1, 1.0])
+            CumulativePartition([0.1, 1.0])
 
     def test_last_breakpoint_snap_tolerance(self):
-        p = partition_from_sequence([0.0, 0.5, 1.0 - 1e-10])
+        p = CumulativePartition([0.0, 0.5, 1.0 - 1e-10])
         assert p.breakpoints[-1] == 1.0
         with pytest.raises(ValueError):
-            partition_from_sequence([0.0, 0.5, 0.9])
+            CumulativePartition([0.0, 0.5, 0.9])
 
     def test_nan_last_breakpoint_rejected(self):
         with pytest.raises(ValueError):
-            partition_from_sequence([0.0, 0.5, math.nan])
+            CumulativePartition([0.0, 0.5, math.nan])
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
-            partition_from_sequence([0.0, 0.5, 0.5, 1.0])
+            CumulativePartition([0.0, 0.5, 0.5, 1.0])
 
     def test_needs_two_breakpoints(self):
         with pytest.raises(ValueError):
@@ -371,7 +325,7 @@ class TestArrayStorage:
         p = cumulative(w)
         assert not p.array.flags.writeable
         assert not np.shares_memory(p.array, w.array)
-        for obj in (bisect_all(p), weights_of(p), uniform_weights(4)):
+        for obj in (bisect_all(p), uniform_weights(4)):
             assert not obj.array.flags.writeable
             assert not np.shares_memory(obj.array, p.array)
 
@@ -382,8 +336,8 @@ class TestArrayStorage:
         assert a != from_weights([0.5, 0.3, 0.2])
         assert a != from_weights([0.5, 0.5])
         p = cumulative(a)
-        assert p == partition_from_sequence([0.0, 0.2, 0.5, 1.0])
-        assert hash(p) == hash(partition_from_sequence([0.0, 0.2, 0.5, 1.0]))
+        assert p == CumulativePartition([0.0, 0.2, 0.5, 1.0])
+        assert hash(p) == hash(CumulativePartition([0.0, 0.2, 0.5, 1.0]))
         assert p != cumulative(from_weights([0.25] * 4))
         assert a != p and a != a.weights
 
@@ -415,13 +369,13 @@ class TestHelpers:
         assert set(p.breakpoints) <= set(q.breakpoints)
 
     def test_bisect_all_interleaves_midpoints(self):
-        q = bisect_all(partition_from_sequence([0.0, 0.2, 0.5, 1.0]))
+        q = bisect_all(CumulativePartition([0.0, 0.2, 0.5, 1.0]))
         assert q.breakpoints == (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
     def test_bisect_all_between_adjacent_floats_raises(self):
         # the midpoint of [0.5, nextafter(0.5)] rounds onto 0.5
         hi = float(np.nextafter(0.5, 1.0))
-        p = partition_from_sequence([0.0, 0.25, 0.5, hi, 1.0])
+        p = CumulativePartition([0.0, 0.25, 0.5, hi, 1.0])
         with pytest.raises(PointOutsideInterval) as info:
             bisect_all(p)
         assert info.value.index == 3

@@ -5,6 +5,7 @@
 """
 
 import contextlib
+import gc
 import math
 import struct
 import tracemalloc
@@ -90,12 +91,19 @@ class TestMatchesNeumaierLoop:
     def test_memory_is_the_result_plus_one_block(self, n, chunk):
         values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         with mock.patch.object(_summation, "_CHUNK", chunk):
+            # tracemalloc counts an object parked on an interpreter free list
+            # as live, and how full those lists are depends on earlier tests
+            # (a full collection empties them): one untraced call fills them,
+            # and no collection runs until the traced call is done
+            gc.disable()
+            compensated_prefix_sums(values)
             tracemalloc.start()
             try:
                 out = compensated_prefix_sums(values)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
         assert out.size == n + 1
         # the result, an error and a TwoSum buffer of one block each, and a
         # few small objects

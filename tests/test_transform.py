@@ -17,7 +17,6 @@ from monobound.functions import (
 )
 from monobound.partitions import cumulative
 from monobound.transform import (
-    cdf_of,
     empirical_partition,
     expectation_upper_bound,
     pit_identity_check,
@@ -95,25 +94,25 @@ class TestDensities:
 
 class TestCdf:
     def test_uniform_cdf_is_identity(self):
-        F = cdf_of(uniform_density())
+        F = uniform_density().cdf
         xs = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(F.values(xs), xs)
+        assert np.array_equal(F(xs), xs)
 
     def test_polynomial_2x_cdf_is_x_squared(self):
-        F = cdf_of(polynomial_density([0.0, 2.0]))
+        F = polynomial_density([0.0, 2.0]).cdf
         assert F(0.5) == pytest.approx(0.25, abs=1e-15)
         xs = np.linspace(0.0, 1.0, 101)
-        assert np.allclose(F.values(xs), xs * xs, atol=1e-14)
+        assert np.allclose(F(xs), xs * xs, atol=1e-14)
 
     def test_triangular_cdf_symmetry_point(self):
-        F = cdf_of(triangular_density(0.5))
+        F = triangular_density(0.5).cdf
         assert F(0.5) == 0.5
 
     @pytest.mark.parametrize("f", catalog_densities(), ids=lambda f: f.kind)
     def test_cdf_endpoints_and_monotonicity(self, f):
-        F = cdf_of(f)
+        F = f.cdf
         grid = np.linspace(0.0, 1.0, 1001)
-        vals = F.values(grid)
+        vals = F(grid)
         assert abs(vals[0]) <= 1e-9 and abs(vals[-1] - 1.0) <= 1e-9
         assert (np.diff(vals) >= -1e-12).all()
         assert (vals >= 0.0).all() and (vals <= 1.0).all()
