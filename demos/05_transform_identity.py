@@ -14,8 +14,9 @@ integral of g bounds from above when g is decreasing.
 """
 
 from monobound import (
-    empirical_partition,
-    expectation_upper_bound,
+    bound_report,
+    cumulative,
+    from_weights,
     pit_identity_check,
     polynomial_density,
     power_complement,
@@ -42,11 +43,11 @@ for label, f in densities:
 
 # Three observations with raw importance weights 2, 3, 5: normalizing
 # gives the jump sizes of a weighted empirical CDF.
-data = [0.1, 0.4, 0.9]
-w = empirical_partition(data, weights=[2.0, 3.0, 5.0])
+w = from_weights([2.0, 3.0, 5.0], normalize=True)
 print()
 print("raw weights [2, 3, 5] -> jumps", w.weights)
 
-bound = expectation_upper_bound(g, w)
-print(f"discrete sum {bound.discrete_sum:.6f} <= E[g(U)] = {bound.expectation:.6f}  holds = {bound.holds}")
-assert bound.holds
+report = bound_report(g, cumulative(w))
+holds = not report.invariant_violations()
+print(f"discrete sum {report.t_n:.6f} <= E[g(U)] = {report.integral:.6f}  holds = {holds}")
+assert holds

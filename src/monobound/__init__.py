@@ -49,13 +49,11 @@ from .functions import (
     INCREASING,
     NON_MONOTONE,
     MonotoneFunction,
-    MonotonicityVerdict,
     constant,
     exponential,
     linear,
     logarithmic,
     power_complement,
-    probe_monotonicity,
     quadrature_integral,
     reciprocal,
     tabulated,
@@ -81,10 +79,7 @@ from .partitions import (
 from .quadrature import QuadratureResult, adaptive_quadrature
 from .transform import (
     Density,
-    ExpectationBound,
     TransformReport,
-    empirical_partition,
-    expectation_upper_bound,
     pit_identity_check,
     polynomial_density,
     tabulated_density,
@@ -102,14 +97,12 @@ __all__ = [
     "Density",
     "DomainViolation",
     "EmptyInput",
-    "ExpectationBound",
     "INCREASING",
     "KaramataReport",
     "LengthMismatch",
     "MajorizationVerdict",
     "MonoboundError",
     "MonotoneFunction",
-    "MonotonicityVerdict",
     "NON_MONOTONE",
     "NonFiniteValue",
     "NonMonotoneFunction",
@@ -135,8 +128,6 @@ __all__ = [
     "bound_report",
     "constant",
     "cumulative",
-    "empirical_partition",
-    "expectation_upper_bound",
     "exponential",
     "format_float",
     "from_weights",
@@ -149,7 +140,6 @@ __all__ = [
     "pit_identity_check",
     "polynomial_density",
     "power_complement",
-    "probe_monotonicity",
     "quadrature_integral",
     "reciprocal",
     "refinement_chain",

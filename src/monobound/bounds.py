@@ -228,7 +228,7 @@ def abel_sum(g, p: CumulativePartition) -> float:
     return _abel_value(bps, g.values(bps[1:]))
 
 
-def gap_bound(g, p: CumulativePartition) -> float:
+def gap_bound(g: MonotoneFunction, p: CumulativePartition) -> float:
     """(g(0) - g(1)) * max_i a_i, a provable ceiling on integral - t_n.
 
     Follows from bounding each rectangle deficit by its width times the
@@ -236,8 +236,7 @@ def gap_bound(g, p: CumulativePartition) -> float:
     Requires g decreasing (constant gives 0); a bound that is not finite
     raises NonFiniteValue, as in :func:`bound_report`.
     """
-    if isinstance(g, MonotoneFunction):
-        require_monotone(g, "gap_bound", decreasing=True)
+    require_monotone(g, "gap_bound", decreasing=True)
     g0, g1 = g.values(np.array([0.0, 1.0])).tolist()
     return _gap_bound(g0, g1, float(np.diff(p.array).max()))
 

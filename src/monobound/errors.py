@@ -116,7 +116,7 @@ class ToleranceNotReached(MonoboundError):
 class NonMonotoneFunction(MonoboundError):
     """A function does not have the monotonicity an operation requires.
 
-    ``witness`` holds a pair of sample points exhibiting the violation when
+    ``witness`` holds a pair of knots exhibiting the violation when
     one is known, otherwise None (for example when a function is monotone but
     in the wrong direction).
     """

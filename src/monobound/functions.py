@@ -1,4 +1,4 @@
-"""Catalog of monotone functions on [0, 1] and a monotonicity probe.
+"""Catalog of monotone functions on [0, 1] and the monotonicity precondition.
 
 Catalog members (all strictly decreasing):
 
@@ -11,9 +11,9 @@ Catalog members (all strictly decreasing):
 plus ``constant(c)`` and ``linear(m, b)`` for equality audits, and
 ``tabulated(points)`` for user data, evaluated by linear interpolation
 between knots, whose integral is the trapezoid sum.  Every member knows
-its integral in closed form.  Analytic members carry their direction as a fact;
-:func:`probe_monotonicity` is a sampling heuristic meant to guard inputs,
-not a proof.
+its integral in closed form, and its direction as a fact: analytic members
+by construction, tables from the exact signs of their knot differences.
+:func:`require_monotone` is the one reader of that direction.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import numpy as np
 from ._summation import exact_sum
 from .errors import DomainViolation, NonMonotoneFunction
 from .quadrature import batched_quadrature
-
-#: Differences smaller than this are treated as ties by the probe.
-PROBE_TOLERANCE = 1e-14
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
@@ -70,15 +67,6 @@ class MonotoneFunction(_UnitIntervalFunction):
     params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
-
-
-@dataclass(frozen=True)
-class MonotonicityVerdict:
-    """Probe outcome; ``witness`` is set only for non-monotone samples."""
-
-    direction: str
-    strict: bool
-    witness: tuple[float, float] | None = None
 
 
 def power_complement(k: float) -> MonotoneFunction:
@@ -186,7 +174,7 @@ def linear(m: float, b: float) -> MonotoneFunction:
     m, b = float(m), float(b)
     if not (math.isfinite(m) and math.isfinite(b)):
         raise ValueError(f"m and b must be finite, got {m!r}, {b!r}")
-    direction, strict = _direction_of(np.array([m]), 0.0)
+    direction, strict = _direction_of(np.array([m]))
     return MonotoneFunction(
         kind="linear",
         direction=direction,
@@ -210,7 +198,7 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     """
     xs, ys = knot_arrays(points, "tabulated function")
     with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
-        direction, strict = _direction_of(np.diff(ys), 0.0)
+        direction, strict = _direction_of(np.diff(ys))
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
@@ -257,41 +245,26 @@ def quadrature_integral(g: MonotoneFunction, tol: float = 1e-10) -> float:
 def require_monotone(g: MonotoneFunction, op: str, decreasing: bool = False) -> None:
     """Raise NonMonotoneFunction unless g is monotone, and weakly decreasing if asked.
 
-    A function that rises and falls gets the probe's witness pair.
+    A function that rises and falls is evaluated at its knots (0, the
+    kinks, 1), where a table returns its knot values exactly; the witness
+    is the first knot segment whose sign opposes the first signed one.
     """
     if g.direction == INCREASING and decreasing:
         raise NonMonotoneFunction(f"{op} requires a decreasing function; got an increasing one")
     if g.direction not in (DECREASING, CONSTANT, INCREASING):
-        witness = probe_monotonicity(g).witness
+        knots = np.array([0.0, *g.kinks, 1.0])
+        with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
+            diffs = np.diff(g.values(knots))
+        witness = None
+        if _direction_of(diffs)[0] == NON_MONOTONE:
+            j = max(int(np.argmax(diffs > 0.0)), int(np.argmax(diffs < 0.0)))
+            witness = (float(knots[j]), float(knots[j + 1]))
         raise NonMonotoneFunction(f"{op} requires a monotone function", witness=witness)
 
 
-def probe_monotonicity(g: MonotoneFunction, grid_size: int = 101) -> MonotonicityVerdict:
-    """Classify g by the signs of successive differences on a uniform grid.
-
-    The grid has ``grid_size`` points and additionally includes every knot
-    of a tabulated function.  Differences within :data:`PROBE_TOLERANCE`
-    count as ties; ``strict`` is set only when every difference is signed
-    beyond the tolerance.  A sampling heuristic, not a proof.
-    """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    if g.kinks:
-        grid = np.union1d(grid, np.array(g.kinks))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, a tie
-        diffs = np.diff(g.values(grid))
-    direction, strict = _direction_of(diffs, PROBE_TOLERANCE)
-    if direction != NON_MONOTONE:
-        return MonotonicityVerdict(direction, strict)
-    # witness the pair that contradicts the trend established first
-    j = max(int(np.argmax(diffs > PROBE_TOLERANCE)), int(np.argmax(diffs < -PROBE_TOLERANCE)))
-    return MonotonicityVerdict(NON_MONOTONE, strict=False, witness=(float(grid[j]), float(grid[j + 1])))
-
-
-def _direction_of(diffs: np.ndarray, tie: float) -> tuple[str, bool]:
-    """(direction, strict) from successive differences; |d| <= tie is a tie."""
-    up, down = diffs > tie, diffs < -tie
+def _direction_of(diffs: np.ndarray) -> tuple[str, bool]:
+    """(direction, strict) from the exact signs of successive differences."""
+    up, down = diffs > 0.0, diffs < 0.0
     if up.any() and down.any():
         return NON_MONOTONE, False
     if down.any():

@@ -8,8 +8,7 @@ gives the distribution-free identity
 for integrable g.  The right side is the expectation of g(U) for U uniform
 on [0, 1], so the discrete right-endpoint sum over any cumulative partition
 is an approximation of that expectation from below (for decreasing g).
-This module verifies the identity numerically as a residual check and
-builds weight partitions from empirical data for the expectation bound.
+This module verifies the identity numerically as a residual check.
 """
 
 from __future__ import annotations
@@ -21,21 +20,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .bounds import DEFAULT_QUAD_TOL, bound_report
-from .errors import EmptyInput, LengthMismatch, NotNormalized
-from .functions import MonotoneFunction, _UnitIntervalFunction, knot_arrays, require_monotone
-from .partitions import WeightVector, cumulative, from_weights, uniform_weights
+from .errors import EmptyInput, NotNormalized
+from .functions import MonotoneFunction, _UnitIntervalFunction, knot_arrays
 from .quadrature import batched_quadrature
 
 _MASS_TOLERANCE = 1e-9
-_NONNEG_GRID = 1001
 
 
 @dataclass(frozen=True)
 class Density(_UnitIntervalFunction):
     """Probability density on [0, 1] and its CDF ``cdf`` (an array of points to
     F, clamped into [0, 1]), built together by a constructor that knows the
-    mass in closed form; the sign is checked here."""
+    mass in closed form and that f is nonnegative."""
 
     kind: str
     formula: str
@@ -43,16 +39,6 @@ class Density(_UnitIntervalFunction):
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
     cdf: Callable = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        # nonnegativity on a sampled grid (heuristic guard, like the probe)
-        grid = np.linspace(0.0, 1.0, _NONNEG_GRID)
-        if self.kinks:
-            grid = np.union1d(grid, np.array(self.kinks))
-        vals = np.asarray(self._fn(grid), dtype=float)
-        if (vals < -1e-12).any():
-            i = int(np.argmin(vals))
-            raise ValueError(f"density is negative: f({grid[i]!r}) = {vals[i]!r}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +61,6 @@ class TransformReport:
         }
 
 
-@dataclass(frozen=True)
-class ExpectationBound:
-    """E[g(U)] for uniform U plus the verified discrete-sum inequality."""
-
-    expectation: float
-    discrete_sum: float
-    holds: bool
-
-
 def uniform_density() -> Density:
     """f(x) = 1."""
     cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -92,7 +69,13 @@ def uniform_density() -> Density:
 
 def polynomial_density(coefficients: Sequence[float]) -> Density:
     """f(x) = c0 + c1*x + ... ; nonnegative, and its antiderivative's value at
-    1, the mass sum_j c_j/(j + 1), within 1e-9 of 1; the CDF is their ratio."""
+    1, the mass sum_j c_j/(j + 1), within 1e-9 of 1; the CDF is their ratio.
+
+    The sign is checked at f's minimum on [0, 1], which lies at 0, at 1 or
+    at a real root of f' (taken as the real parts of all its roots, clipped
+    into [0, 1]; top coefficients of f' below 2^-52 of its largest are
+    dropped first); f may dip to -1e-12.
+    """
     coeffs = tuple(float(c) for c in coefficients)
     if not coeffs:
         raise EmptyInput("polynomial coefficients")
@@ -101,16 +84,23 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     terms = " + ".join(f"{c:g}*x^{j}" if j else f"{c:g}" for j, c in enumerate(coeffs))
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
     mass = math.fsum(anti)
-    f = Density(
+    if abs(mass - 1.0) > _MASS_TOLERANCE:
+        raise NotNormalized(mass)
+    P = np.polynomial.polynomial
+    d = P.polyder(coeffs)
+    d = P.polytrim(d, np.abs(d).max() * 2.0**-52)  # else a negligible top term overflows the companion matrix
+    xs = np.concatenate(([0.0, 1.0], np.clip(P.polyroots(d).real, 0.0, 1.0)))
+    vals = P.polyval(xs, coeffs)
+    i = int(np.argmin(vals))
+    if vals[i] < -1e-12:
+        raise ValueError(f"density is negative: f({float(xs[i])!r}) = {float(vals[i])!r}")
+    return Density(
         kind="polynomial",
         formula=terms,
         params=tuple((f"c{j}", c) for j, c in enumerate(coeffs)),
-        _fn=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-        cdf=lambda x: np.clip(np.polynomial.polynomial.polyval(x, anti) / mass, 0.0, 1.0),
+        _fn=lambda x: P.polyval(x, coeffs),
+        cdf=lambda x: np.clip(P.polyval(x, anti) / mass, 0.0, 1.0),
     )
-    if abs(mass - 1.0) > _MASS_TOLERANCE:
-        raise NotNormalized(mass)
-    return f
 
 
 def triangular_density(peak: float) -> Density:
@@ -203,35 +193,3 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
     rhs = g.closed_form_integral
     residual = abs(lhs - rhs)
     return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=tol, passed=residual <= tol)
-
-
-def empirical_partition(
-    data: Sequence[float], weights: Sequence[float] | None = None
-) -> WeightVector:
-    """Weight vector for a sample: equal jumps 1/n, or given weights.
-
-    The data values themselves only fix the count and ordering; uniform
-    weighting reproduces the empirical CDF's jump sizes.  Explicit weights
-    must match the sample length and are normalized by their sum.
-    """
-    if len(data) == 0:
-        raise EmptyInput("data")
-    if weights is None:
-        return uniform_weights(len(data))
-    if len(weights) != len(data):
-        raise LengthMismatch(len(data), len(weights))
-    return from_weights(weights, normalize=True)
-
-
-def expectation_upper_bound(
-    g: MonotoneFunction, w: WeightVector, tol: float = DEFAULT_QUAD_TOL
-) -> ExpectationBound:
-    """E[g(U)] for uniform U, with the discrete sum checked against it.
-
-    For decreasing g the cumulative-sum estimate sum_i a_i g(S_i) can never
-    exceed the expectation; ``holds`` says the :func:`bound_report` behind
-    both has no invariant violations.
-    """
-    require_monotone(g, "expectation_upper_bound", decreasing=True)
-    r = bound_report(g, cumulative(w), tol)
-    return ExpectationBound(expectation=r.integral, discrete_sum=r.t_n, holds=not r.invariant_violations())

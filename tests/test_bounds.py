@@ -184,7 +184,7 @@ class TestBoundReport:
         g = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         with pytest.raises(NonMonotoneFunction) as info:
             bound_report(g, worked_partition())
-        assert info.value.witness is not None
+        assert info.value.witness == (0.5, 1.0)  # the knots where the direction flips
 
     def test_increasing_function_flips_the_bound(self):
         r = bound_report(linear(1, 0), cumulative(uniform_weights(4)))

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from monobound.bounds import bound_report
-from monobound.errors import DomainViolation
+from monobound.errors import DomainViolation, NonMonotoneFunction
 from monobound.functions import (
     CONSTANT,
     DECREASING,
@@ -21,8 +22,8 @@ from monobound.functions import (
     linear,
     logarithmic,
     power_complement,
-    probe_monotonicity,
     quadrature_integral,
+    require_monotone,
     reciprocal,
     tabulated,
     trigonometric,
@@ -223,44 +224,80 @@ class TestTabulatedClosedForm:
 
 
 class TestProbe:
+    """Directions declared at construction, checked by sampling g on a
+    grid, and the knot witness of a function that rises and falls."""
+
     def test_power_complement_probes_strictly_decreasing(self):
-        verdict = probe_monotonicity(power_complement(2), grid_size=101)
-        assert verdict.direction == DECREASING and verdict.strict
-        assert verdict.witness is None
+        g = power_complement(2)
+        assert g.direction == DECREASING and g.strictly_monotone
+        assert (np.diff(g.values(np.linspace(0.0, 1.0, 101))) < 0.0).all()
 
     def test_constant_probes_constant(self):
-        verdict = probe_monotonicity(constant(3), grid_size=11)
-        assert verdict.direction == CONSTANT and not verdict.strict
+        g = constant(3)
+        assert g.direction == CONSTANT and not g.strictly_monotone
+        assert (np.diff(g.values(np.linspace(0.0, 1.0, 11))) == 0.0).all()
 
     def test_bump_probes_non_monotone_with_witness(self):
         g = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
-        verdict = probe_monotonicity(g)
-        assert verdict.direction == NON_MONOTONE
-        a, b = verdict.witness
-        assert 0.0 <= a < b <= 1.0
+        assert g.direction == NON_MONOTONE
+        with pytest.raises(NonMonotoneFunction) as info:
+            require_monotone(g, "op")
+        assert info.value.witness == (0.5, 1.0)  # the knots where the direction flips
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_slopes_probe_without_warnings(self):
-        # np.interp gives -inf and +inf between these knots, and inf - inf
-        # counts as a tie, not as a RuntimeWarning
+        # the knot differences overflow to -inf and +inf and keep their signs
         g = tabulated([(0.0, 1e308), (0.5, -1e308), (1.0, 1e308)])
-        verdict = probe_monotonicity(g)
-        assert verdict.direction == NON_MONOTONE
-        a, b = verdict.witness
-        assert 0.0 <= a < b <= 1.0
+        with pytest.raises(NonMonotoneFunction) as info:
+            require_monotone(g, "op")
+        assert info.value.witness == (0.5, 1.0)
 
     @pytest.mark.parametrize("g", STRICT_FIVE, ids=lambda g: g.kind)
     def test_catalog_functions_strictly_decreasing(self, g):
-        verdict = probe_monotonicity(g)
-        assert verdict.direction == DECREASING and verdict.strict
+        assert g.direction == DECREASING and g.strictly_monotone
+        assert (np.diff(g.values(np.linspace(0.0, 1.0, 1001))) < 0.0).all()
 
     def test_increasing_linear(self):
-        verdict = probe_monotonicity(linear(2, 0))
-        assert verdict.direction == INCREASING and verdict.strict
+        g = linear(2, 0)
+        assert g.direction == INCREASING and g.strictly_monotone
+        assert (np.diff(g.values(np.linspace(0.0, 1.0, 1001))) > 0.0).all()
 
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            probe_monotonicity(constant(1), grid_size=1)
+
+class TestRequireMonotone:
+    @pytest.mark.parametrize("points, witness", [
+        # knot differences below any sampling tie tolerance still count
+        ([(0.0, 1.0), (0.5, 0.5), (0.75, 0.5 + 1e-13), (1.0, 0.0)], (0.5, 0.75)),
+        ([(0.0, 0.0), (0.5, 1e-15), (1.0, 0.0)], (0.5, 1.0)),
+    ])
+    def test_witness_is_the_first_knot_segment_against_the_trend(self, points, witness):
+        g = tabulated(points)
+        assert g.direction == NON_MONOTONE
+        with pytest.raises(NonMonotoneFunction) as info:
+            require_monotone(g, "op")
+        assert info.value.witness == witness
+
+    def test_no_witness_unless_the_knot_values_rise_and_fall(self):
+        g = dataclasses.replace(linear(-1.0, 1.0), direction=NON_MONOTONE)
+        with pytest.raises(NonMonotoneFunction) as info:
+            require_monotone(g, "op")
+        assert info.value.witness is None
+
+    def test_increasing_rejected_only_when_decreasing_is_asked(self):
+        require_monotone(linear(2, 0), "op")
+        require_monotone(constant(3), "op", decreasing=True)
+        with pytest.raises(NonMonotoneFunction) as info:
+            require_monotone(linear(2, 0), "op", decreasing=True)
+        assert info.value.witness is None
+
+    @given(st.data())
+    def test_tables_return_their_knot_values_exactly(self, data):
+        # the witness reads g at its knots; np.interp must hand back the ys
+        xs, _ = data.draw(knot_tables())
+        extreme = st.sampled_from([-0.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.0**-1060])
+        y = st.one_of(st.floats(allow_nan=False, allow_infinity=False), extreme)
+        ys = data.draw(st.lists(y, min_size=len(xs), max_size=len(xs)))
+        got = tabulated(list(zip(xs, ys))).values(np.array(xs))
+        assert got.tobytes() == np.array(ys, dtype=float).tobytes()
 
 
 class TestConstructorsValidate:

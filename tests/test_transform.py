@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from monobound import quadrature, transform
-from monobound.errors import EmptyInput, LengthMismatch, NonMonotoneFunction, NotNormalized
+from monobound.bounds import bound_report, refinement_chain
+from monobound.errors import EmptyInput, NonMonotoneFunction, NotNormalized
 from monobound.functions import (
     constant,
     exponential,
@@ -15,10 +16,8 @@ from monobound.functions import (
     tabulated,
     trigonometric,
 )
-from monobound.partitions import cumulative
+from monobound.partitions import cumulative, from_weights, uniform_weights
 from monobound.transform import (
-    empirical_partition,
-    expectation_upper_bound,
     pit_identity_check,
     polynomial_density,
     tabulated_density,
@@ -58,9 +57,34 @@ class TestDensities:
         with pytest.raises(NotNormalized):
             polynomial_density([1.0, 1.0])  # mass 1.5
 
+    def test_polynomial_mass_is_checked_before_f_is_evaluated(self):
+        # f(1) = 1e308 + 1e308 overflows; the mass 1.5e308 is refused first
+        with pytest.raises(NotNormalized):
+            polynomial_density([1e308, 1e308])
+
     def test_polynomial_rejects_negative_values(self):
         with pytest.raises(ValueError):
             polynomial_density([-0.5, 3.0])  # f(0) < 0 despite unit mass
+
+    def test_polynomial_rejects_an_interior_dip_between_grid_points(self):
+        # a(x - x0)^2 + b with unit mass: its minimum f(x0) = b lies at a
+        # root of f', between the points of any uniform grid of step 1e-3
+        x0, b = 0.50005, -1e-10
+        a = 3.0 * (1.0 - b) / ((1.0 - x0) ** 3 + x0**3)
+        with pytest.raises(ValueError, match="density is negative: f\\(0.5000"):
+            polynomial_density([a * x0 * x0 + b, -2.0 * a * x0, a])
+
+    def test_polynomial_minimum_within_the_slack_is_accepted(self):
+        x0, b = 0.3, -1e-13
+        a = 3.0 * (1.0 - b) / ((1.0 - x0) ** 3 + x0**3)
+        f = polynomial_density([a * x0 * x0 + b, -2.0 * a * x0, a])
+        assert f(x0) < 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_polynomial_with_a_negligible_top_coefficient(self):
+        # unit mass, but f(1) < 0; the roots of f' are found without overflow
+        with pytest.raises(ValueError, match="density is negative: f\\(1.0\\)"):
+            polynomial_density([1.0, 2.0**996, -3.0 * 2.0**995, 1e-10])
 
     def test_triangular_peak_validated(self):
         with pytest.raises(ValueError):
@@ -159,57 +183,52 @@ class TestPitIdentity:
 
 
 class TestEmpiricalPartition:
+    """The empirical CDF's jumps: equal 1/n, or given weights normalized."""
+
     def test_uniform_weighting(self):
-        w = empirical_partition([3.0, 1.0, 4.0, 1.0])
-        assert w.weights == (0.25,) * 4
+        assert uniform_weights(4).weights == (0.25,) * 4
 
     def test_given_weights_are_normalized(self):
-        w = empirical_partition([1.0, 2.0, 3.0], weights=[2, 3, 5])
-        assert w.weights == (0.2, 0.3, 0.5)
+        assert from_weights([2, 3, 5], normalize=True).weights == (0.2, 0.3, 0.5)
 
     def test_single_point(self):
-        assert empirical_partition([42.0]).weights == (1.0,)
+        assert uniform_weights(1).weights == (1.0,)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            empirical_partition([])
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            empirical_partition([1.0, 2.0], weights=[1.0])
+            from_weights([], normalize=True)
 
 
 class TestExpectationBound:
+    """T_n over an empirical partition is a plug-in estimate of E[g(U)] for
+    uniform U, the integral of g, which bounds it for decreasing g."""
+
     def test_worked_example(self):
-        w = empirical_partition([0.0] * 3, weights=[2, 3, 5])
-        b = expectation_upper_bound(power_complement(2), w)
-        assert b.expectation == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert b.discrete_sum == pytest.approx(0.417, abs=1e-12)
-        assert b.holds
+        r = bound_report(power_complement(2), cumulative(from_weights([2, 3, 5], normalize=True)))
+        assert r.integral == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert r.t_n == pytest.approx(0.417, abs=1e-12)
+        assert r.invariant_violations() == []
 
     def test_constant_attains_equality(self):
-        w = empirical_partition([1.0, 2.0], weights=[1, 3])
-        b = expectation_upper_bound(constant(2.0), w)
-        assert b.expectation == 2.0
-        assert b.discrete_sum == pytest.approx(2.0, abs=1e-14)
-        assert b.holds
+        r = bound_report(constant(2.0), cumulative(from_weights([1, 3], normalize=True)))
+        assert r.integral == 2.0
+        assert r.t_n == pytest.approx(2.0, abs=1e-14)
+        assert r.invariant_violations() == []
 
     def test_exponential_uniform_10(self):
-        w = empirical_partition(list(range(10)))
-        b = expectation_upper_bound(exponential(1), w)
-        assert b.expectation == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        r = bound_report(exponential(1), cumulative(uniform_weights(10)))
+        assert r.integral == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
         # brute-force check of the discrete sum
         brute = math.fsum(0.1 * math.exp(-(i + 1) / 10.0) for i in range(10))
-        assert b.discrete_sum == pytest.approx(brute, abs=1e-15)
-        assert b.holds
+        assert r.t_n == pytest.approx(brute, abs=1e-15)
+        assert r.invariant_violations() == []
 
     def test_increasing_rejected(self):
-        w = empirical_partition([1.0, 2.0])
         with pytest.raises(NonMonotoneFunction):
-            expectation_upper_bound(linear(1, 0), w)
+            refinement_chain(linear(1, 0), cumulative(uniform_weights(2)), 1)
 
     def test_non_monotone_rejected_with_witness(self):
         g = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
         with pytest.raises(NonMonotoneFunction) as info:
-            expectation_upper_bound(g, empirical_partition([1.0, 2.0]))
-        assert info.value.witness is not None
+            bound_report(g, cumulative(uniform_weights(2)))
+        assert info.value.witness == (0.5, 1.0)
