@@ -116,11 +116,11 @@ def abel_violations(direction: str, t_n: float, abel_value: float, terms: Sequen
 
 
 def refinement_violations(values: list[float]) -> list[str]:
-    """Steps of a :func:`refinement_chain` that lowered T_n; empty means OK."""
+    """Steps of a :func:`refinement_chain` that lowered T_n, relative to |T_n|; empty means OK."""
     return [
         f"refinement decreased the sum: {prev!r} -> {nxt!r}"
         for prev, nxt in zip(values, values[1:])
-        if nxt < prev - IDENTITY_TOL
+        if nxt < prev - IDENTITY_TOL * max(1.0, abs(prev))
     ]
 
 

@@ -23,7 +23,7 @@ function spec.
 Exit codes: 0 success, 1 parse error (also a ``--tol`` that is not positive
 and finite, or a ``--depth`` below 1), 2 domain error (bad weights,
 non-monotone function, failed precondition, a partition over
-``partitions.MAX_INTERVALS``, a Simpson sum that overflows), 3
+``partitions.MAX_INTERVALS``, a quadrature sum that overflows), 3
 mathematical-invariant violation.  Code 3 signals a bug in the math, never
 bad input, so CI can tell the two apart.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the

@@ -1,27 +1,18 @@
-"""Adaptive composite Simpson quadrature with an error estimate.
+"""Adaptive Gauss–Kronrod quadrature with an error estimate.
 
-The integrator bisects panels and accepts one when the classic Richardson
-test ``|S_half - S_whole| <= 15 * local_tol`` holds after at least
-``_MIN_DEPTH`` bisections (or unconditionally at ``_MAX_DEPTH``), taking the
-extrapolated value ``S_half + (S_half - S_whole) / 15``; a rejected panel
-is replaced by its two halves, each with half its local tolerance.  Known
-kinks can be passed as ``breakpoints`` so panels never straddle them.
+Each panel gets QUADPACK's G7/K15 pair (Piessens et al., 1983; Laurie, Math.
+Comp. 66, 1997): value K15, error estimate |K15 - G7| floored at 50 eps
+times the K15 sum of |f|.  A panel is accepted when the estimate is within
+its local tolerance, when |K15 - G7| is at that rounding level, or at
+``_MAX_DEPTH``; otherwise it is halved, and so is its tolerance.  The nodes
+are interior, so pass known kinks as ``breakpoints``: one between a panel's
+edge and its outermost node goes unseen.
 
-Evaluation is level-synchronous: the live panels of one depth are held as
-arrays, and one call of a vectorized integrand evaluates both new midpoints
-of every panel, in the manner of Gander and Gautschi's adaptive Simpson
-rule (*Adaptive Quadrature -- Revisited*, BIT 40, 2000) taken a level at a
-time.  A level is processed in blocks of at most ``_BLOCK`` panels, the
-left block and its descendants first, so besides the first panels (one
-per interval between breakpoints) at most one waiting block per depth is
-held, whatever the integrand does; what grows is three floats per accepted
-panel.  The accept/split rule sees each panel exactly
-as a depth-first stack loop would, so the panel tree, the evaluation points
-and the evaluation count are that loop's.  At the end the accepted panels
-are put in left-to-right order, their values are added with Neumaier
-compensation and their error estimates with a plain left-to-right sum, as
-the loop did one panel at a time, so the result is the same bit for bit
-when the integrand returns the same values.
+One call of a vectorized integrand evaluates the 15 nodes of every live
+panel of a depth, in blocks of at most ``_BLOCK`` panels, leftmost first;
+what grows is three floats per accepted panel.  A panel is just x0, x1 and
+its tolerance, and its sums run over the nodes in a fixed order, so the
+result is that of a depth-first loop over one panel at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +26,22 @@ import numpy as np
 from ._summation import compensated_prefix_sums
 from .errors import NonFiniteValue, ToleranceNotReached
 
-# Accept a panel only after this many bisections, so a symmetric integrand
-# cannot fool the very first error estimate.
-_MIN_DEPTH = 2
 _MAX_DEPTH = 48
-#: Most panels evaluated in one call of the integrand; it bounds the
-#: working set at about _MAX_DEPTH blocks of 8 floats per panel.
+#: Most panels evaluated in one call of the integrand: the working set is about
+#: _MAX_DEPTH waiting blocks of 3 floats per panel, plus 30 per panel in hand.
 _BLOCK = 1 << 14
+
+# G7/K15 on [-1, 1]: the K15 nodes from -1 up with their weights _K15; the
+# G7 nodes are the odd-indexed ones, with weights _G7.
+_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+      0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+_NODES = np.array([-x for x in _X] + [0.0] + list(_X[::-1]))[:, None]
+_K15 = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_K15 = _K15 + _K15[-2::-1]
+_G7 = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_G7 = _G7 + _G7[-2::-1]
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,19 @@ class QuadratureResult:
     evaluations: int
 
 
-def _simpson(fa, fm, fb, width):
+def _gk15(fx, x0, x1):
+    """K15 value, error estimate and rounding floor of panels [x0, x1] from their
+    node values ``fx``, summed row by row so that no bit depends on the block."""
+    kronrod = gauss = absolute = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused in batched_quadrature
-        return width * (fa + 4.0 * fm + fb) / 6.0
+        for j, w in enumerate(_K15):
+            kronrod = kronrod + w * fx[j]
+            absolute = absolute + w * abs(fx[j])
+        for j, w in enumerate(_G7):
+            gauss = gauss + w * fx[2 * j + 1]
+        half = 0.5 * (x1 - x0)
+        floor = half * (_ROUNDING * absolute)
+        return half * kronrod, np.maximum(half * abs(kronrod - gauss), floor), floor
 
 
 def _push(stack: list, depth: int, panels: np.ndarray) -> None:
@@ -73,59 +83,43 @@ def batched_quadrature(
     """Integral of a vectorized ``fv`` over [a, b] to absolute error ``tol``.
 
     ``fv`` maps a float64 array of points to an array of the values there.
-    Raises ToleranceNotReached when the accumulated error estimate still
-    exceeds ``tol`` after the subdivision depth limit, and NonFiniteValue as
-    soon as a block's Simpson sums are not finite, which no split can mend.
+    Raises ToleranceNotReached when the summed error estimate exceeds ``tol``
+    (at the depth limit, or for a ``tol`` below float64 rounding), and
+    NonFiniteValue as soon as a block's sums are not finite, which no split
+    can mend.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not b > a:
         raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
 
-    def f(xs: np.ndarray) -> np.ndarray:
-        return np.asarray(fv(xs), dtype=float)
-
     inner = np.unique(np.asarray(breakpoints, dtype=float))
     edges = np.concatenate(([a], inner[(a < inner) & (inner < b)], [b]))
-    x0, x1 = edges[:-1], edges[1:]
-    xm = 0.5 * (x0 + x1)
-    n = x0.size
-    fx = f(np.concatenate((x0, x1, xm)))
-    f0, f1, fm = fx[:n], fx[n:2 * n], fx[2 * n:]
-    evals = 3 * n
-    width = x1 - x0
     stack: list = []
-    # one column per panel: x0, f0, x1, f1, midpoint, f_mid, S(x0, x1), local_tol;
-    # all panels of a block have the same depth
-    _push(stack, 0, np.array([x0, f0, x1, f1, xm, fm, _simpson(f0, fm, f1, width), tol * width / (b - a)]))
+    # one column per panel: x0, x1, local_tol; all panels of a block have the same depth
+    _push(stack, 0, np.array([edges[:-1], edges[1:], tol * np.diff(edges) / (b - a)]))
     lefts, values, errs = [], [], []  # of the accepted panels, per block
+    evals = 0
 
     while stack:
-        depth, (x0, f0, x1, f1, xm, fm, s_whole, loc_tol) = stack.pop()
-        k = x0.size
-        ml = 0.5 * (x0 + xm)
-        mr = 0.5 * (xm + x1)
-        fx = f(np.concatenate((ml, mr)))
-        fml, fmr = fx[:k], fx[k:]
-        evals += 2 * k
-        s_left = _simpson(f0, fml, fm, xm - x0)
-        s_right = _simpson(fm, fmr, f1, x1 - xm)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_half = s_left + s_right
-            delta = s_half - s_whole
-        if not np.isfinite(delta).all():  # a non-finite sum makes delta non-finite too
-            raise NonFiniteValue("a Simpson sum of the integrand")
-        size = np.abs(delta)
-        accept = ((size <= 15.0 * loc_tol) & (depth >= _MIN_DEPTH)) | (depth >= _MAX_DEPTH)
+        depth, (x0, x1, loc_tol) = stack.pop()
+        xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * _NODES  # one row per node
+        fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+        evals += xs.size
+        value, err, floor = _gk15(fx, x0, x1)
+        if not np.isfinite(err).all():  # a non-finite sum makes err non-finite too
+            raise NonFiniteValue("a quadrature sum of the integrand")
+        accept = (err <= loc_tol) | (err <= floor) | (depth >= _MAX_DEPTH)
         lefts.append(x0[accept])
-        values.append((s_half + delta / 15.0)[accept])
-        errs.append((size / 15.0)[accept])
+        values.append(value[accept])
+        errs.append(err[accept])
         split = ~accept
         if split.any():
-            children = np.empty((8, 2 * int(np.count_nonzero(split))))
-            children[:, 0::2] = np.array([x0, f0, xm, fm, ml, fml, s_left, loc_tol])[:, split]
-            children[:, 1::2] = np.array([xm, fm, x1, f1, mr, fmr, s_right, loc_tol])[:, split]
-            children[7] /= 2.0
+            x0, x1, loc_tol = x0[split], x1[split], loc_tol[split]
+            xm = 0.5 * (x0 + x1)
+            children = np.empty((3, 2 * x0.size))
+            children[:, 0::2] = x0, xm, 0.5 * loc_tol
+            children[:, 1::2] = xm, x1, 0.5 * loc_tol
             _push(stack, depth + 1, children)
 
     # Left edges tie only where all but one of the tied panels have zero
@@ -150,10 +144,8 @@ def adaptive_quadrature(
 ) -> QuadratureResult:
     """Estimate the integral of a scalar ``fn`` over [a, b] to absolute error ``tol``.
 
-    ``fn`` is called once per point, with a Python float; the panels and
-    the result are those of :func:`batched_quadrature`.  Raises
-    ToleranceNotReached when the accumulated error estimate still exceeds
-    ``tol`` after the subdivision depth limit.
+    ``fn`` is called once per point, with a Python float; the panels, the
+    result and the exceptions are those of :func:`batched_quadrature`.
     """
     return batched_quadrature(
         lambda xs: [float(fn(x)) for x in xs.tolist()], a, b, tol, breakpoints

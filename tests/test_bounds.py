@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monobound.bounds import (
     BoundReport,
@@ -268,6 +268,25 @@ class TestRouteChecks:
     def test_refinement_may_not_lower_the_sum(self):
         assert refinement_violations([0.1, 0.2, 0.2]) == []
         assert refinement_violations([0.1, 0.3, 0.2]) == ["refinement decreased the sum: 0.3 -> 0.2"]
+
+    def test_refinement_slack_is_relative_to_t_n(self):
+        assert refinement_violations([1e22, 1e22 - 2**21]) == []
+        assert refinement_violations([1e22, 1e22 * (1 - 1e-11)]) != []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.floats(0.0, 25.0), st.floats(8.0, 16.0)).map(
+            lambda e: (-(10.0 ** e[0]) * 10.0 ** -e[1], 10.0 ** e[0])
+        ),
+        st.integers(1, 299),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((-933069.6917268508, 7.928326914573109e21), 210, 1)
+    def test_one_ulp_steps_of_a_large_chain_are_no_violation(self, slope_intercept, n, seed):
+        # a nearly flat g far from 0: each refinement moves T_n by rounding only
+        w = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
+        chain = refinement_chain(linear(*slope_intercept), cumulative(from_weights(w / w.sum())), 3)
+        assert refinement_violations(chain) == []
 
 
 class TestStreamingMemory:

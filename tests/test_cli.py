@@ -630,7 +630,7 @@ class TestHugeTable:
         finally:
             tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err == "domain error: a Simpson sum of the integrand is not finite in float64; rescale the inputs\n"
+        assert err == "domain error: a quadrature sum of the integrand is not finite in float64; rescale the inputs\n"
         assert peak < 8 * 2**20
 
 

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,21 +10,43 @@ from scipy import integrate
 
 from monobound import quadrature
 from monobound.errors import NonFiniteValue, ToleranceNotReached
+from monobound.functions import (
+    constant,
+    exponential,
+    linear,
+    logarithmic,
+    power_complement,
+    reciprocal,
+    tabulated,
+    trigonometric,
+)
 from monobound.quadrature import (
+    _G7,
+    _K15,
     _MAX_DEPTH,
-    _MIN_DEPTH,
+    _NODES,
     QuadratureResult,
-    _simpson,
+    _gk15,
     adaptive_quadrature,
     batched_quadrature,
+)
+from monobound.transform import (
+    _preimages,
+    polynomial_density,
+    tabulated_density,
+    triangular_density,
+    uniform_density,
 )
 from oracles import NeumaierSum
 
 
 class TestBasicIntegrals:
-    def test_cubic_is_exact_for_simpson(self):
-        r = adaptive_quadrature(lambda x: x**3, tol=1e-12)
-        assert r.value == pytest.approx(0.25, abs=1e-13)
+    @pytest.mark.parametrize("degree", [3, 13])
+    def test_polynomials_to_degree_13_take_one_panel(self, degree):
+        # K15 and G7 both integrate them, so |K15 - G7| is at rounding level
+        r = adaptive_quadrature(lambda x: x**degree, tol=1e-12)
+        assert r.evaluations == 15
+        assert r.value == pytest.approx(1.0 / (degree + 1), abs=1e-15)
 
     def test_exponential(self):
         r = adaptive_quadrature(lambda x: math.exp(-x), tol=1e-10)
@@ -40,6 +64,77 @@ class TestBasicIntegrals:
     def test_evaluations_are_counted(self):
         r = adaptive_quadrature(lambda x: x, tol=1e-8)
         assert r.evaluations > 0
+
+
+# --- the G7/K15 rule ----------------------------------------------------------
+
+
+def nodes(x0, x1):
+    """The K15 nodes of the panel [x0, x1], computed as the kernel does."""
+    return (0.5 * (x0 + x1) + 0.5 * (x1 - x0) * _NODES[:, 0]).tolist()
+
+
+# QUADPACK's qk15 tables to 33 digits (Piessens et al., 1983), as also
+# written in scipy/integrate/_quad_vec.py: the K15 nodes from 1 down to 0,
+# their K15 weights, and the G7 weights of the nodes 2, 4, 6 and 8 of them.
+XGK = ("0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+       "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+       "0.586087235467691130294144838258730", "0.405845151377397166906606412076961",
+       "0.207784955007898467600689403773245", "0.000000000000000000000000000000000")
+WGK = ("0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+       "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+       "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+       "0.204432940075298892414161999234649", "0.209482141084727828012999174891714")
+WG = ("0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+      "0.381830050505118944950369775488975", "0.417959183673469387755102040816327")
+
+
+def symmetric(half, sign=1):
+    """The full table on [-1, 1] from its entries for the nodes 1 down to 0."""
+    values = [float(v) for v in half]
+    return [sign * v for v in values] + values[-2::-1]
+
+
+def rule_error(nodes, weights, degree):
+    """sum_j w_j x_j^degree - integral of x^degree over [-1, 1], in exact arithmetic."""
+    got = sum(Fraction(w) * Fraction(x) ** degree for x, w in zip(nodes, weights))
+    return got - (Fraction(2, degree + 1) if degree % 2 == 0 else 0)
+
+
+class TestRule:
+    def test_constants_are_quadpacks_rounded(self):
+        assert _NODES[:, 0].tolist() == symmetric(XGK, sign=-1)
+        assert list(_K15) == symmetric(WGK)
+        assert list(_G7) == symmetric(WG)
+
+    def test_nodes_are_symmetric_and_interior(self):
+        x = _NODES[:, 0]
+        assert (x == -x[::-1]).all() and x[7] == 0.0
+        assert -1.0 < x[0] and x[-1] < 1.0
+
+    @pytest.mark.parametrize("rule, exact_to, first_miss", [("K15", 22, 24), ("G7", 13, 14)])
+    def test_degree(self, rule, exact_to, first_miss):
+        # odd powers cancel exactly on the symmetric nodes; the first even
+        # power past the rule's degree is missed by far more than rounding
+        x, w = (_NODES[:, 0], _K15) if rule == "K15" else (_NODES[1::2, 0], _G7)
+        for degree in range(exact_to + 1):
+            # exact up to the rounding of the 16-digit constants
+            assert abs(rule_error(x.tolist(), w, degree)) < 1e-15, degree
+        assert abs(rule_error(x.tolist(), w, first_miss)) > 1e-9
+
+    def test_one_panel_matches_the_tables(self):
+        fn = lambda x: math.exp(-3.0 * x) * math.cos(5.0 * x)
+        x0, x1 = 0.25, 1.75
+        fx = [fn(x) for x in nodes(x0, x1)]
+        value, err, floor = _gk15(np.array(fx), x0, x1)
+        half = 0.5 * (x1 - x0)
+        kronrod = math.fsum(w * f for w, f in zip(symmetric(WGK), fx))
+        gauss = math.fsum(w * f for w, f in zip(symmetric(WG), fx[1::2]))
+        absolute = math.fsum(w * abs(f) for w, f in zip(symmetric(WGK), fx))
+        assert value == pytest.approx(half * kronrod, rel=1e-14)
+        assert err == pytest.approx(half * abs(kronrod - gauss), rel=1e-12)
+        assert floor == pytest.approx(half * 50 * 2.0**-52 * absolute, rel=1e-14)
+        assert err > floor  # a wide panel: |K15 - G7| is far above rounding
 
 
 class TestBreakpoints:
@@ -61,13 +156,45 @@ class TestBreakpoints:
         assert mine == pytest.approx(ref, abs=1e-10)
 
 
+def peak_memory(call):
+    """Peak traced allocation while ``call`` runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except (NonFiniteValue, ToleranceNotReached) as exc:
+            outcome = exc
+        return tracemalloc.get_traced_memory()[1], outcome
+    finally:
+        tracemalloc.stop()
+
+
 class TestFailureModes:
     def test_tolerance_not_reached_on_discontinuity(self):
         step = lambda x: 1.0 if x >= 0.37 else 0.0
-        with pytest.raises(ToleranceNotReached) as info:
-            adaptive_quadrature(step, tol=1e-18)
-        assert info.value.achieved_error > 1e-18
-        assert info.value.best_estimate == pytest.approx(0.63, abs=1e-8)
+        peak, exc = peak_memory(lambda: adaptive_quadrature(step, tol=1e-18))
+        assert isinstance(exc, ToleranceNotReached)
+        assert exc.achieved_error > 1e-18
+        assert exc.best_estimate == pytest.approx(0.63, abs=1e-8)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "fv, kw",
+        [
+            (np.sin, dict(a=0.0, b=math.pi, tol=1e-20)),
+            (lambda x: x**3, dict(tol=1e-18)),
+            (np.exp, dict(tol=1e-15, breakpoints=np.linspace(0.0, 1.0, 1001)[1:-1])),
+        ],
+        ids=["sin", "cubic", "exp-1000-segments"],
+    )
+    def test_tolerance_below_rounding(self, fv, kw):
+        # |K15 - G7| cannot fall below float64 rounding; a panel that reaches
+        # it is accepted with an estimate at rounding level, instead of being
+        # split down to _MAX_DEPTH
+        peak, exc = peak_memory(lambda: batched_quadrature(fv, **kw))
+        assert isinstance(exc, ToleranceNotReached)
+        assert kw["tol"] < exc.achieved_error < 1e-13
+        assert peak < 2**20
 
     def test_step_certifies_at_sane_tolerance(self):
         step = lambda x: 1.0 if x >= 0.37 else 0.0
@@ -92,18 +219,12 @@ class TestFailureModes:
         assert adaptive_quadrature(fn, tol=1e-10).value == adaptive_quadrature(fn, tol=1e-10).value
 
 
-# --- the level-synchronous kernel against the depth-first stack loop ---------
+# --- the level-synchronous kernel against a depth-first stack loop ----------
 
 
 def stack_loop_oracle(fn, a=0.0, b=1.0, tol=1e-10, breakpoints=()):
-    """The depth-first stack loop the batched kernel replaced, one point per call."""
+    """Depth-first G7/K15 over one panel at a time, one point per call of ``fn``."""
     evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return float(fn(x))
-
     edges = [a]
     for p in sorted(set(float(p) for p in breakpoints)):
         if a < p < b:
@@ -114,25 +235,21 @@ def stack_loop_oracle(fn, a=0.0, b=1.0, tol=1e-10, breakpoints=()):
     err_total = 0.0
     span = b - a
     for left, right in zip(edges[:-1], edges[1:]):
-        panel_tol = tol * (right - left) / span
-        fl, fr = f(left), f(right)
-        m = 0.5 * (left + right)
-        fm = f(m)
-        stack = [(left, fl, right, fr, m, fm, _simpson(fl, fm, fr, right - left), panel_tol, 0)]
+        stack = [(left, right, tol * (right - left) / span, 0)]
         while stack:
-            x0, f0, x1, f1, xm, fmid, s_whole, loc_tol, depth = stack.pop()
-            ml = 0.5 * (x0 + xm)
-            mr = 0.5 * (xm + x1)
-            fml, fmr = f(ml), f(mr)
-            s_left = _simpson(f0, fml, fmid, xm - x0)
-            s_right = _simpson(fmid, fmr, f1, x1 - xm)
-            delta = (s_left + s_right) - s_whole
-            if (abs(delta) <= 15.0 * loc_tol and depth >= _MIN_DEPTH) or depth >= _MAX_DEPTH:
-                total.add(s_left + s_right + delta / 15.0)
-                err_total += abs(delta) / 15.0
+            x0, x1, loc_tol, depth = stack.pop()
+            fx = np.array([float(fn(x)) for x in nodes(x0, x1)])
+            evals += fx.size
+            value, err, floor = _gk15(fx, x0, x1)
+            if not math.isfinite(err):
+                raise NonFiniteValue("a quadrature sum of the integrand")
+            if err <= loc_tol or err <= floor or depth >= _MAX_DEPTH:
+                total.add(float(value))
+                err_total += float(err)
             else:
-                stack.append((xm, fmid, x1, f1, mr, fmr, s_right, loc_tol / 2.0, depth + 1))
-                stack.append((x0, f0, xm, fmid, ml, fml, s_left, loc_tol / 2.0, depth + 1))
+                xm = 0.5 * (x0 + x1)
+                stack.append((xm, x1, loc_tol / 2.0, depth + 1))
+                stack.append((x0, xm, loc_tol / 2.0, depth + 1))
     if err_total > tol:
         raise ToleranceNotReached(total.value, err_total)
     return QuadratureResult(value=total.value, error_estimate=err_total, evaluations=evals)
@@ -179,7 +296,7 @@ class TestBatchedMatchesStackLoop:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.01, max_value=0.99), st.sampled_from([1e-18, 1e-14, 1e-10]))
     def test_step_function(self, c, tol):
-        # tol=1e-18 cannot be met: every panel at the jump goes to _MAX_DEPTH
+        # the panel at the jump goes to _MAX_DEPTH at every tol; 1e-18 cannot be met
         assert outcome(batched_quadrature, step_array(c), tol=tol) == outcome(
             stack_loop_oracle, lambda x: 1.0 if x >= c else 0.0, tol=tol
         )
@@ -240,38 +357,28 @@ class TestBlocks:
         assert outcome(batched_quadrature, fv, **kw) == whole
 
     def test_memory_stays_near_the_accepted_panels(self):
-        # 2^18 + 1 segments of a smooth integrand: every panel is split twice
-        # and accepted at depth 2, so one level holds 4 * segments > 2^20
-        # panels.  The kernel keeps three floats per accepted panel, plus a
-        # few such arrays while ordering and summing them at the end; a level
-        # held whole would need about ten times the store.
-        segments = 2**18 + 1
+        # 2^20 + 1 segments of a smooth integrand: every panel is accepted
+        # at once, so the first level holds more than 2^20 panels.  The
+        # kernel keeps three floats per panel of that level and three per
+        # accepted panel, plus a few such arrays while ordering and summing
+        # them at the end; evaluating the level whole would take 15 nodes
+        # and 15 values, 240 bytes, per panel.
+        segments = 2**20 + 1
         kinks = np.linspace(0.0, 1.0, segments + 1)[1:-1]
-        tracemalloc.start()
-        try:
-            r = batched_quadrature(np.sin, tol=1e-10, breakpoints=kinks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert r.evaluations == 17 * segments  # 3 + 2 * (1 + 2 + 4) per segment
-        accepted = 4 * segments
-        assert accepted > 2**20
-        assert peak < 4 * 3 * 8 * accepted
+        peak, r = peak_memory(lambda: batched_quadrature(np.sin, tol=1e-10, breakpoints=kinks))
+        assert r.evaluations == 15 * segments
+        assert peak < 4 * 3 * 8 * segments
         assert r.value == pytest.approx(1.0 - math.cos(1.0), abs=1e-10)
 
 
 class TestNonFinitePanels:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
     def test_refused_before_the_panels_multiply(self, value):
-        # halving a panel cannot make its Simpson sums finite; splitting such
-        # panels down to _MAX_DEPTH used to exhaust memory
-        tracemalloc.start()
-        try:
-            with pytest.raises(NonFiniteValue, match="rescale the inputs"):
-                batched_quadrature(lambda x: np.full_like(x, value))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # halving a panel cannot make its sums finite; splitting such panels
+        # down to _MAX_DEPTH would exhaust memory
+        peak, exc = peak_memory(lambda: batched_quadrature(lambda x: np.full_like(x, value)))
+        assert isinstance(exc, NonFiniteValue)
+        assert "rescale the inputs" in str(exc)
         assert peak < 2**20
 
     def test_one_bad_panel_among_finite_ones(self):
@@ -280,3 +387,59 @@ class TestNonFinitePanels:
 
         with pytest.raises(NonFiniteValue):
             batched_quadrature(fv, breakpoints=(0.5, 0.75))
+
+
+# --- the error claim against an independent reference ------------------------
+
+CATALOG = [
+    power_complement(2),
+    exponential(1),
+    logarithmic(),
+    reciprocal(),
+    trigonometric(),
+    constant(1.0),
+    linear(-1.0, 1.0),
+]
+
+
+def reference(fv, breakpoints):
+    """mpmath's tanh-sinh integral of the float integrand, split at the breakpoints."""
+    pts = sorted({0.0, 1.0, *(p for p in breakpoints if 0.0 < p < 1.0)})
+    with mpmath.workdps(25):
+        return mpmath.quad(lambda x: float(fv(np.array([float(x)]))[0]), pts)
+
+
+@st.composite
+def table_knots(draw, max_knots):
+    n = draw(st.integers(2, max_knots))
+    xs, ys = monotone_table(n, draw(st.integers(0, 2**32 - 1)))
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+functions = st.one_of(st.sampled_from(CATALOG), table_knots(30).map(tabulated))
+densities = st.one_of(
+    st.just(uniform_density()),
+    st.just(polynomial_density([0.5, 1.0])),
+    st.floats(min_value=0.0, max_value=1.0).map(triangular_density),
+    table_knots(12).map(tabulated_density),
+)
+
+
+class TestErrorClaim:
+    """The claimed error_estimate is at least the true error."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(table_knots(60).map(tabulated), tolerances)
+    def test_tables(self, g, tol):
+        r = batched_quadrature(g._fn, tol=tol, breakpoints=g.kinks)
+        assert abs(mpmath.mpf(r.value) - reference(g._fn, g.kinks)) <= r.error_estimate
+
+    @settings(max_examples=25, deadline=None)
+    @given(densities, functions, tolerances)
+    @example(triangular_density(0.698715381396206), trigonometric(), 5e-11)
+    @example(triangular_density(5e-324), reciprocal(), 1e-10)
+    def test_pit_integrands(self, f, g, tol):
+        fv = lambda x: f._fn(x) * g._fn(f.cdf(x))
+        breakpoints = f.kinks + tuple(_preimages(f.cdf, g.kinks).tolist())
+        r = batched_quadrature(fv, tol=tol, breakpoints=breakpoints)
+        assert abs(mpmath.mpf(r.value) - reference(fv, breakpoints)) <= r.error_estimate

@@ -167,6 +167,21 @@ class TestPitIdentity:
         rep = pit_identity_check(f, g, 1e-8)
         assert rep.passed and rep.residual <= 1e-8
 
+    def test_peak_at_a_breakpoint(self):
+        # the peak is a breakpoint, and each piece must meet its share of tol
+        # by its true error, not only by its estimate
+        rep = pit_identity_check(triangular_density(0.698715381396206), trigonometric(), 1e-10)
+        assert rep.passed and rep.residual <= 1e-15
+
+    def test_kinks_of_g_under_f_are_panel_edges(self):
+        # g(F(x)) bends where F(x) = 0.5; a kink that falls between a panel's
+        # edge and its outermost node escapes both K15 and G7 (residual 2.7e-7
+        # with the density's kinks alone)
+        f, g = triangular_density(0.89), tabulated([(0.0, 1.2), (0.5, 0.3), (1.0, 0.1)])
+        assert transform._preimages(f.cdf, g.kinks).tolist() == pytest.approx([math.sqrt(0.445)], abs=1e-15)
+        rep = pit_identity_check(f, g, 1e-10)
+        assert rep.passed and rep.residual <= 1e-15
+
     def test_report_wire_format(self):
         rep = pit_identity_check(uniform_density(), constant(1.0), 1e-8)
         d = rep.to_dict()
