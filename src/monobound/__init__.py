@@ -59,7 +59,7 @@ from .functions import (
     tabulated,
     trigonometric,
 )
-from .jsonio import format_float, render_json
+from .jsonio import render_json
 from .majorization import (
     KaramataReport,
     MajorizationVerdict,
@@ -129,7 +129,6 @@ __all__ = [
     "constant",
     "cumulative",
     "exponential",
-    "format_float",
     "from_weights",
     "gap_bound",
     "generate_majorized_pair",

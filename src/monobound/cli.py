@@ -12,19 +12,20 @@ and ``--json`` anywhere; ``--depth`` is refine's alone, ``--fn`` karamata's
 (required), and any option a command does not read is a parse error.
 ``--tol`` is the ``strict`` threshold and enclosure slack (default 1e-10),
 or transform-check's residual tolerance (1e-8).  Every integral of g is its
-closed form (for ``table:``, the trapezoid sum).  Weight and vector files
-are CSV (one value per line or comma-separated) or a JSON array.  Function
-specs: ``power:k=2``, ``exp:lambda=1.5``, ``log``, ``recip``, ``trig``,
-``const:c=1``, ``linear:m=-1,b=1``, ``table:@file.csv``.  Density specs:
-``uniform``, ``poly:c0,c1,...``, ``tri:peak=0.5``, ``table:@file.csv``.
-Convex specs for karamata: ``square``, ``expt``, ``abs:c=0.5``, or any
-function spec.
+closed form (for ``table:``, the trapezoid sum).  A SPEC is ``name[:args]``:
+one table per family (``_FUNCTIONS``, ``_DENSITIES``, and ``_CONVEX`` for
+karamata, which also takes any function spec) gives each name its
+constructor and argument form, and the one parser, the ``--help`` usage and
+the spec errors all come from it.  Input files are CSV (numbers separated by
+commas, spaces or newlines; one ``x,y`` knot per line) or a JSON array of
+numbers or of [x, y] pairs.  Every number is read by ``float``, so JSON
+booleans and strings are refused.
 
-Exit codes: 0 success, 1 parse error (also a ``--tol`` that is not positive
-and finite, or a ``--depth`` below 1), 2 domain error (bad weights,
-non-monotone function, failed precondition, a partition over
-``partitions.MAX_INTERVALS``, a quadrature sum that overflows), 3
-mathematical-invariant violation.  Code 3 signals a bug in the math, never
+Exit codes: 0 success, 1 parse error (also an unreadable or undecodable
+file, a ``--tol`` that is not positive and finite, or a ``--depth`` below
+1), 2 domain error (bad weights, non-monotone function, failed
+precondition, a partition over ``partitions.MAX_INTERVALS``, a quadrature
+sum that overflows), 3 mathematical-invariant violation.  Code 3 signals a bug in the math, never
 bad input, so CI can tell the two apart.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the
 Abel route agrees with T_n, the sign of the gap and the gap bound;
@@ -62,13 +63,6 @@ from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_DEPTH = 3
 
-_FN_USAGE = (
-    "power:k=K | exp:lambda=L | log | recip | trig | const:c=C | "
-    "linear:m=M,b=B | table:@file.csv"
-)
-_DENSITY_USAGE = "uniform | poly:c0,c1,... | tri:peak=P | table:@file.csv"
-_CONVEX_USAGE = "square | expt | abs:c=C | any function spec"
-
 #: Rows shown by the catalog command.
 CATALOG_SPECS = (
     "power:k=1",
@@ -93,170 +87,145 @@ class CliParseError(Exception):
 # input files and spec strings
 
 
-def parse_vector_text(text: str, origin: str) -> list[float]:
-    """Numbers from CSV/plain text (any mix of commas, spaces, newlines) or a JSON array."""
-    stripped = text.strip()
-    if not stripped:
-        raise CliParseError(f"{origin}: no numbers found")
-    if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise CliParseError(f"{origin}: invalid JSON: {exc}") from exc
-        if not isinstance(data, list) or not data:
-            raise CliParseError(f"{origin}: expected a non-empty JSON array of numbers")
-        out = []
-        for v in data:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise CliParseError(f"{origin}: expected a JSON array of numbers")
-            out.append(float(v))
-        return out
-    tokens = [t for chunk in stripped.split() for t in chunk.split(",") if t]
+def _read_numbers(path: str, pairs: bool = False) -> list:
+    """The numbers in a file, flat (vectors, weights) or with ``pairs`` in rows of two (knots)."""
     try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise CliParseError(f"{origin}: {exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
+        stripped = Path(path).read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
-
-
-def read_vector_file(path: str) -> list[float]:
-    return parse_vector_text(_read_text(path), path)
-
-
-def read_table_file(path: str) -> list[tuple[float, float]]:
-    """Two-column (x, y) knots from CSV rows or a JSON array of pairs."""
-    stripped = _read_text(path).strip()
     if not stripped:
-        raise CliParseError(f"{path}: no knots found")
+        raise CliParseError(f"{path}: no {'knots' if pairs else 'numbers'} found")
     if stripped.startswith("["):
         try:
-            data = json.loads(stripped)
+            data = json.loads(stripped, parse_int=float)
         except json.JSONDecodeError as exc:
             raise CliParseError(f"{path}: invalid JSON: {exc}") from exc
-        try:
-            return [(float(x), float(y)) for x, y in data]
-        except (TypeError, ValueError) as exc:
-            raise CliParseError(f"{path}: expected a JSON array of [x, y] pairs") from exc
-    rows = []
+        if pairs and not all(isinstance(r, list) and len(r) == 2 and _floats(r) for r in data):
+            raise CliParseError(f"{path}: expected a JSON array of [x, y] pairs")
+        if not pairs and not (data and _floats(data)):
+            raise CliParseError(f"{path}: expected a {'' if data else 'non-empty '}JSON array of numbers")
+        return data
+    out: list = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p for p in line.replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise CliParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        parts = line.replace(",", " ").split()
+        where = f"{path}:{lineno}" if pairs else path
+        if pairs and len(parts) != 2 and line.strip():
+            raise CliParseError(f"{where}: expected two columns, got {len(parts)}")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            values = [float(p) for p in parts]
         except ValueError as exc:
-            raise CliParseError(f"{path}:{lineno}: {exc}") from exc
-    return rows
-
-
-def _kv_args(args: str, spec_name: str, keys: tuple[str, ...]) -> dict[str, float]:
-    if not args:
-        raise CliParseError(
-            f"{spec_name!r} spec needs parameters: {', '.join(keys)} (e.g. {spec_name}:{keys[0]}=...)"
-        )
-    out: dict[str, float] = {}
-    for part in args.split(","):
-        key, eq, raw = part.partition("=")
-        key = key.strip()
-        if not eq or key not in keys:
-            raise CliParseError(f"bad parameter {part!r} in {spec_name!r} spec")
-        if key in out:
-            raise CliParseError(f"duplicate parameter {key!r} in {spec_name!r} spec")
-        try:
-            out[key] = float(raw)
-        except ValueError as exc:
-            raise CliParseError(f"parameter {key!r} in {spec_name!r} spec: {exc}") from exc
-    missing = [k for k in keys if k not in out]
-    if missing:
-        raise CliParseError(f"{spec_name!r} spec is missing: {', '.join(missing)}")
+            raise CliParseError(f"{where}: {exc}") from exc
+        if not pairs:
+            out.extend(values)
+        elif values:
+            out.append(values)
     return out
 
 
-def _no_args(args: str, spec_name: str) -> None:
-    if args:
-        raise CliParseError(f"{spec_name!r} spec takes no parameters, got {args!r}")
+def _floats(values: list) -> bool:
+    return all(isinstance(v, float) for v in values)  # parse_int=float: every JSON number is a float
 
 
-def _at_path(args: str, spec_name: str) -> str:
-    if not args.startswith("@") or len(args) == 1:
-        raise CliParseError(f"{spec_name!r} spec needs a file, e.g. {spec_name}:@knots.csv")
-    return args[1:]
+#: Argument forms of a spec besides ``key=value`` parameters, which a tuple
+#: of keys stands for (the empty tuple: no arguments).
+_KNOTS = "@file.csv"
+_COEFFICIENTS = "c0,c1,..."
+
+#: Each spec name with its constructor and argument form, in ``--help`` order.
+_FUNCTIONS = {
+    "power": (functions.power_complement, ("k",)),
+    "exp": (functions.exponential, ("lambda",)),
+    "log": (functions.logarithmic, ()),
+    "recip": (functions.reciprocal, ()),
+    "trig": (functions.trigonometric, ()),
+    "const": (functions.constant, ("c",)),
+    "linear": (functions.linear, ("m", "b")),
+    "table": (functions.tabulated, _KNOTS),
+}
+_DENSITIES = {
+    "uniform": (transform.uniform_density, ()),
+    "poly": (transform.polynomial_density, _COEFFICIENTS),
+    "tri": (transform.triangular_density, ("peak",)),
+    "table": (transform.tabulated_density, _KNOTS),
+}
+_CONVEX = {
+    "square": (lambda: ((lambda t: t * t), "t^2"), ()),
+    "expt": (lambda: (math.exp, "exp(t)"), ()),
+    "abs": (lambda c: ((lambda t: abs(t - c)), f"|t - {c:g}|"), ("c",)),
+}
+
+
+def _usage(table: dict) -> str:
+    """The grammar of a spec family, as in ``power:k=K | log | table:@file.csv``."""
+    forms = {
+        name: form if isinstance(form, str) else ",".join(f"{k}={k[0].upper()}" for k in form)
+        for name, (_, form) in table.items()
+    }
+    return " | ".join(f"{name}:{args}" if args else name for name, args in forms.items())
+
+
+def _parse_spec(spec: str, table: dict, family: str):
+    """Look up ``name`` of ``spec`` = ``name[:args]`` in ``table``; call its constructor on ``args``."""
+    name, _, args = spec.strip().partition(":")
+    if name not in table:
+        raise CliParseError(f"unknown {family} spec {spec!r}; expected {_usage(table)}")
+    make, form = table[name]
+    if form == _KNOTS:
+        if not args.startswith("@") or len(args) == 1:
+            raise CliParseError(f"{name!r} spec needs a file, e.g. {name}:@knots.csv")
+        return make(_read_numbers(args[1:], pairs=True))
+    if form == _COEFFICIENTS:
+        if not args:
+            raise CliParseError(f"{name!r} spec needs coefficients, e.g. {name}:0,2")
+        try:
+            coefficients = [float(t) for t in args.split(",")]
+        except ValueError as exc:
+            raise CliParseError(f"{name!r} spec coefficients: {exc}") from exc
+        return make(coefficients)
+    if not form:
+        if args:
+            raise CliParseError(f"{name!r} spec takes no parameters, got {args!r}")
+        return make()
+    if not args:
+        raise CliParseError(f"{name!r} spec needs parameters: {', '.join(form)} (e.g. {name}:{form[0]}=...)")
+    values: dict[str, float] = {}
+    for part in args.split(","):
+        key, eq, raw = part.partition("=")
+        key = key.strip()
+        if not eq or key not in form:
+            raise CliParseError(f"bad parameter {part!r} in {name!r} spec")
+        if key in values:
+            raise CliParseError(f"duplicate parameter {key!r} in {name!r} spec")
+        try:
+            values[key] = float(raw)
+        except ValueError as exc:
+            raise CliParseError(f"parameter {key!r} in {name!r} spec: {exc}") from exc
+    missing = [k for k in form if k not in values]
+    if missing:
+        raise CliParseError(f"{name!r} spec is missing: {', '.join(missing)}")
+    return make(*(values[k] for k in form))
 
 
 def parse_fn_spec(spec: str) -> MonotoneFunction:
     """Catalog function from a spec string; see module docstring for the grammar."""
-    name, _, args = spec.strip().partition(":")
-    if name == "power":
-        return functions.power_complement(_kv_args(args, "power", ("k",))["k"])
-    if name == "exp":
-        return functions.exponential(_kv_args(args, "exp", ("lambda",))["lambda"])
-    if name == "log":
-        _no_args(args, "log")
-        return functions.logarithmic()
-    if name == "recip":
-        _no_args(args, "recip")
-        return functions.reciprocal()
-    if name == "trig":
-        _no_args(args, "trig")
-        return functions.trigonometric()
-    if name == "const":
-        return functions.constant(_kv_args(args, "const", ("c",))["c"])
-    if name == "linear":
-        kv = _kv_args(args, "linear", ("m", "b"))
-        return functions.linear(kv["m"], kv["b"])
-    if name == "table":
-        return functions.tabulated(read_table_file(_at_path(args, "table")))
-    raise CliParseError(f"unknown function spec {spec!r}; expected {_FN_USAGE}")
+    return _parse_spec(spec, _FUNCTIONS, "function")
 
 
 def parse_density_spec(spec: str) -> transform.Density:
     """Density from a spec string; see module docstring for the grammar."""
-    name, _, args = spec.strip().partition(":")
-    if name == "uniform":
-        _no_args(args, "uniform")
-        return transform.uniform_density()
-    if name == "poly":
-        if not args:
-            raise CliParseError("'poly' spec needs coefficients, e.g. poly:0,2")
-        try:
-            coeffs = [float(t) for t in args.split(",")]
-        except ValueError as exc:
-            raise CliParseError(f"'poly' spec coefficients: {exc}") from exc
-        return transform.polynomial_density(coeffs)
-    if name == "tri":
-        return transform.triangular_density(_kv_args(args, "tri", ("peak",))["peak"])
-    if name == "table":
-        return transform.tabulated_density(read_table_file(_at_path(args, "table")))
-    raise CliParseError(f"unknown density spec {spec!r}; expected {_DENSITY_USAGE}")
+    return _parse_spec(spec, _DENSITIES, "density")
 
 
 def parse_convex_spec(spec: str) -> tuple[Callable[[float], float], str]:
-    """Convex test function (callable, label) for the karamata command."""
-    name, _, args = spec.strip().partition(":")
-    if name == "square":
-        _no_args(args, "square")
-        return (lambda t: t * t), "t^2"
-    if name == "expt":
-        _no_args(args, "expt")
-        return math.exp, "exp(t)"
-    if name == "abs":
-        c = _kv_args(args, "abs", ("c",))["c"]
-        return (lambda t: abs(t - c)), f"|t - {c:g}|"
+    """Convex test function (callable, label) for the karamata command; a
+    name ``_CONVEX`` does not hold is read as a function spec."""
+    if spec.strip().partition(":")[0] in _CONVEX:
+        return _parse_spec(spec, _CONVEX, "convex")
     try:
         g = parse_fn_spec(spec)
     except CliParseError:
-        raise CliParseError(
-            f"unknown convex spec {spec!r}; expected {_CONVEX_USAGE}"
-        ) from None
+        usage = f"{_usage(_CONVEX)} | any function spec"
+        raise CliParseError(f"unknown convex spec {spec!r}; expected {usage}") from None
     return g, g.formula
 
 
@@ -278,7 +247,7 @@ def _weights_from(args: argparse.Namespace) -> WeightVector:
         raise CliParseError("exactly one of --weights FILE and --uniform N is required")
     if args.uniform is not None:
         return uniform_weights(args.uniform)
-    return from_weights(read_vector_file(args.weights))
+    return from_weights(_read_numbers(args.weights))
 
 
 def cmd_bound(args: argparse.Namespace) -> _CmdResult:
@@ -339,15 +308,15 @@ _RELATION_SUMMARY = {
 
 
 def cmd_majorize(args: argparse.Namespace) -> _CmdResult:
-    x = read_vector_file(_require(args.x, "--x"))
-    y = read_vector_file(_require(args.y, "--y"))
+    x = _read_numbers(_require(args.x, "--x"))
+    y = _read_numbers(_require(args.y, "--y"))
     verdict = is_majorized(x, y)
     return verdict.to_dict(), [], _RELATION_SUMMARY[verdict.relation]
 
 
 def cmd_karamata(args: argparse.Namespace) -> _CmdResult:
-    x = read_vector_file(_require(args.x, "--x"))
-    y = read_vector_file(_require(args.y, "--y"))
+    x = _read_numbers(_require(args.x, "--x"))
+    y = _read_numbers(_require(args.y, "--y"))
     g, label = parse_convex_spec(_require(args.fn, "--fn"))
     report = karamata_check(g, x, y)
     payload = {
@@ -441,8 +410,8 @@ _depth = _checked(int, lambda d: d >= 1, ">= 1")
 _OPTIONS = {
     "weights": {"metavar": "FILE", "help": "weight file: CSV or JSON array"},
     "uniform": {"type": int, "metavar": "N", "help": "use N equal weights 1/N"},
-    "fn": {"metavar": "SPEC", "help": f"function spec: {_FN_USAGE}"},
-    "density": {"metavar": "SPEC", "help": f"density spec: {_DENSITY_USAGE}"},
+    "fn": {"metavar": "SPEC", "help": f"function spec: {_usage(_FUNCTIONS)}"},
+    "density": {"metavar": "SPEC", "help": f"density spec: {_usage(_DENSITIES)}"},
     "x": {"metavar": "FILE", "help": "left vector"},
     "y": {"metavar": "FILE", "help": "right vector"},
     "tol": {"type": _tolerance, "metavar": "X", "help": "tolerance (default 1e-10; 1e-8 for transform-check)"},
@@ -474,9 +443,7 @@ def _fmt_scalar(value) -> str:
 def _table_lines(rows: list[dict]) -> list[str]:
     headers = list(rows[0].keys())
     cells = [[_fmt_scalar(row[h]) for h in headers] for row in rows]
-    widths = [
-        max(len(h), max(len(r[i]) for r in cells)) for i, h in enumerate(headers)
-    ]
+    widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
     for r in cells:
         lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))).rstrip())

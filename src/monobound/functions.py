@@ -193,8 +193,7 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     last at 1.  Direction is classified from the exact signs of successive
     y-differences; knot data that rises and falls yields a function whose
     direction is "non_monotone", which bound operations reject.  The
-    integral is the trapezoid sum, exact for the interpolant; halving each
-    y first keeps every term finite (bits of (y0 + y1) / 2 when normal).
+    integral is the sum of :func:`_trapezoids`, exact for the interpolant.
     """
     xs, ys = knot_arrays(points, "tabulated function")
     with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
@@ -204,10 +203,19 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
         direction=direction,
         strictly_monotone=strict,
         formula=f"piecewise linear through {xs.size} knots",
-        closed_form_integral=exact_sum(np.diff(xs) * (0.5 * ys[:-1] + 0.5 * ys[1:])),
+        closed_form_integral=exact_sum(_trapezoids(xs, ys)),
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
     )
+
+
+def _trapezoids(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Trapezoid areas between knots, from the correctly rounded mean of each y
+    pair: (y0 + y1) / 2, or where the sum overflows 0.5*y0 + 0.5*y1 (halves of
+    normals are exact); halving first everywhere would round subnormal y."""
+    with np.errstate(over="ignore"):
+        mean = (ys[:-1] + ys[1:]) / 2.0
+    return np.diff(xs) * np.where(np.isinf(mean), 0.5 * ys[:-1] + 0.5 * ys[1:], mean)
 
 
 def knot_arrays(points: Sequence[tuple[float, float]], what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,8 @@ import math
 from typing import Any
 
 SIGNIFICANT_DIGITS = 17
+#: Spaces per nesting level of ``render_json``.
+INDENT = 2
 
 
 def format_float(x: float) -> str:
@@ -28,7 +30,7 @@ def format_float(x: float) -> str:
     return text
 
 
-def _render(value: Any, indent: int, level: int) -> str:
+def _render(value: Any, level: int) -> str:
     if value is None:
         return "null"
     if value is True:
@@ -43,24 +45,24 @@ def _render(value: Any, indent: int, level: int) -> str:
         return str(value)
     if isinstance(value, float):
         return format_float(value)
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f'{pad}"{key}": {_render(val, indent, level + 1)}'
+            f'{pad}"{key}": {_render(val, level + 1)}'
             for key, val in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [pad + _render(val, indent, level + 1) for val in value]
+        items = [pad + _render(val, level + 1) for val in value]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def render_json(value: Any, indent: int = 2) -> str:
+def render_json(value: Any) -> str:
     """Serialize dicts/lists/scalars to JSON text with full-precision floats."""
-    return _render(value, indent, 0)
+    return _render(value, 0)

@@ -29,6 +29,8 @@ COMPARISON_TOLERANCE = 1e-12
 #: A few ulps: the relative part of the slack on values and sums of g, which
 #: each carry a rounding of g and of the sum.
 ROUNDING_SLACK = 4 * float(np.finfo(float).eps)
+#: Evenly spaced points of the hull at which ``karamata_check`` tests convexity.
+CONVEXITY_SAMPLES = 257
 
 X_MAJORIZED_BY_Y = "x_majorized_by_y"
 Y_MAJORIZED_BY_X = "y_majorized_by_x"
@@ -142,10 +144,10 @@ def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np
     return values
 
 
-def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float, samples: int) -> None:
+def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float) -> None:
     if lo == hi:
         return
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, CONVEXITY_SAMPLES)
     vals = _g_values(fn, grid, "the hull of x and y")
     # quarter second differences, which cannot overflow for finite values;
     # a few ulps of |v0| + 2|v1| + |v2| cover the rounding of large values
@@ -157,9 +159,7 @@ def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float, sa
         raise NotConvex((float(grid[i]), float(grid[i + 1]), float(grid[i + 2])))
 
 
-def karamata_check(
-    g: Callable[[float], float], x: VectorLike, y: VectorLike, samples: int = 257
-) -> KaramataReport:
+def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) -> KaramataReport:
     """Check sum g(x_i) <= sum g(y_i) for x majorized by y and convex g.
 
     ``g`` may be any scalar callable (including a catalog function, whose
@@ -176,7 +176,7 @@ def karamata_check(
     if verdict.relation not in (X_MAJORIZED_BY_Y, BOTH):
         raise NotMajorized(verdict.relation)
     hull = np.concatenate((xv.array, yv.array))
-    _check_convex_on_hull(g, float(hull.min()), float(hull.max()), samples)
+    _check_convex_on_hull(g, float(hull.min()), float(hull.max()))
     gx, gy = _g_values(g, xv.array, "x"), _g_values(g, yv.array, "y")
     try:
         scale = exact_sum(np.abs(gx)) + exact_sum(np.abs(gy))

@@ -9,7 +9,7 @@ computed as a compensated prefix sum (Neumaier's rounding at every step,
 evaluated with whole-array operations) so the partition is reproducible bit
 for bit and accurate to ~1 ulp per breakpoint even for millions of
 weights.  Each type holds one read-only float64 array; the tuple views
-``weights``, ``breakpoints`` and ``widths()`` are built when asked for.
+``weights`` and ``breakpoints`` are built when asked for.
 All types are immutable and all operations are pure functions.
 """
 
@@ -145,10 +145,6 @@ class WeightVector(_ArrayBacked):
     def n(self) -> int:
         return self.array.size
 
-    @property
-    def mesh(self) -> float:
-        """Largest weight, i.e. the widest interval of the partition."""
-        return float(self.array.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +185,6 @@ class CumulativePartition(_ArrayBacked):
     def n(self) -> int:
         """Number of intervals."""
         return self.array.size - 1
-
-    def widths(self) -> tuple[float, ...]:
-        """Interval widths S_i - S_{i-1}."""
-        return tuple(np.diff(self.array).tolist())
 
 
 def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVector:

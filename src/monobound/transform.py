@@ -21,7 +21,7 @@ import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
 from .errors import EmptyInput, NotNormalized
-from .functions import MonotoneFunction, _UnitIntervalFunction, knot_arrays
+from .functions import MonotoneFunction, _UnitIntervalFunction, _trapezoids, knot_arrays
 from .quadrature import batched_quadrature
 
 _MASS_TOLERANCE = 1e-9
@@ -148,11 +148,11 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     xs, ys = knot_arrays(knots, "tabulated density")
     if (ys < 0.0).any():
         raise ValueError("tabulated density values must be finite and nonnegative")
-    mass = exact_sum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)
+    mass = exact_sum(_trapezoids(xs, ys))
     if mass <= 0.0:
         raise NotNormalized(mass)
     ys = ys / mass
-    table = compensated_prefix_sums(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)
+    table = compensated_prefix_sums(_trapezoids(xs, ys))
     table[-1] = 1.0
 
     def cdf(x):

@@ -609,6 +609,111 @@ class TestExitCodes:
         assert code == 1 and out == "" and err != ""
 
 
+FN_USAGE = "power:k=K | exp:lambda=L | log | recip | trig | const:c=C | linear:m=M,b=B | table:@file.csv"
+SPEC_ERRORS = [
+    ("fn", "sine", f"unknown function spec 'sine'; expected {FN_USAGE}"),
+    ("fn", "power", "'power' spec needs parameters: k (e.g. power:k=...)"),
+    ("fn", "linear:m=1", "'linear' spec is missing: b"),
+    ("fn", "power:k=1,k=2", "duplicate parameter 'k' in 'power' spec"),
+    ("fn", "power:j=1", "bad parameter 'j=1' in 'power' spec"),
+    ("fn", "power:k=two", "parameter 'k' in 'power' spec: could not convert string to float: 'two'"),
+    ("fn", "log:1", "'log' spec takes no parameters, got '1'"),
+    ("fn", "table:knots.csv", "'table' spec needs a file, e.g. table:@knots.csv"),
+    ("density", "gauss",
+     "unknown density spec 'gauss'; expected uniform | poly:c0,c1,... | tri:peak=P | table:@file.csv"),
+    ("density", "poly", "'poly' spec needs coefficients, e.g. poly:0,2"),
+    ("density", "poly:0,x", "'poly' spec coefficients: could not convert string to float: 'x'"),
+    ("density", "tri:peak", "bad parameter 'peak' in 'tri' spec"),
+    ("density", "uniform:1", "'uniform' spec takes no parameters, got '1'"),
+    ("density", "table:@", "'table' spec needs a file, e.g. table:@knots.csv"),
+    ("convex", "nope", "unknown convex spec 'nope'; expected square | expt | abs:c=C | any function spec"),
+    ("convex", "power:k=x", "unknown convex spec 'power:k=x'; expected square | expt | abs:c=C | any function spec"),
+    ("convex", "abs", "'abs' spec needs parameters: c (e.g. abs:c=...)"),
+    ("convex", "square:2", "'square' spec takes no parameters, got '2'"),
+]
+
+
+class TestSpecGrammar:
+    """Every argument form of every spec family, and its error message, from one table per family."""
+
+    @staticmethod
+    def argv(family, spec, tmp_path):
+        if family == "fn":
+            return ["bound", "--uniform", "4", "--fn", spec]
+        if family == "density":
+            return ["transform-check", "--density", spec, "--fn", "recip"]
+        x = write_vector(tmp_path, "x.csv", "0.5,0.5\n")
+        return ["karamata", "--x", x, "--y", x, "--fn", spec]
+
+    @pytest.mark.parametrize("family, spec, message", SPEC_ERRORS, ids=[f"{f}-{s}" for f, s, _ in SPEC_ERRORS])
+    def test_malformed_spec_is_a_parse_error(self, capsys, tmp_path, family, spec, message):
+        code, out, err = run(capsys, *self.argv(family, spec, tmp_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family, spec", [
+        ("fn", "linear:b=1,m=-1"), ("fn", "linear: m=-1 , b=1"), ("fn", " recip "), ("density", "poly:0,2"),
+        ("density", "tri:peak=0.5"), ("convex", "expt"), ("convex", "abs:c=0.5"), ("convex", "linear:m=1,b=0"),
+    ])
+    def test_well_formed_spec_runs(self, capsys, tmp_path, family, spec):
+        code, _, err = run(capsys, *self.argv(family, spec, tmp_path))
+        assert (code, err) == (0, "")
+
+    def test_parameters_reach_the_constructor_in_table_order(self):
+        assert cli.parse_fn_spec("linear:b=1,m=-2").params == (("m", -2.0), ("b", 1.0))
+        assert cli.parse_convex_spec("abs:c=0.25")[1] == "|t - 0.25|"
+
+
+class TestInputFiles:
+    """Weights, vectors and knot tables go through one reader with one number rule."""
+
+    READERS = {
+        "weights": ["bound", "--weights", "{f}", "--fn", "recip"],
+        "vector": ["majorize", "--x", "{f}", "--y", "{f}"],
+        "fn-table": ["bound", "--uniform", "3", "--fn", "table:@{f}"],
+        "density-table": ["transform-check", "--density", "table:@{f}", "--fn", "recip"],
+    }
+
+    def run_on(self, capsys, tmp_path, reader, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        argv = [arg.replace("{f}", str(path)) for arg in self.READERS[reader]]
+        return (*run(capsys, *argv), str(path))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_undecodable_file_is_a_parse_error(self, capsys, tmp_path, reader):
+        code, out, err, path = self.run_on(capsys, tmp_path, reader, b"\xff0,1\n1,0\n")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("reader", ["fn-table", "density-table"])
+    @pytest.mark.parametrize("text", ['[[0, true], ["1", 0]]', "[[0, 1], [1, null]]", "[[0, 1], [1, 0, 2]]"])
+    def test_knot_table_json_holds_only_number_pairs(self, capsys, tmp_path, reader, text):
+        code, out, err, path = self.run_on(capsys, tmp_path, reader, text.encode())
+        assert (code, out, err) == (1, "", f"error: {path}: expected a JSON array of [x, y] pairs\n")
+
+    @pytest.mark.parametrize("reader", ["weights", "vector"])
+    @pytest.mark.parametrize("text", ["[true, 0.5]", '["0.5", 0.5]', "[null]", "[[0.5, 0.5]]"])
+    def test_vector_json_holds_only_numbers(self, capsys, tmp_path, reader, text):
+        code, out, err, path = self.run_on(capsys, tmp_path, reader, text.encode())
+        assert (code, out, err) == (1, "", f"error: {path}: expected a JSON array of numbers\n")
+
+    def test_json_integers_are_numbers(self, capsys, tmp_path):
+        code, out, _, _ = self.run_on(capsys, tmp_path, "fn-table", b"[[0, 1], [1, 0]]")
+        assert code == 0
+        assert "integral = 0.5\n" in out
+
+    def test_json_integer_beyond_float_range_is_a_domain_error(self, capsys, tmp_path):
+        code, out, err, _ = self.run_on(capsys, tmp_path, "weights", b"[1" + b"0" * 400 + b"]")
+        assert (code, out) == (2, "")
+        assert err == "domain error: weight 0 is inf; weights must be positive finite numbers\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_table_near_the_float_limit_is_renormalized(self, capsys, tmp_path):
+        code, out, err, _ = self.run_on(capsys, tmp_path, "density-table", b"0,1e308\n1,1e308\n")
+        assert (code, err) == (0, "")
+        assert "pass = true\n" in out
+
+
 class TestHugeTable:
     """Knots near 1e308: the closed form stays finite, quadrature refuses."""
 

@@ -200,8 +200,8 @@ def knot_tables(draw):
 class TestTabulatedClosedForm:
     @given(knot_tables())
     def test_within_four_units_of_the_exact_integral(self, table):
-        # width rounding, the product and the final rounding are one unit
-        # each; halving y is exact above the subnormals
+        # the width, the mean of each y pair, the product and the final
+        # rounding are one unit each
         xs, ys = table
         got = tabulated(list(zip(xs, ys))).closed_form_integral
         x = [Fraction(v) for v in xs]
@@ -221,6 +221,10 @@ class TestTabulatedClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert tabulated(list(zip(xs, ys))).closed_form_integral == want
+
+    def test_subnormal_knots_give_the_correctly_rounded_mean(self):
+        # halving 3 * 2^-1074 first would round each half, 1.5 * 2^-1074, to 2 * 2^-1074
+        assert tabulated([(0.0, 3 * 5e-324), (1.0, 3 * 5e-324)]).closed_form_integral == 3 * 5e-324
 
 
 class TestProbe:

@@ -232,25 +232,25 @@ class TestCumulative:
 class TestRoundTrip:
     def test_weights_of_worked_partition(self):
         p = CumulativePartition([0.0, 0.2, 0.5, 1.0])
-        assert p.widths() == (0.2, 0.3, 0.5)
+        assert np.diff(p.array).tolist() == [0.2, 0.3, 0.5]
 
     def test_weights_of_trivial(self):
-        assert CumulativePartition([0.0, 1.0]).widths() == (1.0,)
+        assert np.diff(CumulativePartition([0.0, 1.0]).array).tolist() == [1.0]
 
     def test_weights_of_quarters(self):
         p = CumulativePartition([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert p.widths() == (0.25,) * 4
+        assert np.diff(p.array).tolist() == [0.25] * 4
 
     @given(weight_lists)
     def test_round_trip_within_1e12(self, raw):
         w = from_weights(raw, normalize=True)
-        back = cumulative(w).widths()
+        back = np.diff(cumulative(w).array)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(w.weights, back))
 
     @given(weight_lists)
     def test_partition_round_trip_within_1e12(self, raw):
         p = cumulative(from_weights(raw, normalize=True))
-        again = cumulative(WeightVector(p.widths()))
+        again = cumulative(WeightVector(np.diff(p.array)))
         assert all(abs(a - b) <= 1e-12 for a, b in zip(p.breakpoints, again.breakpoints))
 
 
@@ -280,14 +280,14 @@ class TestPartitionValidation:
     def test_widths_reproduce_weights_within_1e12(self):
         w = from_weights([0.2, 0.3, 0.5])
         p = cumulative(w)
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(p.widths(), w.weights))
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(np.diff(p.array), w.weights))
 
 
 class TestArrayStorage:
     def test_views_are_tuples_of_python_floats(self):
         w = from_weights(np.array([0.2, 0.3, 0.5]))
         p = cumulative(w)
-        for view in (w.weights, p.breakpoints, p.widths()):
+        for view in (w.weights, p.breakpoints):
             assert type(view) is tuple
             assert all(type(x) is float for x in view)
 
@@ -358,9 +358,6 @@ class TestHelpers:
             with pytest.raises(TooLarge) as info:
                 require_within_budget(n, depth)
             assert (info.value.n, info.value.depth, info.value.limit) == (n, depth, MAX_INTERVALS)
-
-    def test_mesh_is_max_weight(self):
-        assert from_weights([0.2, 0.3, 0.5]).mesh == 0.5
 
     def test_bisect_all_doubles_interval_count(self):
         p = cumulative(from_weights([0.2, 0.3, 0.5]))

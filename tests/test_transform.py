@@ -100,6 +100,18 @@ class TestDensities:
         assert f(0.0) == pytest.approx(0.5, abs=1e-15)
         assert f(1.0) == pytest.approx(1.5, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tabulated_renormalizes_values_near_the_float_limit(self):
+        # (y0 + y1) / 2 would overflow here; the mass is 1.25e308
+        f = tabulated_density([(0.0, 1e308), (0.5, 1.5e308), (1.0, 1e308)])
+        assert f.values([0.0, 0.5, 1.0]) == pytest.approx([0.8, 1.2, 0.8], rel=1e-15)
+        assert f.cdf([0.5, 1.0]).tolist() == [0.5, 1.0]
+
+    def test_tabulated_renormalizes_subnormal_values(self):
+        # the mass is 3 * 2^-1074 exactly, so the density is exactly uniform
+        f = tabulated_density([(0.0, 3 * 5e-324), (1.0, 3 * 5e-324)])
+        assert f.values([0.0, 1.0]).tolist() == [1.0, 1.0]
+
     def test_tabulated_rejects_negative_knots(self):
         with pytest.raises(ValueError):
             tabulated_density([(0.0, 1.0), (0.5, -0.2), (1.0, 1.0)])
