@@ -27,6 +27,7 @@ from .bounds import (
 from .errors import (
     DomainViolation,
     EmptyInput,
+    InvalidArgument,
     LengthMismatch,
     MonoboundError,
     NonFiniteValue,
@@ -98,6 +99,7 @@ __all__ = [
     "DomainViolation",
     "EmptyInput",
     "INCREASING",
+    "InvalidArgument",
     "KaramataReport",
     "LengthMismatch",
     "MajorizationVerdict",

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._summation import Producer, _blocked_sum
-from .errors import NonFiniteValue
+from .errors import InvalidArgument, NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
@@ -255,7 +255,7 @@ def bound_report(
     for a value of g, sum, gap or gap bound that is not finite.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
     require_monotone(g, "bound_report")
 
     bps = p.array
@@ -296,7 +296,7 @@ def refinement_chain(g: MonotoneFunction, p: CumulativePartition, depth: int) ->
     bisection, when the last partition would exceed MAX_INTERVALS.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise InvalidArgument(f"depth must be >= 1, got {depth}")
     require_within_budget(p.n, depth)
     require_monotone(g, "refinement_chain", decreasing=True)
     values = [riemann_sum_right(g, p)]

@@ -25,8 +25,8 @@ Exit codes: 0 success, 1 parse error (also an unreadable or undecodable
 file, a ``--tol`` that is not positive and finite, or a ``--depth`` below
 1), 2 domain error (bad weights, non-monotone function, failed
 precondition, a partition over ``partitions.MAX_INTERVALS``, a quadrature
-sum that overflows), 3 mathematical-invariant violation.  Code 3 signals a bug in the math, never
-bad input, so CI can tell the two apart.
+sum that overflows: any ``MonoboundError``), 3 mathematical-invariant violation.  Code 3 signals
+a bug in the math, never bad input, so CI can tell the two apart; anything else ends in a traceback.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the
 Abel route agrees with T_n, the sign of the gap and the gap bound;
 ``enclose`` checks those and that [lower, upper] holds the integral;
@@ -219,13 +219,13 @@ def parse_density_spec(spec: str) -> transform.Density:
 def parse_convex_spec(spec: str) -> tuple[Callable[[float], float], str]:
     """Convex test function (callable, label) for the karamata command; a
     name ``_CONVEX`` does not hold is read as a function spec."""
-    if spec.strip().partition(":")[0] in _CONVEX:
+    name = spec.strip().partition(":")[0]
+    if name in _CONVEX:
         return _parse_spec(spec, _CONVEX, "convex")
-    try:
-        g = parse_fn_spec(spec)
-    except CliParseError:
+    if name not in _FUNCTIONS:
         usage = f"{_usage(_CONVEX)} | any function spec"
-        raise CliParseError(f"unknown convex spec {spec!r}; expected {usage}") from None
+        raise CliParseError(f"unknown convex spec {spec!r}; expected {usage}")
+    g = parse_fn_spec(spec)
     return g, g.formula
 
 
@@ -470,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MonoboundError, ValueError) as exc:
+    except MonoboundError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     for problem in problems:

@@ -12,6 +12,10 @@ class MonoboundError(Exception):
     """Base class for all monobound errors."""
 
 
+class InvalidArgument(MonoboundError, ValueError):
+    """An argument outside the values a routine accepts (a ValueError too)."""
+
+
 class EmptyInput(MonoboundError):
     """An operation received an empty weight or data sequence."""
 

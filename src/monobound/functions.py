@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import exact_sum
-from .errors import DomainViolation, NonMonotoneFunction
+from .errors import DomainViolation, InvalidArgument, NonMonotoneFunction
 from .quadrature import batched_quadrature
 
 DECREASING = "decreasing"
@@ -78,7 +78,7 @@ def power_complement(k: float) -> MonotoneFunction:
     """
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be a positive real, got {k!r}")
+        raise InvalidArgument(f"k must be a positive real, got {k!r}")
     if k < 1.0:
 
         def fn(x):
@@ -105,7 +105,7 @@ def exponential(lam: float) -> MonotoneFunction:
     """g(x) = exp(-lam*x) for lam > 0."""
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be a positive real, got {lam!r}")
+        raise InvalidArgument(f"lambda must be a positive real, got {lam!r}")
     return MonotoneFunction(
         kind="exponential",
         direction=DECREASING,
@@ -157,7 +157,7 @@ def constant(c: float) -> MonotoneFunction:
     """g(x) = c."""
     c = float(c)
     if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c!r}")
+        raise InvalidArgument(f"c must be finite, got {c!r}")
     return MonotoneFunction(
         kind="constant",
         direction=CONSTANT,
@@ -173,7 +173,7 @@ def linear(m: float, b: float) -> MonotoneFunction:
     """g(x) = m*x + b; direction follows the sign of m."""
     m, b = float(m), float(b)
     if not (math.isfinite(m) and math.isfinite(b)):
-        raise ValueError(f"m and b must be finite, got {m!r}, {b!r}")
+        raise InvalidArgument(f"m and b must be finite, got {m!r}, {b!r}")
     direction, strict = _direction_of(np.array([m]))
     return MonotoneFunction(
         kind="linear",
@@ -227,16 +227,16 @@ def knot_arrays(points: Sequence[tuple[float, float]], what: str) -> tuple[np.nd
     """
     pts = np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2)
     if len(pts) < 2:
-        raise ValueError(f"{what} needs at least 2 knots")
+        raise InvalidArgument(f"{what} needs at least 2 knots")
     xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
     if xs[0] != 0.0 or xs[-1] != 1.0:
-        raise ValueError(f"{what} knots must span [0, 1] exactly")
+        raise InvalidArgument(f"{what} knots must span [0, 1] exactly")
     bad = ~(xs[1:] > xs[:-1])
     if bad.any():
         i = int(np.argmax(bad)) + 1
-        raise ValueError(f"knot x-values must be strictly increasing at index {i}")
+        raise InvalidArgument(f"knot x-values must be strictly increasing at index {i}")
     if not np.isfinite(ys).all():
-        raise ValueError("knot y-values must be finite")
+        raise InvalidArgument("knot y-values must be finite")
     return xs, ys
 
 

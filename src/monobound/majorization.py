@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
+from .errors import InvalidArgument, LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
 from .partitions import WeightVector, _ArrayBacked
 
 #: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
@@ -50,9 +50,9 @@ class RealVector(_ArrayBacked):
     @staticmethod
     def _validated(a: np.ndarray) -> np.ndarray:
         if a.size == 0:
-            raise ValueError("RealVector needs at least one entry")
+            raise InvalidArgument("RealVector needs at least one entry")
         if not np.isfinite(a).all():
-            raise ValueError("RealVector entries must be finite")
+            raise InvalidArgument("RealVector entries must be finite")
         return a
 
     @property
@@ -202,9 +202,9 @@ def generate_majorized_pair(n: int, transfers: int, seed: int) -> tuple[RealVect
     guaranteed by construction.  Deterministic for a given (n, transfers, seed).
     """
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise InvalidArgument(f"n must be >= 2, got {n}")
     if transfers < 0:
-        raise ValueError(f"transfers must be >= 0, got {transfers}")
+        raise InvalidArgument(f"transfers must be >= 0, got {transfers}")
     rng = np.random.default_rng(seed)
     y = rng.random(n)
     x = y.copy()

@@ -23,6 +23,7 @@ import numpy as np
 from ._summation import compensated_prefix_sums, exact_sum
 from .errors import (
     EmptyInput,
+    InvalidArgument,
     NonFiniteValue,
     NonPositiveWeight,
     PointOutsideInterval,
@@ -161,17 +162,17 @@ class CumulativePartition(_ArrayBacked):
     @staticmethod
     def _validated(bps: np.ndarray) -> np.ndarray:
         if bps.size < 2:
-            raise ValueError("a partition needs at least the two endpoints")
+            raise InvalidArgument("a partition needs at least the two endpoints")
         if bps[0] != 0.0:
-            raise ValueError(f"first breakpoint must be exactly 0.0, got {float(bps[0])!r}")
+            raise InvalidArgument(f"first breakpoint must be exactly 0.0, got {float(bps[0])!r}")
         if bps[-1] != 1.0:
             if not abs(bps[-1] - 1.0) <= SUM_TOLERANCE:  # NaN fails too
-                raise ValueError(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
+                raise InvalidArgument(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
             bps[-1] = 1.0
         bad = ~(bps[1:] > bps[:-1])
         if bad.any():
             i = int(np.argmax(bad)) + 1
-            raise ValueError(
+            raise InvalidArgument(
                 f"breakpoints must be strictly increasing; "
                 f"S_{i - 1}={float(bps[i - 1])!r} >= S_{i}={float(bps[i])!r}"
             )
@@ -247,7 +248,7 @@ def require_within_budget(n: int, depth: int = 0) -> None:
 def uniform_weights(n: int) -> WeightVector:
     """n equal weights 1/n; at most MAX_INTERVALS of them."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     require_within_budget(n)
     return WeightVector._adopt(np.full(n, 1.0 / n))
 

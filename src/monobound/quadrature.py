@@ -8,11 +8,11 @@ its local tolerance, when |K15 - G7| is at that rounding level, or at
 are interior, so pass known kinks as ``breakpoints``: one between a panel's
 edge and its outermost node goes unseen.
 
-One call of a vectorized integrand evaluates the 15 nodes of every live
-panel of a depth, in blocks of at most ``_BLOCK`` panels, leftmost first;
-what grows is three floats per accepted panel.  A panel is just x0, x1 and
-its tolerance, and its sums run over the nodes in a fixed order, so the
-result is that of a depth-first loop over one panel at a time, bit for bit.
+One call of a vectorized integrand evaluates the 15 nodes of a block of at
+most ``_BLOCK`` live panels of one depth, taken depth first; what grows is
+two floats per accepted panel.  The value and the error estimate are
+correctly rounded sums over the accepted panels, so no bit depends on the
+order in which panels are evaluated.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums
-from .errors import NonFiniteValue, ToleranceNotReached
+from ._summation import exact_sum
+from .errors import InvalidArgument, NonFiniteValue, ToleranceNotReached
 
 _MAX_DEPTH = 48
 #: Most panels evaluated in one call of the integrand: the working set is about
@@ -66,13 +66,6 @@ def _gk15(fx, x0, x1):
         return half * kronrod, np.maximum(half * abs(kronrod - gauss), floor), floor
 
 
-def _push(stack: list, depth: int, panels: np.ndarray) -> None:
-    """Push ``panels`` (columns in left-to-right order) in blocks, leftmost on top."""
-    n = panels.shape[1]
-    for start in range(((n - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
-        stack.append((depth, panels[:, start:start + _BLOCK]))
-
-
 def batched_quadrature(
     fv: Callable[[np.ndarray], np.ndarray],
     a: float = 0.0,
@@ -86,23 +79,25 @@ def batched_quadrature(
     Raises ToleranceNotReached when the summed error estimate exceeds ``tol``
     (at the depth limit, or for a ``tol`` below float64 rounding), and
     NonFiniteValue as soon as a block's sums are not finite, which no split
-    can mend.
+    can mend, or when their total overflows.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
     if not b > a:
-        raise ValueError(f"empty integration interval [{a!r}, {b!r}]")
+        raise InvalidArgument(f"empty integration interval [{a!r}, {b!r}]")
 
     inner = np.unique(np.asarray(breakpoints, dtype=float))
     edges = np.concatenate(([a], inner[(a < inner) & (inner < b)], [b]))
-    stack: list = []
-    # one column per panel: x0, x1, local_tol; all panels of a block have the same depth
-    _push(stack, 0, np.array([edges[:-1], edges[1:], tol * np.diff(edges) / (b - a)]))
-    lefts, values, errs = [], [], []  # of the accepted panels, per block
+    # one column per panel: x0, x1, local_tol; all panels of an entry have the same depth
+    stack = [(0, np.array([edges[:-1], edges[1:], tol * np.diff(edges) / (b - a)]))]
+    values, errs = [], []  # of the accepted panels, per block
     evals = 0
 
     while stack:
-        depth, (x0, x1, loc_tol) = stack.pop()
+        depth, panels = stack.pop()
+        if panels.shape[1] > _BLOCK:
+            stack.append((depth, panels[:, _BLOCK:]))
+        x0, x1, loc_tol = panels[:, :_BLOCK]
         xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * _NODES  # one row per node
         fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
         evals += xs.size
@@ -110,7 +105,6 @@ def batched_quadrature(
         if not np.isfinite(err).all():  # a non-finite sum makes err non-finite too
             raise NonFiniteValue("a quadrature sum of the integrand")
         accept = (err <= loc_tol) | (err <= floor) | (depth >= _MAX_DEPTH)
-        lefts.append(x0[accept])
         values.append(value[accept])
         errs.append(err[accept])
         split = ~accept
@@ -120,16 +114,12 @@ def batched_quadrature(
             children = np.empty((3, 2 * x0.size))
             children[:, 0::2] = x0, xm, 0.5 * loc_tol
             children[:, 1::2] = xm, x1, 0.5 * loc_tol
-            _push(stack, depth + 1, children)
+            stack.append((depth + 1, children))
 
-    # Left edges tie only where all but one of the tied panels have zero
-    # width; those add +-0.0, which leaves a compensated sum unchanged
-    # wherever it comes, so the order among ties does not matter.
-    order = np.argsort(np.concatenate(lefts))
-    del lefts
-    total = float(compensated_prefix_sums(np.concatenate(values)[order])[-1])
-    del values
-    err_total = float(np.cumsum(np.concatenate(errs)[order])[-1])
+    try:
+        total, err_total = exact_sum(np.concatenate(values)), exact_sum(np.concatenate(errs))
+    except OverflowError:  # the exact total exceeds float64
+        raise NonFiniteValue("a quadrature sum of the integrand") from None
     if err_total > tol:
         raise ToleranceNotReached(total, err_total)
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evals)

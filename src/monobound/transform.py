@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import EmptyInput, NotNormalized
+from .errors import EmptyInput, InvalidArgument, NotNormalized
 from .functions import MonotoneFunction, _UnitIntervalFunction, _trapezoids, knot_arrays
 from .quadrature import batched_quadrature
 
@@ -80,10 +80,10 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     if not coeffs:
         raise EmptyInput("polynomial coefficients")
     if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError("polynomial coefficients must be finite")
+        raise InvalidArgument("polynomial coefficients must be finite")
     terms = " + ".join(f"{c:g}*x^{j}" if j else f"{c:g}" for j, c in enumerate(coeffs))
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
-    mass = math.fsum(anti)
+    mass = exact_sum(anti)
     if abs(mass - 1.0) > _MASS_TOLERANCE:
         raise NotNormalized(mass)
     P = np.polynomial.polynomial
@@ -93,7 +93,7 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     vals = P.polyval(xs, coeffs)
     i = int(np.argmin(vals))
     if vals[i] < -1e-12:
-        raise ValueError(f"density is negative: f({float(xs[i])!r}) = {float(vals[i])!r}")
+        raise InvalidArgument(f"density is negative: f({float(xs[i])!r}) = {float(vals[i])!r}")
     return Density(
         kind="polynomial",
         formula=terms,
@@ -107,7 +107,7 @@ def triangular_density(peak: float) -> Density:
     """Triangle on [0, 1] with apex f(peak) = 2."""
     p = float(peak)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"peak must lie in [0, 1], got {p!r}")
+        raise InvalidArgument(f"peak must lie in [0, 1], got {p!r}")
     if p == 0.0:
         pdf = lambda x: 2.0 * (1.0 - x)
         cdf = lambda x: np.clip(x * (2.0 - x), 0.0, 1.0)
@@ -147,7 +147,7 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     """
     xs, ys = knot_arrays(knots, "tabulated density")
     if (ys < 0.0).any():
-        raise ValueError("tabulated density values must be finite and nonnegative")
+        raise InvalidArgument("tabulated density values must be finite and nonnegative")
     mass = exact_sum(_trapezoids(xs, ys))
     if mass <= 0.0:
         raise NotNormalized(mass)
@@ -191,7 +191,7 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> Transform
     the identity in the abstract.
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
     pdf, cdf_fn, gfn = f._fn, f.cdf, g._fn
     kinks = f.kinks + tuple(_preimages(cdf_fn, g.kinks).tolist())
     lhs = batched_quadrature(lambda x: pdf(x) * gfn(cdf_fn(x)), tol=tol / 2.0, breakpoints=kinks).value

@@ -289,6 +289,55 @@ class TestRouteChecks:
         assert refinement_violations(chain) == []
 
 
+catalog_g = st.one_of(
+    st.floats(0.1, 5.0).map(power_complement),
+    st.floats(0.1, 10.0).map(exponential),
+    st.sampled_from([logarithmic(), reciprocal(), trigonometric()]),
+    st.floats(-4.0, 4.0).map(constant),
+    st.tuples(st.floats(0.01, 4.0), st.floats(-2.0, 2.0)).map(lambda mb: linear(-mb[0], mb[1])),
+)
+
+
+@st.composite
+def table_knots(draw):
+    """Knots of a decreasing table: x from 0 to 1, y falling from at most 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+    return list(zip(xs.tolist(), np.sort(rng.uniform(-2.0, 2.0, n))[::-1].tolist()))
+
+
+class TestScaleEquivariance:
+    """Multiplying g by c = 2^k is exact in float64, so every value the bound
+    routes compute scales by c bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(catalog_g.map(lambda g: (g, None)), table_knots().map(lambda k: (tabulated(k), k))),
+        st.integers(-900, 900),
+        st.integers(1, 1999),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_values_scale_with_g(self, g_knots, k, n, seed):
+        g, knots = g_knots
+        c = 2.0**k
+        if knots is None:
+            cg = dataclasses.replace(g, closed_form_integral=c * g.closed_form_integral, _fn=lambda x: c * g._fn(x))
+        else:
+            cg = tabulated([(x, c * y) for x, y in knots])
+        w = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
+        p = cumulative(from_weights(w, normalize=True))
+
+        def values(g):
+            r = bound_report(g, p)
+            return [
+                r.t_n, r.integral, r.gap, r.gap_bound, r.abel_value, riemann_sum_left(g, p),
+                *refinement_chain(g, p, 2), *abel_terms(g, p),
+            ]
+
+        assert [v.hex() for v in values(cg)] == [(c * v).hex() for v in values(g)]
+
+
 class TestStreamingMemory:
     """The sums stream their terms through block-sized buffers: beyond g's own
     values (and its evaluation's temporary), no full-size array is built."""

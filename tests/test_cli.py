@@ -604,6 +604,15 @@ class TestExitCodes:
     def test_malformed_spec_parameter_is_a_parse_error(self, capsys):
         assert run(capsys, "bound", "--uniform", "4", "--fn", "power:k=two")[0] == 1
 
+    def test_stray_value_error_is_not_a_domain_error(self, capsys):
+        # input faults raise MonoboundError; any other ValueError is a bug and propagates
+        def broken(*args, **kwargs):
+            raise ValueError("planted")
+
+        with mock.patch.object(cli, "bound_report", broken), pytest.raises(ValueError, match="planted"):
+            main(["bound", "--uniform", "4", "--fn", "recip"])
+        assert capsys.readouterr() == ("", "")
+
     def test_errors_print_nothing_to_stdout(self, capsys):
         code, out, err = run(capsys, "bound", "--uniform", "4", "--fn", "sine")
         assert code == 1 and out == "" and err != ""
@@ -627,7 +636,7 @@ SPEC_ERRORS = [
     ("density", "uniform:1", "'uniform' spec takes no parameters, got '1'"),
     ("density", "table:@", "'table' spec needs a file, e.g. table:@knots.csv"),
     ("convex", "nope", "unknown convex spec 'nope'; expected square | expt | abs:c=C | any function spec"),
-    ("convex", "power:k=x", "unknown convex spec 'power:k=x'; expected square | expt | abs:c=C | any function spec"),
+    ("convex", "power:k=x", "parameter 'k' in 'power' spec: could not convert string to float: 'x'"),
     ("convex", "abs", "'abs' spec needs parameters: c (e.g. abs:c=...)"),
     ("convex", "square:2", "'square' spec takes no parameters, got '2'"),
 ]
@@ -657,6 +666,14 @@ class TestSpecGrammar:
     def test_well_formed_spec_runs(self, capsys, tmp_path, family, spec):
         code, _, err = run(capsys, *self.argv(family, spec, tmp_path))
         assert (code, err) == (0, "")
+
+    def test_convex_spec_passes_a_function_spec_error_through(self, capsys, tmp_path):
+        # only a name in neither table is an unknown convex spec
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, *self.argv("convex", f"table:@{missing}", tmp_path))
+        assert (code, out) == (1, "") and err.startswith(f"error: cannot read {missing}: ")
+        code, out, err = run(capsys, *self.argv("convex", "power:k=-1", tmp_path))
+        assert (code, out, err) == (2, "", "domain error: k must be a positive real, got -1.0\n")
 
     def test_parameters_reach_the_constructor_in_table_order(self):
         assert cli.parse_fn_spec("linear:b=1,m=-2").params == (("m", -2.0), ("b", 1.0))
