@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from monobound.bounds import (
     BoundReport,
@@ -308,8 +308,12 @@ def table_knots(draw):
 
 
 class TestScaleEquivariance:
-    """Multiplying g by c = 2^k is exact in float64, so every value the bound
-    routes compute scales by c bit for bit."""
+    """Multiplying g by c = 2^k is exact in float64 while no result underflows,
+    so every value the bound routes compute scales by c bit for bit.  Below
+    the normal range a product rounds to the subnormal grid and the property
+    fails (a constant g of 4.2e-280 with c = 2^-91 does), so an example in
+    which numpy reports an underflow, in either run or in scaling the
+    expected values, is rejected."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -320,22 +324,29 @@ class TestScaleEquivariance:
     )
     def test_values_scale_with_g(self, g_knots, k, n, seed):
         g, knots = g_knots
-        c = 2.0**k
-        if knots is None:
-            cg = dataclasses.replace(g, closed_form_integral=c * g.closed_form_integral, _fn=lambda x: c * g._fn(x))
-        else:
-            cg = tabulated([(x, c * y) for x, y in knots])
+        c = np.float64(2.0**k)  # numpy arithmetic, so an underflowing product is reported
         w = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
         p = cumulative(from_weights(w, normalize=True))
 
         def values(g):
             r = bound_report(g, p)
-            return [
+            return np.array([
                 r.t_n, r.integral, r.gap, r.gap_bound, r.abel_value, riemann_sum_left(g, p),
                 *refinement_chain(g, p, 2), *abel_terms(g, p),
-            ]
+            ])
 
-        assert [v.hex() for v in values(cg)] == [(c * v).hex() for v in values(g)]
+        with np.errstate(under="raise"):
+            try:
+                if knots is None:
+                    cg = dataclasses.replace(
+                        g, closed_form_integral=float(c * g.closed_form_integral), _fn=lambda x: c * g._fn(x)
+                    )
+                else:
+                    cg = tabulated([(x, float(c * y)) for x, y in knots])
+                scaled, expected = values(cg), c * values(g)
+            except FloatingPointError:
+                reject()
+        assert [v.hex() for v in scaled] == [v.hex() for v in expected]
 
 
 class TestStreamingMemory:
