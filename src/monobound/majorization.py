@@ -14,6 +14,7 @@ Each vector holds one read-only float64 array; a weight vector's is shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -84,8 +85,13 @@ class KaramataReport:
     """sum g(y) - sum g(x) for majorized x < y and convex g.
 
     ``holds`` allows the margin to fall below zero by ``COMPARISON_TOLERANCE``
-    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)|: the rounding of
-    g's values and of the sums scales with them.
+    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)| (the rounding of
+    g's values and of the sums), plus what inputs that pass the checks only
+    up to their slack allow: (kappa / 2) * max(0, sum y_i^2 - sum x_i^2) for
+    the concavity -g'' <= kappa that the convexity probe lets through (as
+    g + kappa t^2 / 2 is convex), and, for totals that differ, the steepest
+    chord slope of g on the probe's grid times |sum y_i - sum x_i| (by Abel
+    summation).
     """
 
     margin: float
@@ -144,19 +150,41 @@ def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np
     return values
 
 
-def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float) -> None:
+def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Raise NotConvex where g bends down between sampled points of [lo, hi].
+
+    Returns (kappa, slope): the most concavity -g'' that the probe's slack
+    lets through, and the steepest |chord slope| between neighbouring points.
+    """
     if lo == hi:
-        return
-    grid = np.linspace(lo, hi, CONVEXITY_SAMPLES)
+        return 0.0, 0.0
+    grid = np.unique(np.linspace(lo, hi, CONVEXITY_SAMPLES))  # a hull a few ulps wide repeats points
     vals = _g_values(fn, grid, "the hull of x and y")
-    # quarter second differences, which cannot overflow for finite values;
-    # a few ulps of |v0| + 2|v1| + |v2| cover the rounding of large values
-    v0, v1, v2 = 0.25 * vals[:-2], 0.5 * vals[1:-1], 0.25 * vals[2:]
+    d = np.diff(grid)
+    with np.errstate(over="ignore"):
+        slope = float(np.abs(np.diff(vals) / d).max())
+    # halved second differences, weighted by the actual spacing so that a line
+    # gives zero however the grid rounds, cannot overflow for finite values;
+    # a few ulps of |v0| + |v1| + |v2| cover the rounding of large values
+    d10, d21, d20 = d[:-1], d[1:], grid[2:] - grid[:-2]
+    v0, v1, v2 = 0.5 * (d21 / d20) * vals[:-2], 0.5 * vals[1:-1], 0.5 * (d10 / d20) * vals[2:]
     slack = 0.25 * COMPARISON_TOLERANCE + ROUNDING_SLACK * (abs(v0) + abs(v1) + abs(v2))
     bad = v0 - v1 + v2 < -slack
     if bad.any():
         i = int(np.argmax(bad))
         raise NotConvex((float(grid[i]), float(grid[i + 1]), float(grid[i + 2])))
+    # g'' = -kappa makes v0 - v1 + v2 = -kappa * d10 * d21 / 4
+    with np.errstate(over="ignore", divide="ignore"):
+        return float((4.0 * slack / (d10 * d21)).max(initial=0.0)), slope
+
+
+def _times_sum(c: float, values: np.ndarray) -> float:
+    """c times the exact sum of ``values``; 0.0 where either is not finite."""
+    try:
+        out = c * exact_sum(values)
+    except (OverflowError, ValueError):  # fsum's intermediate overflow, and inf - inf
+        return 0.0
+    return out if math.isfinite(out) else 0.0
 
 
 def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) -> KaramataReport:
@@ -176,7 +204,7 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     if verdict.relation not in (X_MAJORIZED_BY_Y, BOTH):
         raise NotMajorized(verdict.relation)
     hull = np.concatenate((xv.array, yv.array))
-    _check_convex_on_hull(g, float(hull.min()), float(hull.max()))
+    kappa, slope = _check_convex_on_hull(g, float(hull.min()), float(hull.max()))
     gx, gy = _g_values(g, xv.array, "x"), _g_values(g, yv.array, "y")
     try:
         scale = exact_sum(np.abs(gx)) + exact_sum(np.abs(gy))
@@ -187,7 +215,14 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     # both sums and the margin are at most scale in magnitude: all finite
     sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x
-    holds = margin >= -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale)
+    # the shortfalls that slack in the two checks allows (see KaramataReport),
+    # each dropped where it overflows
+    xa, ya = xv.array, yv.array
+    with np.errstate(over="ignore"):
+        squares = np.concatenate((ya * ya, -(xa * xa)))
+    concavity = max(0.0, _times_sum(0.5 * kappa, squares))
+    totals = abs(_times_sum(slope, np.concatenate((ya, -xa))))
+    holds = margin >= -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale + concavity + totals)
     return KaramataReport(margin, holds, sum_x, sum_y)
 
 

@@ -34,8 +34,6 @@ class Density(_UnitIntervalFunction):
     mass in closed form and that f is nonnegative."""
 
     kind: str
-    formula: str
-    params: tuple[tuple[str, float], ...] = ()
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
     cdf: Callable = field(repr=False, compare=False, default=None)
@@ -62,9 +60,8 @@ class TransformReport:
 
 
 def uniform_density() -> Density:
-    """f(x) = 1."""
-    cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return Density(kind="uniform", formula="1", _fn=lambda x: 1.0 + 0.0 * x, cdf=cdf)
+    """f(x) = 1, the table through (0, 1) and (1, 1)."""
+    return tabulated_density([(0.0, 1.0), (1.0, 1.0)])
 
 
 def polynomial_density(coefficients: Sequence[float]) -> Density:
@@ -81,7 +78,6 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
         raise EmptyInput("polynomial coefficients")
     if not all(math.isfinite(c) for c in coeffs):
         raise InvalidArgument("polynomial coefficients must be finite")
-    terms = " + ".join(f"{c:g}*x^{j}" if j else f"{c:g}" for j, c in enumerate(coeffs))
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
     mass = exact_sum(anti)
     if abs(mass - 1.0) > _MASS_TOLERANCE:
@@ -96,44 +92,21 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
         raise InvalidArgument(f"density is negative: f({float(xs[i])!r}) = {float(vals[i])!r}")
     return Density(
         kind="polynomial",
-        formula=terms,
-        params=tuple((f"c{j}", c) for j, c in enumerate(coeffs)),
         _fn=lambda x: P.polyval(x, coeffs),
         cdf=lambda x: np.clip(P.polyval(x, anti) / mass, 0.0, 1.0),
     )
 
 
 def triangular_density(peak: float) -> Density:
-    """Triangle on [0, 1] with apex f(peak) = 2."""
+    """Triangle on [0, 1] with apex f(peak) = 2: the table through (0, 0),
+    (peak, 2) and (1, 0), less the end knot that a peak at 0 or 1 replaces.
+    Its trapezoid mass p + fl(1 - p) rounds to exactly 1, so no value is
+    rescaled."""
     p = float(peak)
     if not 0.0 <= p <= 1.0:
         raise InvalidArgument(f"peak must lie in [0, 1], got {p!r}")
-    if p == 0.0:
-        pdf = lambda x: 2.0 * (1.0 - x)
-        cdf = lambda x: np.clip(x * (2.0 - x), 0.0, 1.0)
-    elif p == 1.0:
-        pdf = lambda x: 2.0 * x
-        cdf = lambda x: np.clip(np.square(x), 0.0, 1.0)
-    else:
-        def pdf(x):  # np.where evaluates both sides; the one not taken may overflow
-            x = np.asarray(x, dtype=float)
-            with np.errstate(invalid="ignore", over="ignore"):
-                return np.where(x <= p, 2.0 * x / p, 2.0 * (1.0 - x) / (1.0 - p))
-
-        def cdf(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(invalid="ignore", over="ignore"):
-                out = np.where(x <= p, np.square(x) / p, 1.0 - np.square(1.0 - x) / (1.0 - p))
-            return np.clip(out, 0.0, 1.0)
-    kinks = (p,) if 0.0 < p < 1.0 else ()
-    return Density(
-        kind="triangular",
-        formula=f"triangle with peak at {p:g}",
-        params=(("peak", p),),
-        kinks=kinks,
-        _fn=pdf,
-        cdf=cdf,
-    )
+    knots = [(0.0, 0.0), (p, 2.0), (1.0, 0.0)]
+    return tabulated_density(knots[p == 0.0 : 3 - (p == 1.0)])
 
 
 def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
@@ -143,7 +116,7 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     values are rejected before rescaling.  The CDF is the cumulative
     trapezoid table at the knots with the exact quadratic interpolant of
     the linear segments in between, which is monotone and cannot overshoot
-    [0, 1].
+    [0, 1]; F is 0 left of 0 and 1 right of 1.
     """
     xs, ys = knot_arrays(knots, "tabulated density")
     if (ys < 0.0).any():
@@ -156,7 +129,7 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
     table[-1] = 1.0
 
     def cdf(x):
-        x = np.asarray(x, dtype=float)
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)  # past the ends, the end quadratics bend back
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
         t = x - xs[idx]
         h = xs[idx + 1] - xs[idx]
@@ -165,7 +138,6 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
 
     return Density(
         kind="tabulated",
-        formula=f"piecewise linear through {xs.size} knots (renormalized)",
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
         cdf=cdf,

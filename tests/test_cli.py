@@ -275,6 +275,25 @@ class TestKaramata:
         assert code == 2
         assert "domain error" in err
 
+    def test_concavity_under_the_probe_slack_is_not_a_violation(self, capsys, tmp_path):
+        # cos(pi t/2) is concave, but on a hull 1e-4 wide its second
+        # differences lie under the probe's slack; the margin -4.36e-9 lies
+        # inside the band that slack admits, so this is no bug in the math
+        x = write_vector(tmp_path, "x.csv", "0.5,0.5\n")
+        y = write_vector(tmp_path, "y.csv", "0.49995,0.50005\n")
+        code, _, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "trig")
+        assert code in (0, 2)
+        assert "invariant violation" not in err
+
+    def test_exp_on_an_unevenly_rounded_grid_is_convex(self, capsys, tmp_path):
+        # the probe's points are not evenly spaced at the ulp level here, and
+        # exp' = 3e19 times that error once outweighed the second differences
+        x = write_vector(tmp_path, "x.csv", "44.94016331641795,44.94016331641795\n")
+        y = write_vector(tmp_path, "y.csv", "44.94016296968159,44.940163663154316\n")
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "expt", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
     def test_square_near_1e8_is_convex(self, capsys, tmp_path):
         x = write_vector(tmp_path, "x.csv", "100000000.25,100000000.25\n")
         y = write_vector(tmp_path, "y.csv", "100000000.5,100000000\n")

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monobound.errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
-from monobound.functions import power_complement
+from monobound.functions import (
+    constant,
+    exponential,
+    linear,
+    logarithmic,
+    power_complement,
+    reciprocal,
+    trigonometric,
+)
 from monobound import majorization
 from monobound.majorization import (
     BOTH,
@@ -348,6 +356,58 @@ class TestKaramata:
         for seed in range(40):
             x, y = generate_majorized_pair(n=12, transfers=30, seed=seed)
             assert karamata_check(g, x, y).margin >= -1e-12
+
+
+@st.composite
+def placed_pairs(draw, lo_range):
+    """A generated majorized pair scaled to a hull 1e-9 to 1 wide, whose low
+    end is drawn by ``lo_range(width)`` as (min, max)."""
+    n = draw(st.integers(2, 200))
+    x, y = generate_majorized_pair(n, draw(st.integers(0, 3 * n)), draw(st.integers(0, 2**32 - 1)))
+    width = 10.0 ** draw(st.floats(-9.0, 0.0))
+    lo = draw(st.floats(*lo_range(width)))
+    return lo + width * x.array, lo + width * y.array, width
+
+
+def on_unit_hull(width):
+    return 0.0, 1.0 - width
+
+
+class TestConvexityProbe:
+    """The probe never turns rounding into a verdict: a concave g passes or
+    is refused, but never reports a negative margin for majorized inputs,
+    and a convex g is neither refused nor reported."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_pairs(on_unit_hull))
+    def test_concave_g_never_violates(self, case):
+        x, y, _ = case
+        for g in (trigonometric(), logarithmic(), power_complement(2), power_complement(3)):
+            try:
+                assert karamata_check(g, x, y).holds
+            except NotConvex:
+                pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_pairs(on_unit_hull))
+    def test_convex_catalog_g_is_accepted(self, case):
+        x, y, _ = case
+        for g in (exponential(1), reciprocal(), power_complement(0.5), linear(-1.0, 1.0), constant(2.0)):
+            assert karamata_check(g, x, y).holds
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_pairs(lambda width: (-1e6, 1e6)), st.floats(0.0, 1.0))
+    def test_convex_g_is_accepted_far_from_zero(self, case, at):
+        x, y, width = case
+        c = float(x.min()) + at * width
+        for g in (lambda t: t * t, lambda t: abs(t - c)):
+            assert karamata_check(g, x, y).holds
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_pairs(lambda width: (-700.0, 700.0)))
+    def test_exp_is_accepted_up_to_large_values(self, case):
+        x, y, _ = case
+        assert karamata_check(math.exp, x, y).holds
 
 
 def reference_rounds(n, transfers, seed):

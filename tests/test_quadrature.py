@@ -425,7 +425,11 @@ functions = st.one_of(st.sampled_from(CATALOG), table_knots(30).map(tabulated))
 densities = st.one_of(
     st.just(uniform_density()),
     st.just(polynomial_density([0.5, 1.0])),
-    st.floats(min_value=0.0, max_value=1.0).map(triangular_density),
+    # a peak whose slope 2/p overflows gives an integrand that is inf strictly
+    # between 0 and p, which the kernel refuses (TestNonFinitePanels)
+    st.floats(min_value=0.0, max_value=1.0)
+    .filter(lambda p: p == 0.0 or math.isfinite(2.0 / p))
+    .map(triangular_density),
     table_knots(12).map(tabulated_density),
 )
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from monobound import quadrature, transform
 from monobound.bounds import bound_report, refinement_chain
-from monobound.errors import EmptyInput, NonMonotoneFunction, NotNormalized
+from monobound.errors import EmptyInput, NonFiniteValue, NonMonotoneFunction, NotNormalized
 from monobound.functions import (
     constant,
     exponential,
@@ -24,6 +25,12 @@ from monobound.transform import (
     triangular_density,
     uniform_density,
 )
+
+
+EPS = float(np.finfo(float).eps)
+#: Test ids of ``catalog_densities()``; the uniform and triangular densities
+#: are tables, so their ``kind`` does not tell them apart.
+DENSITY_IDS = ["uniform", "polynomial0", "polynomial1", "triangular", "tabulated"]
 
 
 def catalog_densities():
@@ -90,10 +97,21 @@ class TestDensities:
         with pytest.raises(ValueError):
             triangular_density(1.5)
 
+    def test_uniform_is_a_table(self):
+        f = uniform_density()
+        assert f.kind == "tabulated" and f.kinks == ()
+        xs = np.array([-1e300, -3.0, -0.5, 0.0, 1e-300, 0.3, 0.7, 1.0, 1.5, 1e200, math.inf, -math.inf])
+        assert f.values(xs).tolist() == [1.0] * xs.size
+        assert f.cdf(xs).tobytes() == np.clip(xs, 0.0, 1.0).tobytes()
+
     def test_triangular_apex_value(self):
         assert triangular_density(0.5)(0.5) == 2.0
         assert triangular_density(0.0)(0.0) == 2.0
         assert triangular_density(1.0)(1.0) == 2.0
+
+    def test_triangular_is_a_table(self):
+        assert triangular_density(0.25).kinks == (0.25,)
+        assert triangular_density(0.0).kinks == triangular_density(1.0).kinks == ()
 
     def test_tabulated_renormalizes(self):
         f = tabulated_density([(0.0, 1.0), (1.0, 3.0)])  # trapezoid mass 2
@@ -128,6 +146,46 @@ class TestDensities:
             polynomial_density([1.0, 1.0])
 
 
+def triangle_oracle(p, x):
+    """The closed forms of the triangle with apex f(p) = 2: (pdf, CDF) at x."""
+    if p > 0.0 and x <= p:
+        return 2.0 * x / p, x * x / p
+    return 2.0 * (1.0 - x) / (1.0 - p), 1.0 - (1.0 - x) ** 2 / (1.0 - p)
+
+
+#: Peaks whose slope 2/p is finite; a subnormal peak below them is refused
+#: by the PIT check (see ``test_subnormal_peak_is_refused``).
+finite_slope_peaks = st.floats(min_value=0.0, max_value=1.0, exclude_min=True).filter(
+    lambda p: math.isfinite(2.0 / p)
+)
+
+
+class TestTriangleOracle:
+    """The triangle's table agrees with its closed forms to a few ulps of
+    the apex 2 (pdf) and of 1 (CDF)."""
+
+    def check(self, p, x):
+        f = triangular_density(p)
+        pdf, cdf = triangle_oracle(p, x)
+        assert abs(f.values(x) - pdf) <= 8 * EPS
+        assert abs(f.cdf(x) - cdf) <= 4 * EPS
+
+    @given(finite_slope_peaks, st.floats(min_value=0.0, max_value=1.0))
+    def test_random_peaks(self, p, x):
+        self.check(p, x)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 0.1, 0.5, 0.9, 1.0 - 2**-53, 1.0])
+    def test_peak_at_an_end(self, p, x):
+        self.check(p, x)
+
+    def test_subnormal_peak_is_refused(self):
+        # 2/p overflows, so the table is inf strictly between 0 and p, as
+        # for any table whose slope overflows
+        with pytest.raises(NonFiniteValue):
+            pit_identity_check(triangular_density(1e-310), reciprocal(), 1e-10)
+
+
 class TestCdf:
     def test_uniform_cdf_is_identity(self):
         F = uniform_density().cdf
@@ -144,7 +202,7 @@ class TestCdf:
         F = triangular_density(0.5).cdf
         assert F(0.5) == 0.5
 
-    @pytest.mark.parametrize("f", catalog_densities(), ids=lambda f: f.kind)
+    @pytest.mark.parametrize("f", catalog_densities(), ids=DENSITY_IDS)
     def test_cdf_endpoints_and_monotonicity(self, f):
         F = f.cdf
         grid = np.linspace(0.0, 1.0, 1001)
@@ -173,7 +231,7 @@ class TestPitIdentity:
         assert rep.rhs == pytest.approx(k / (k + 1.0), abs=1e-10)
         assert rep.passed
 
-    @pytest.mark.parametrize("f", catalog_densities(), ids=lambda f: f.kind)
+    @pytest.mark.parametrize("f", catalog_densities(), ids=DENSITY_IDS)
     @pytest.mark.parametrize("g", catalog_functions(), ids=lambda g: g.kind)
     def test_residual_small_for_all_catalog_pairs(self, f, g):
         rep = pit_identity_check(f, g, 1e-8)
