@@ -13,20 +13,22 @@ and ``--json`` anywhere; ``--depth`` is refine's alone, ``--fn`` karamata's
 ``--tol`` is the ``strict`` threshold and enclosure slack (default 1e-10),
 or transform-check's residual tolerance (1e-8).  Every integral of g is its
 closed form (for ``table:``, the trapezoid sum).  A SPEC is ``name[:args]``:
-one table per family (``_FUNCTIONS``, ``_DENSITIES``, and ``_CONVEX`` for
-karamata, which also takes any function spec) gives each name its
-constructor and argument form, and the one parser, the ``--help`` usage and
-the spec errors all come from it.  Input files are CSV (numbers separated by
-commas, spaces or newlines; one ``x,y`` knot per line) or a JSON array of
-numbers or of [x, y] pairs.  Every number is read by ``float``, so JSON
-booleans and strings are refused.
+one table per family (``_FUNCTIONS``, ``_DENSITIES``, ``_CONVEX``) gives each
+name its constructor and argument form, and the one parser, the ``--help``
+usage and the spec errors all come from it.  karamata's ``--fn`` is
+``square``, ``expt``, ``abs:c=C`` or a function spec of a convex member or
+table (``log``, ``trig`` and ``power`` with k > 1 exit 2).  Input files are
+CSV (numbers separated by commas, spaces or newlines; one ``x,y`` knot per
+line) or a JSON array of numbers or of [x, y] pairs.  Every number is read by
+``float``, so JSON booleans and strings are refused.
 
-Exit codes: 0 success, 1 parse error (also an unreadable or undecodable
-file, a ``--tol`` that is not positive and finite, or a ``--depth`` below
-1), 2 domain error (bad weights, non-monotone function, failed
-precondition, a partition over ``partitions.MAX_INTERVALS``, a quadrature
-sum that overflows: any ``MonoboundError``), 3 mathematical-invariant violation.  Code 3 signals
-a bug in the math, never bad input, so CI can tell the two apart; anything else ends in a traceback.
+Exit codes: 0 success, 1 parse error (also an unreadable or undecodable file,
+a ``--tol`` that is not positive and finite, or a ``--depth`` below 1), 2
+domain error (bad weights, non-monotone or non-convex function, failed
+precondition, a partition over ``partitions.MAX_INTERVALS``, a quadrature sum
+that overflows: any ``MonoboundError``), 3 mathematical-invariant
+violation.  Code 3 signals a bug in the math, never bad input, so CI can tell
+the two apart; anything else ends in a traceback.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the
 Abel route agrees with T_n, the sign of the gap and the gap bound;
 ``enclose`` checks those and that [lower, upper] holds the integral;

@@ -173,11 +173,9 @@ class NonFiniteValue(MonoboundError):
 
 
 class NotConvex(MonoboundError):
-    """Sampled second differences found a concavity witness."""
+    """A function that must be convex is not: ``witness`` holds three points
+    a < b < c of [0, 1] at which g(b) lies above the chord from a to c."""
 
-    def __init__(self, witness: tuple[float, float, float]):
+    def __init__(self, message: str, witness: tuple[float, float, float]):
         self.witness = witness
-        super().__init__(
-            "function is not convex on the sampled hull; "
-            f"witness triple {witness}"
-        )
+        super().__init__(f"{message}; g lies above its chord at the middle of the points x = {witness}")

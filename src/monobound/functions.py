@@ -1,19 +1,19 @@
-"""Catalog of monotone functions on [0, 1] and the monotonicity precondition.
+"""Catalog of monotone functions on [0, 1] and its monotonicity and convexity preconditions.
 
 Catalog members (all strictly decreasing):
 
-    power_complement(k)   1 - x^k, k > 0          integral k/(k+1)
-    exponential(lam)      exp(-lam*x), lam > 0    integral (1 - exp(-lam))/lam
-    logarithmic()         ln(2 - x)               integral 2*ln(2) - 1
-    reciprocal()          1/(1 + x)               integral ln(2)
-    trigonometric()       cos(pi*x/2)             integral 2/pi
+    power_complement(k)   1 - x^k, k > 0          integral k/(k+1)               convex for k <= 1
+    exponential(lam)      exp(-lam*x), lam > 0    integral (1 - exp(-lam))/lam   convex
+    logarithmic()         ln(2 - x)               integral 2*ln(2) - 1           concave
+    reciprocal()          1/(1 + x)               integral ln(2)                 convex
+    trigonometric()       cos(pi*x/2)             integral 2/pi                  concave
 
 plus ``constant(c)`` and ``linear(m, b)`` for equality audits, and
 ``tabulated(points)`` for user data, evaluated by linear interpolation
 between knots, whose integral is the trapezoid sum.  Every member knows
-its integral in closed form, and its direction as a fact: analytic members
-by construction, tables from the exact signs of their knot differences.
-:func:`require_monotone` is the one reader of that direction.
+its integral in closed form, and its direction and convexity as facts:
+analytic members by construction, tables from their exact knot values.
+:func:`require_monotone` and :func:`require_convex` read those facts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import exact_sum
-from .errors import DomainViolation, InvalidArgument, NonMonotoneFunction
+from .errors import DomainViolation, InvalidArgument, NonMonotoneFunction, NotConvex
 from .quadrature import batched_quadrature
 
 DECREASING = "decreasing"
@@ -55,12 +55,14 @@ class MonotoneFunction(_UnitIntervalFunction):
     """Descriptor for a function g on [0, 1] with known monotonicity.
 
     ``closed_form_integral`` is the integral of g over [0, 1]: analytic for
-    catalog members, the trapezoid sum for tabulated data.  Instances are
-    immutable; evaluation is pure.
+    catalog members, the trapezoid sum for tabulated data.  ``convex`` is
+    stated by analytic members and None for a table, whose knots decide it
+    in :func:`require_convex`.  Instances are immutable; evaluation is pure.
     """
 
     kind: str
     direction: str
+    convex: bool | None
     strictly_monotone: bool
     formula: str
     closed_form_integral: float
@@ -93,6 +95,7 @@ def power_complement(k: float) -> MonotoneFunction:
     return MonotoneFunction(
         kind="power_complement",
         direction=DECREASING,
+        convex=k <= 1.0,
         strictly_monotone=True,
         formula=f"1 - x^{k:g}",
         closed_form_integral=k / (k + 1.0),
@@ -109,6 +112,7 @@ def exponential(lam: float) -> MonotoneFunction:
     return MonotoneFunction(
         kind="exponential",
         direction=DECREASING,
+        convex=True,
         strictly_monotone=True,
         formula=f"exp(-{lam:g}*x)",
         closed_form_integral=-math.expm1(-lam) / lam,
@@ -122,6 +126,7 @@ def logarithmic() -> MonotoneFunction:
     return MonotoneFunction(
         kind="logarithmic",
         direction=DECREASING,
+        convex=False,
         strictly_monotone=True,
         formula="ln(2 - x)",
         closed_form_integral=2.0 * math.log(2.0) - 1.0,
@@ -134,6 +139,7 @@ def reciprocal() -> MonotoneFunction:
     return MonotoneFunction(
         kind="reciprocal",
         direction=DECREASING,
+        convex=True,
         strictly_monotone=True,
         formula="1/(1 + x)",
         closed_form_integral=math.log(2.0),
@@ -146,6 +152,7 @@ def trigonometric() -> MonotoneFunction:
     return MonotoneFunction(
         kind="trigonometric",
         direction=DECREASING,
+        convex=False,
         strictly_monotone=True,
         formula="cos(pi*x/2)",
         closed_form_integral=2.0 / math.pi,
@@ -161,6 +168,7 @@ def constant(c: float) -> MonotoneFunction:
     return MonotoneFunction(
         kind="constant",
         direction=CONSTANT,
+        convex=True,
         strictly_monotone=False,
         formula=f"{c:g}",
         closed_form_integral=c,
@@ -178,6 +186,7 @@ def linear(m: float, b: float) -> MonotoneFunction:
     return MonotoneFunction(
         kind="linear",
         direction=direction,
+        convex=True,
         strictly_monotone=strict,
         formula=f"{m:g}*x + {b:g}",
         closed_form_integral=m / 2.0 + b,
@@ -201,6 +210,7 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
+        convex=None,
         strictly_monotone=strict,
         formula=f"piecewise linear through {xs.size} knots",
         closed_form_integral=exact_sum(_trapezoids(xs, ys)),
@@ -268,6 +278,24 @@ def require_monotone(g: MonotoneFunction, op: str, decreasing: bool = False) -> 
             j = max(int(np.argmax(diffs > 0.0)), int(np.argmax(diffs < 0.0)))
             witness = (float(knots[j]), float(knots[j + 1]))
         raise NonMonotoneFunction(f"{op} requires a monotone function", witness=witness)
+
+
+def require_convex(g: Callable[[float], float], op: str) -> None:
+    """Raise NotConvex unless g is convex: a member as it states (a concave
+    one lies above its chord at 0.5), a table when its knot slopes never
+    fall, in exact rationals (the witness is the first three knots whose
+    slopes do), and any other callable on its caller's word."""
+    if not isinstance(g, MonotoneFunction) or g.convex:
+        return
+    if g.convex is False:
+        raise NotConvex(f"{op} requires a convex function", (0.0, 0.5, 1.0))
+    from fractions import Fraction  # imported here: only a table's convexity needs it
+    knots = np.array([0.0, *g.kinks, 1.0])
+    xs, ys = (list(map(Fraction, a.tolist())) for a in (knots, g.values(knots)))
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    for j in range(len(slopes) - 1):
+        if slopes[j + 1] < slopes[j]:
+            raise NotConvex(f"{op} requires a convex function", tuple(knots[j : j + 3].tolist()))
 
 
 def _direction_of(diffs: np.ndarray) -> tuple[str, bool]:

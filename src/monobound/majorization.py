@@ -14,24 +14,22 @@ Each vector holds one read-only float64 array; a weight vector's is shared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import InvalidArgument, LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
+from .errors import InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized, SumOverflow
+from .functions import require_convex
 from .partitions import WeightVector, _ArrayBacked
 
 #: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
 #: and the absolute part of the slack on values and sums of g.
 COMPARISON_TOLERANCE = 1e-12
 #: A few ulps: the relative part of the slack on values and sums of g, which
-#: each carry a rounding of g and of the sum.
+#: carry a rounding of g and of the sum, and on the rounded prefix margins.
 ROUNDING_SLACK = 4 * float(np.finfo(float).eps)
-#: Evenly spaced points of the hull at which ``karamata_check`` tests convexity.
-CONVEXITY_SAMPLES = 257
 
 X_MAJORIZED_BY_Y = "x_majorized_by_y"
 Y_MAJORIZED_BY_X = "y_majorized_by_x"
@@ -84,14 +82,16 @@ class MajorizationVerdict:
 class KaramataReport:
     """sum g(y) - sum g(x) for majorized x < y and convex g.
 
-    ``holds`` allows the margin to fall below zero by ``COMPARISON_TOLERANCE``
-    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)| (the rounding of
-    g's values and of the sums), plus what inputs that pass the checks only
-    up to their slack allow: (kappa / 2) * max(0, sum y_i^2 - sum x_i^2) for
-    the concavity -g'' <= kappa that the convexity probe lets through (as
-    g + kappa t^2 / 2 is convex), and, for totals that differ, the steepest
-    chord slope of g on the probe's grid times |sum y_i - sum x_i| (by Abel
-    summation).
+    ``holds`` lets the margin fall below zero by ``COMPARISON_TOLERANCE``
+    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)| (the rounding
+    of g and of the sums), and by what the slack of :func:`is_majorized`
+    lets through.  By Abel summation, as in Karamata's proof, the margin is
+    sum_k (c_k - c_(k+1)) D_k + c_n D_n for the prefix margins D_k and the
+    chord slopes c_k of g between the k-th largest x and y, which fall with
+    k within [s_lo, s_hi], the slopes between the two lowest and the two
+    highest distinct entries.  So it is at least -(s_hi - s_lo) * max(0,
+    -min D_k) - max(|s_lo|, |s_hi|) * |D_n|, each D_k widened by its
+    rounding, ``ROUNDING_SLACK`` * (sum |x_i| + sum |y_i|).
     """
 
     margin: float
@@ -108,15 +108,15 @@ def as_real_vector(v: VectorLike) -> RealVector:
     return RealVector(np.asarray(v, dtype=float).ravel())
 
 
-def is_majorized(x: VectorLike, y: VectorLike, tol: float = COMPARISON_TOLERANCE) -> MajorizationVerdict:
+def is_majorized(x: VectorLike, y: VectorLike) -> MajorizationVerdict:
     """Decide the majorization relation between x and y.
 
     Both vectors are sorted in decreasing order; prefix sums are compared
-    with slack ``tol * max(sum |x_i|, sum |y_i|)``, so ``tol`` is relative
-    to the vectors' scale.  Unequal totals give "total_mismatch"; prefix
-    margins of both signs give "incomparable"; margins vanishing in both
-    directions mean the vectors are permutations of each other ("both").
-    Raises SumOverflow when a prefix sum, margin or sum |.| overflows.
+    with slack ``COMPARISON_TOLERANCE * max(sum |x_i|, sum |y_i|)``.
+    Unequal totals give "total_mismatch"; prefix margins of both signs give
+    "incomparable"; margins vanishing in both directions mean the vectors
+    are permutations of each other ("both").  Raises SumOverflow when a
+    prefix sum, margin or sum |.| overflows.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     if xv.n != yv.n:
@@ -125,7 +125,7 @@ def is_majorized(x: VectorLike, y: VectorLike, tol: float = COMPARISON_TOLERANCE
     try:
         with np.errstate(over="raise", invalid="raise"):
             margins = compensated_prefix_sums(ys)[1:] - compensated_prefix_sums(xs)[1:]
-        slack = tol * max(exact_sum(np.abs(xs)), exact_sum(np.abs(ys)))
+        slack = COMPARISON_TOLERANCE * max(exact_sum(np.abs(xs)), exact_sum(np.abs(ys)))
     except (FloatingPointError, OverflowError):
         raise SumOverflow() from None
     prefix_margins = tuple(margins.tolist())
@@ -150,62 +150,35 @@ def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np
     return values
 
 
-def _check_convex_on_hull(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Raise NotConvex where g bends down between sampled points of [lo, hi].
-
-    Returns (kappa, slope): the most concavity -g'' that the probe's slack
-    lets through, and the steepest |chord slope| between neighbouring points.
-    """
-    if lo == hi:
+def _end_chords(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Chord slopes of g, whose values at t are v, between the two lowest and
+    the two highest distinct points of t (0.0 if t holds one value)."""
+    lo, hi = int(t.argmin()), int(t.argmax())
+    if t[lo] == t[hi]:
         return 0.0, 0.0
-    grid = np.unique(np.linspace(lo, hi, CONVEXITY_SAMPLES))  # a hull a few ulps wide repeats points
-    vals = _g_values(fn, grid, "the hull of x and y")
-    d = np.diff(grid)
-    with np.errstate(over="ignore"):
-        slope = float(np.abs(np.diff(vals) / d).max())
-    # halved second differences, weighted by the actual spacing so that a line
-    # gives zero however the grid rounds, cannot overflow for finite values;
-    # a few ulps of |v0| + |v1| + |v2| cover the rounding of large values
-    d10, d21, d20 = d[:-1], d[1:], grid[2:] - grid[:-2]
-    v0, v1, v2 = 0.5 * (d21 / d20) * vals[:-2], 0.5 * vals[1:-1], 0.5 * (d10 / d20) * vals[2:]
-    slack = 0.25 * COMPARISON_TOLERANCE + ROUNDING_SLACK * (abs(v0) + abs(v1) + abs(v2))
-    bad = v0 - v1 + v2 < -slack
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NotConvex((float(grid[i]), float(grid[i + 1]), float(grid[i + 2])))
-    # g'' = -kappa makes v0 - v1 + v2 = -kappa * d10 * d21 / 4
-    with np.errstate(over="ignore", divide="ignore"):
-        return float((4.0 * slack / (d10 * d21)).max(initial=0.0)), slope
-
-
-def _times_sum(c: float, values: np.ndarray) -> float:
-    """c times the exact sum of ``values``; 0.0 where either is not finite."""
-    try:
-        out = c * exact_sum(values)
-    except (OverflowError, ValueError):  # fsum's intermediate overflow, and inf - inf
-        return 0.0
-    return out if math.isfinite(out) else 0.0
+    lo2, hi2 = int(np.where(t > t[lo], t, np.inf).argmin()), int(np.where(t < t[hi], t, -np.inf).argmax())
+    with np.errstate(over="ignore"):  # a slope that overflows is inf
+        return float((v[lo2] - v[lo]) / (t[lo2] - t[lo])), float((v[hi] - v[hi2]) / (t[hi] - t[hi2]))
 
 
 def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) -> KaramataReport:
     """Check sum g(x_i) <= sum g(y_i) for x majorized by y and convex g.
 
-    ``g`` may be any scalar callable (including a catalog function, whose
-    domain then restricts the entries to [0, 1]).  Convexity is guarded by
-    sampled second differences on the hull of all entries; majorization by
-    :func:`is_majorized`.  Raises NotMajorized / NotConvex when the
-    hypotheses fail, and NonFiniteValue when a value of g, or the sum of
-    |g| over x and y, overflows or is not finite.  g is a scalar callable,
-    evaluated once per entry; the sums are :func:`exact_sum`'s, which are
-    :func:`math.fsum`'s bit for bit.
+    A catalog function or table states its convexity (see
+    :func:`~monobound.functions.require_convex`), and its domain restricts
+    the entries to [0, 1]; any other scalar callable is convex on its
+    caller's word.  Raises NotMajorized / NotConvex when the hypotheses
+    fail, and NonFiniteValue when a value of g, or the sum of |g| over x
+    and y, is not finite.  g is called once per entry; the sums are
+    :func:`exact_sum`'s, which are :func:`math.fsum`'s bit for bit.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     verdict = is_majorized(xv, yv)
     if verdict.relation not in (X_MAJORIZED_BY_Y, BOTH):
         raise NotMajorized(verdict.relation)
-    hull = np.concatenate((xv.array, yv.array))
-    kappa, slope = _check_convex_on_hull(g, float(hull.min()), float(hull.max()))
-    gx, gy = _g_values(g, xv.array, "x"), _g_values(g, yv.array, "y")
+    require_convex(g, "karamata_check")
+    xa, ya = xv.array, yv.array
+    gx, gy = _g_values(g, xa, "x"), _g_values(g, ya, "y")
     try:
         scale = exact_sum(np.abs(gx)) + exact_sum(np.abs(gy))
     except OverflowError:
@@ -215,14 +188,13 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     # both sums and the margin are at most scale in magnitude: all finite
     sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x
-    # the shortfalls that slack in the two checks allows (see KaramataReport),
-    # each dropped where it overflows
-    xa, ya = xv.array, yv.array
-    with np.errstate(over="ignore"):
-        squares = np.concatenate((ya * ya, -(xa * xa)))
-    concavity = max(0.0, _times_sum(0.5 * kappa, squares))
-    totals = abs(_times_sum(slope, np.concatenate((ya, -xa))))
-    holds = margin >= -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale + concavity + totals)
+    rho = ROUNDING_SLACK * (exact_sum(np.abs(xa)) + exact_sum(np.abs(ya)))  # see KaramataReport
+    *prefix, total = verdict.prefix_margins or (0.0,)
+    dip, mismatch = max(0.0, -min(prefix, default=0.0)) + rho, abs(total) + rho
+    s_lo, s_hi = _end_chords(np.concatenate((xa, ya)), np.concatenate((gx, gy)))
+    allowance = (s_hi - s_lo) * dip + max(abs(s_lo), abs(s_hi)) * mismatch
+    # not <, so that the nan of an overflowing slope times 0 bounds nothing
+    holds = not margin < -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale + allowance)
     return KaramataReport(margin, holds, sum_x, sum_y)
 
 

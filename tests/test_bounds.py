@@ -349,6 +349,63 @@ class TestScaleEquivariance:
         assert [v.hex() for v in scaled] == [v.hex() for v in expected]
 
 
+class TestNegation:
+    """g -> -g flips the direction and negates every value exactly, and each
+    sum is correctly rounded, which is symmetric under negation: every value
+    negates bit for bit, and the verdicts do not move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_knots(), st.floats(-5.0, 5.0), st.integers(1, 2999), st.integers(0, 2**32 - 1))
+    def test_values_negate_and_verdicts_stay(self, knots, log_scale, n, seed):
+        c = 10.0**log_scale
+        g = tabulated([(x, c * y) for x, y in knots])
+        ng = tabulated([(x, -c * y) for x, y in knots])
+        p = cumulative(from_weights(np.random.default_rng(seed).lognormal(0.0, 2.0, n), normalize=True))
+
+        def outcome(g):
+            r, left = bound_report(g, p), riemann_sum_left(g, p)
+            values = np.array([r.t_n, r.integral, r.gap, r.gap_bound, r.abel_value, left])
+            return values, r.strict, len(r.invariant_violations(left)), r.direction
+
+        values, strict, violations, direction = outcome(g)
+        n_values, n_strict, n_violations, n_direction = outcome(ng)
+        assert [v.hex() for v in n_values] == [(-v).hex() for v in values]
+        assert (n_strict, n_violations) == (strict, violations)
+        assert (direction, n_direction) == (DECREASING, INCREASING)
+
+
+@st.composite
+def dyadic_tables(draw):
+    """Weights k_i / 2^30 summing to exactly 1, so every breakpoint S_i and
+    1 - S_i is exact, and knots (S_i, y_i) of a decreasing table."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.unique(rng.integers(1, 2**30, draw(st.integers(0, 1998))))
+    w = np.diff(np.concatenate(([0], cuts, [2**30]))) / 2.0**30
+    ys = np.sort(rng.uniform(-2.0, 2.0, w.size + 1))[::-1] * 10.0 ** draw(st.floats(-5.0, 5.0))
+    return w, ys
+
+
+class TestReflection:
+    """h(x) = g(1 - x) with the weights reversed is the paper's left/right
+    duality: the right sum of h is the left sum of g and the other way round.
+    With dyadic weights and a knot of g at every breakpoint, both sums take
+    the same multiset of exact products, and each is correctly rounded, so
+    they agree bit for bit.  This is the one exact check on the left sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_tables())
+    def test_right_and_left_sums_trade_places(self, table):
+        w, ys = table
+        p, q = cumulative(from_weights(w)), cumulative(from_weights(w[::-1]))
+        assert np.array_equal(q.array, 1.0 - p.array[::-1])  # the breakpoints are exact
+        g = tabulated(list(zip(p.array.tolist(), ys.tolist())))
+        h = tabulated(list(zip(q.array.tolist(), ys[::-1].tolist())))
+        assert riemann_sum_right(h, q).hex() == riemann_sum_left(g, p).hex()
+        assert riemann_sum_left(h, q).hex() == riemann_sum_right(g, p).hex()
+        assert h.closed_form_integral.hex() == g.closed_form_integral.hex()
+        assert (g.direction, h.direction) in ((DECREASING, INCREASING), ("constant", "constant"))
+
+
 class TestStreamingMemory:
     """The sums stream their terms through block-sized buffers: beyond g's own
     values (and its evaluation's temporary), no full-size array is built."""

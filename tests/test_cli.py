@@ -276,14 +276,37 @@ class TestKaramata:
         assert "domain error" in err
 
     def test_concavity_under_the_probe_slack_is_not_a_violation(self, capsys, tmp_path):
-        # cos(pi t/2) is concave, but on a hull 1e-4 wide its second
-        # differences lie under the probe's slack; the margin -4.36e-9 lies
-        # inside the band that slack admits, so this is no bug in the math
+        # cos(pi t/2) states that it is concave, so even on a hull 1e-4 wide,
+        # where its margin is -4.36e-9, it is refused as input, not reported
         x = write_vector(tmp_path, "x.csv", "0.5,0.5\n")
         y = write_vector(tmp_path, "y.csv", "0.49995,0.50005\n")
-        code, _, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "trig")
-        assert code in (0, 2)
-        assert "invariant violation" not in err
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "trig")
+        assert (code, out) == (2, "")
+        assert err == (
+            "domain error: karamata_check requires a convex function; "
+            "g lies above its chord at the middle of the points x = (0.0, 0.5, 1.0)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, x_text, y_text",
+        [("square", "1000000.0000005,-5e-7\n", "1000000,0\n"), ("expt", "700.0000000005,-5e-10\n", "700,0\n")],
+        ids=["square", "expt"],
+    )
+    def test_prefix_margins_dipping_within_the_slack_pass(self, capsys, tmp_path, spec, x_text, y_text):
+        # majorize calls each pair "both", though the first prefix margin is
+        # negative; Abel summation bounds the negative margin this costs
+        x, y = write_vector(tmp_path, "x.csv", x_text), write_vector(tmp_path, "y.csv", y_text)
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", spec, "--json")
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert got["margin"] < 0.0 and got["pass"] is True
+
+    def test_convex_table_that_is_not_monotone(self, capsys, tmp_path):
+        knots = write_vector(tmp_path, "v.csv", "0,1\n0.5,0\n1,1\n")
+        x, y = write_vector(tmp_path, "x.csv", "0.5,0.5\n"), write_vector(tmp_path, "y.csv", "1,0\n")
+        code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", f"table:@{knots}", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["margin"] == 2.0
 
     def test_exp_on_an_unevenly_rounded_grid_is_convex(self, capsys, tmp_path):
         # the probe's points are not evenly spaced at the ulp level here, and

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from monobound.bounds import bound_report
-from monobound.errors import DomainViolation, NonMonotoneFunction
+from monobound.errors import DomainViolation, NonMonotoneFunction, NotConvex
 from monobound.functions import (
     CONSTANT,
     DECREASING,
@@ -23,6 +23,7 @@ from monobound.functions import (
     logarithmic,
     power_complement,
     quadrature_integral,
+    require_convex,
     require_monotone,
     reciprocal,
     tabulated,
@@ -302,6 +303,71 @@ class TestRequireMonotone:
         ys = data.draw(st.lists(y, min_size=len(xs), max_size=len(xs)))
         got = tabulated(list(zip(xs, ys))).values(np.array(xs))
         assert got.tobytes() == np.array(ys, dtype=float).tobytes()
+
+
+@st.composite
+def shaped_knots(draw):
+    """Knots of a table that is convex by construction (V shapes among them),
+    linear, or random, with one knot nudged by an ulp half the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.unique(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, draw(st.integers(0, 30))))))
+    shape = draw(st.sampled_from(["convex", "v", "line", "random"]))
+    if shape == "convex":
+        slopes = np.sort(rng.uniform(-3.0, 3.0, xs.size - 1))
+        ys = rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(slopes * np.diff(xs))))
+    elif shape == "v":
+        ys = rng.uniform(0.5, 2.0) * np.abs(xs - rng.uniform(0.0, 1.0))
+    elif shape == "line":
+        ys = 0.75 - 0.5 * xs
+    else:
+        ys = rng.uniform(-1.0, 1.0, xs.size)
+    if draw(st.booleans()):
+        j = rng.integers(xs.size)
+        ys[j] = np.nextafter(ys[j], draw(st.sampled_from([-np.inf, np.inf])))
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+class TestRequireConvex:
+    """Convexity as a stated fact: catalog members state it, a table's knots
+    decide it exactly, and any other callable is convex on its caller's word."""
+
+    @pytest.mark.parametrize("g, convex", [
+        (power_complement(0.5), True), (power_complement(1), True), (power_complement(2), False),
+        (exponential(2), True), (logarithmic(), False), (reciprocal(), True), (trigonometric(), False),
+        (constant(3), True), (linear(-1, 1), True), (linear(2, 0), True),
+    ], ids=lambda v: getattr(v, "kind", str(v)))
+    def test_catalog_members_state_their_curvature(self, g, convex):
+        a, m, b = g.values(np.array([0.0, 0.5, 1.0])).tolist()
+        assert g.convex is convex
+        if convex:
+            assert m <= (a + b) / 2 + 1e-15
+            require_convex(g, "op")
+        else:
+            assert m > (a + b) / 2  # so (0, 0.5, 1) is a true witness
+            with pytest.raises(NotConvex, match="^op requires a convex function") as info:
+                require_convex(g, "op")
+            assert info.value.witness == (0.0, 0.5, 1.0)
+
+    def test_a_bare_callable_is_taken_at_its_word(self):
+        require_convex(lambda t: -t * t, "op")
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_knots())
+    def test_tables_agree_with_exact_chords(self, knots):
+        # the middle of three knots must lie on or below their outer chord
+        g = tabulated(knots)
+        assert g.convex is None
+        x, y = ([Fraction(v) for v in c] for c in zip(*knots))
+        above = [
+            j for j in range(1, len(x) - 1)
+            if y[j] * (x[j + 1] - x[j - 1]) > y[j - 1] * (x[j + 1] - x[j]) + y[j + 1] * (x[j] - x[j - 1])
+        ]
+        if not above:
+            require_convex(g, "op")
+            return
+        with pytest.raises(NotConvex) as info:
+            require_convex(g, "op")
+        assert info.value.witness == tuple(float(v) for v in x[above[0] - 1 : above[0] + 2])
 
 
 class TestConstructorsValidate:

@@ -13,6 +13,7 @@ from monobound.functions import (
     logarithmic,
     power_complement,
     reciprocal,
+    tabulated,
     trigonometric,
 )
 from monobound import majorization
@@ -33,11 +34,11 @@ vectors = st.lists(
 )
 
 
-def oracle_is_majorized(x, y, tol=1e-12):
+def oracle_is_majorized(x, y):
     """The tuple-and-sorted() implementation, one scalar step at a time.
 
     Prefix sums come from a NeumaierSum loop; the slack is the relative one,
-    tol * max(fsum |x_i|, fsum |y_i|).  Returns (relation, margins).
+    1e-12 * max(fsum |x_i|, fsum |y_i|).  Returns (relation, margins).
     """
     def prefixes(values):
         acc, out = NeumaierSum(), []
@@ -49,7 +50,7 @@ def oracle_is_majorized(x, y, tol=1e-12):
     xs = sorted((float(t) for t in x), reverse=True)
     ys = sorted((float(t) for t in y), reverse=True)
     margins = tuple(b - a for a, b in zip(prefixes(xs), prefixes(ys)))
-    slack = tol * max(math.fsum(abs(t) for t in xs), math.fsum(abs(t) for t in ys))
+    slack = 1e-12 * max(math.fsum(abs(t) for t in xs), math.fsum(abs(t) for t in ys))
     if abs(margins[-1]) > slack:
         return "total_mismatch", margins
     x_under = all(m >= -slack for m in margins[:-1])
@@ -156,11 +157,6 @@ class TestArrayPathMatchesOracle:
     def test_generated_pairs(self, n, transfers, seed):
         x, y = generate_majorized_pair(n, transfers, seed)
         self.check(x.entries, y.entries)
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.1])
-    def test_slack_passed_through(self, tol):
-        x, y = [0.5, 0.4, 0.1], [0.6, 0.3, 0.1]
-        assert is_majorized(x, y, tol).relation == oracle_is_majorized(x, y, tol)[0]
 
 
 class TestScaleAwareSlack:
@@ -284,8 +280,12 @@ class TestKaramata:
 
     def test_concave_function_rejected_with_witness(self):
         with pytest.raises(NotConvex) as info:
-            karamata_check(lambda t: -t * t, [0.5, 0.5], [1.0, 0.0])
-        assert len(info.value.witness) == 3
+            karamata_check(trigonometric(), [0.5, 0.5], [1.0, 0.0])
+        assert info.value.witness == (0.0, 0.5, 1.0)
+        cap = tabulated([(0.0, 0.0), (0.25, 1.0), (0.5, 1.5), (1.0, 0.0)])  # slopes 4, 2, -3
+        with pytest.raises(NotConvex, match="lies above its chord") as info:
+            karamata_check(cap, [0.5, 0.5], [1.0, 0.0])
+        assert info.value.witness == (0.0, 0.25, 0.5)
 
     def test_square_near_1e8_passes_the_convexity_guard(self):
         # second differences of t^2 there are rounding noise of a few units
@@ -293,8 +293,25 @@ class TestKaramata:
         assert rep.holds
 
     def test_concave_function_rejected_at_large_scale(self):
-        with pytest.raises(NotConvex):
-            karamata_check(lambda t: -t * t, [5e7, 5e7], [1e8, 0.0])
+        # the second slope is one ulp of 2e300 below the first: no sample of
+        # g in float64 could tell, the exact knot slopes do
+        top = float(np.nextafter(2e300, 0.0))
+        with pytest.raises(NotConvex) as info:
+            karamata_check(tabulated([(0.0, 0.0), (0.5, 1e300), (1.0, top)]), [0.5, 0.5], [1.0, 0.0])
+        assert info.value.witness == (0.0, 0.5, 1.0)
+        with pytest.raises(NotConvex):  # a concave member on a hull 1e-4 wide
+            karamata_check(power_complement(2), [0.5, 0.5], [0.50005, 0.49995])
+
+    def test_g_is_called_once_per_entry(self):
+        calls = []
+        x, y = generate_majorized_pair(n=50, transfers=80, seed=4)
+        karamata_check(lambda t: calls.append(t) or t * t, x, y)
+        assert sorted(calls) == sorted(x.entries + y.entries)
+
+    def test_convex_table_need_not_be_monotone(self):
+        v = tabulated([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)])
+        rep = karamata_check(v, [0.5, 0.5], [1.0, 0.0])
+        assert (rep.margin, rep.holds) == (2.0, True)
 
     def test_catalog_function_must_be_convex(self):
         # 1 - t^2 is concave on [0, 1]
@@ -332,7 +349,7 @@ class TestKaramata:
             (math.exp, [1000.0, 1000.0], [1000.0, 1000.0], "g on x"),  # OverflowError
             (lambda t: t * t, [1e200, 1e200], [1e200, 1e200], "g on x"),  # inf
             (lambda t: math.nan, [1.0], [1.0], "g on x"),
-            (math.exp, [500.0, 500.0], [1000.0, 0.0], "g on the hull of x and y"),
+            (math.exp, [500.0, 500.0], [1000.0, 0.0], "g on y"),
             (lambda t: 8e307 * (1.0 + t), [0.5, 0.5], [1.0, 0.0], "the sum of |g| over x and y"),
             (lambda t: 1.5e308, [0.5], [0.5], "the sum of |g| over x and y"),
         ],
@@ -373,20 +390,36 @@ def on_unit_hull(width):
     return 0.0, 1.0 - width
 
 
+@st.composite
+def concave_knots(draw):
+    """Knots of a table whose slopes fall somewhere: one inner knot is lifted
+    above both of its neighbours, so above their chord."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.unique(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, draw(st.integers(1, 38))))))
+    ys = rng.uniform(-2.0, 2.0, xs.size)
+    j = draw(st.integers(1, xs.size - 2))
+    ys[j] = max(ys[j - 1], ys[j + 1]) + draw(st.floats(1e-6, 1.0))
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
 class TestConvexityProbe:
-    """The probe never turns rounding into a verdict: a concave g passes or
-    is refused, but never reports a negative margin for majorized inputs,
-    and a convex g is neither refused nor reported."""
+    """Convexity is a stated fact: a concave member or table is refused
+    whatever the hull, and a convex g is neither refused nor reported."""
 
     @settings(max_examples=60, deadline=None)
     @given(placed_pairs(on_unit_hull))
     def test_concave_g_never_violates(self, case):
         x, y, _ = case
         for g in (trigonometric(), logarithmic(), power_complement(2), power_complement(3)):
-            try:
-                assert karamata_check(g, x, y).holds
-            except NotConvex:
-                pass
+            with pytest.raises(NotConvex):
+                karamata_check(g, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_pairs(on_unit_hull), concave_knots())
+    def test_concave_table_is_refused(self, case, knots):
+        x, y, _ = case
+        with pytest.raises(NotConvex):
+            karamata_check(tabulated(knots), x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(placed_pairs(on_unit_hull))
@@ -408,6 +441,71 @@ class TestConvexityProbe:
     def test_exp_is_accepted_up_to_large_values(self, case):
         x, y, _ = case
         assert karamata_check(math.exp, x, y).holds
+
+
+@st.composite
+def pushed_pairs(draw, lo_range, widest):
+    """A generated majorized pair on a hull up to ``widest`` wide, whose low
+    end is drawn by ``lo_range(width)``, pushed past majorization by less
+    than the slack of is_majorized: x's largest entry gains d, and its
+    smallest loses d or, so that the totals differ, keeps it."""
+    n = draw(st.integers(2, 50))
+    x, y = generate_majorized_pair(n, draw(st.integers(0, 3 * n)), draw(st.integers(0, 2**32 - 1)))
+    width = 10.0 ** draw(st.floats(-9.0, math.log10(widest)))
+    lo = draw(st.floats(*lo_range(width)))
+    x, y = lo + width * x.array, lo + width * y.array
+    d = draw(st.floats(0.0, 0.45)) * 1e-12 * max(np.abs(x).sum(), np.abs(y).sum())
+    x[x.argmax()] += d
+    if draw(st.booleans()):
+        x[x.argmin()] -= d
+    return x, y
+
+
+class TestSlackDips:
+    """is_majorized calls a pair majorized whose prefix margins dip below
+    zero, or whose totals differ, within its slack.  Karamata's Abel
+    summation bounds what that costs a convex g, so a convex g never fails."""
+
+    @staticmethod
+    def check(g, x, y):
+        if is_majorized(x, y).relation in ("x_majorized_by_y", "both"):
+            assert karamata_check(g, x, y).holds
+
+    @settings(max_examples=150, deadline=None)
+    @given(pushed_pairs(lambda width: (-1e6, 1e6), 1e6), st.floats(0.0, 1.0))
+    def test_square_and_abs(self, case, at):
+        x, y = case
+        c = float(x.min()) + at * float(x.max() - x.min())
+        for g in (lambda t: t * t, lambda t: abs(t - c)):
+            self.check(g, x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pushed_pairs(lambda width: (-700.0, 700.0 - width), 1e3))
+    def test_exp(self, case):
+        self.check(math.exp, *case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pushed_pairs(lambda width: (0.05, 0.95 - width), 0.5))
+    def test_convex_members_and_tables(self, case):
+        v = tabulated([(0.0, 1.0), (0.3, -0.5), (0.7, -0.5), (1.0, 2.0)])
+        for g in (exponential(3.0), reciprocal(), power_complement(0.5), linear(-2.0, 1.0), v):
+            self.check(g, *case)
+
+    @pytest.mark.parametrize(
+        "g, x, y",
+        [
+            (lambda t: t * t, [1000000.0000005, -5e-7], [1000000.0, 0.0]),
+            (math.exp, [700.0000000005, -5e-10], [700.0, 0.0]),
+            (lambda t: -t, [1e6, 0.0], [1e6, 5e-7]),  # the totals differ by 5e-7
+            # the totals differ by 2^-36, half an ulp of each, so both round alike
+            (lambda t: 65537.5 - t, [65536.5, 65536.25], [65536.5, 65536.25 + 2**-36]),
+        ],
+        ids=["square", "exp", "totals", "rounded-totals"],
+    )
+    def test_reproducers(self, g, x, y):
+        assert is_majorized(x, y).relation == "both"
+        rep = karamata_check(g, x, y)
+        assert rep.margin < 0.0 and rep.holds
 
 
 def reference_rounds(n, transfers, seed):
