@@ -87,11 +87,12 @@ class KaramataReport:
     of g and of the sums), and by what the slack of :func:`is_majorized`
     lets through.  By Abel summation, as in Karamata's proof, the margin is
     sum_k (c_k - c_(k+1)) D_k + c_n D_n for the prefix margins D_k and the
-    chord slopes c_k of g between the k-th largest x and y, which fall with
-    k within [s_lo, s_hi], the slopes between the two lowest and the two
-    highest distinct entries.  So it is at least -(s_hi - s_lo) * max(0,
-    -min D_k) - max(|s_lo|, |s_hi|) * |D_n|, each D_k widened by its
-    rounding, ``ROUNDING_SLACK`` * (sum |x_i| + sum |y_i|).
+    falling chord slopes c_k of g between the k-th largest x and y, all in
+    [s_lo, s_hi]: the slopes between the two lowest and the two highest
+    distinct entries, moved out by ``ROUNDING_SLACK`` times their two |g|.
+    So it is at least -max(0, s_hi - s_lo) * max(0, -min D_k) -
+    max(|s_lo|, |s_hi|) * |D_n|, in exact rationals, each D_k widened by
+    its rounding, ``ROUNDING_SLACK`` * (sum |x_i| + sum |y_i|).
     """
 
     margin: float
@@ -150,15 +151,18 @@ def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np
     return values
 
 
-def _end_chords(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Chord slopes of g, whose values at t are v, between the two lowest and
-    the two highest distinct points of t (0.0 if t holds one value)."""
+def _abel_allowance(t: np.ndarray, v: np.ndarray, dip: float, mismatch: float) -> "Fraction":
+    """KaramataReport's allowance, exact, for g's values v at x and y's entries t."""
+    from fractions import Fraction  # imported here, as in require_convex
     lo, hi = int(t.argmin()), int(t.argmax())
     if t[lo] == t[hi]:
-        return 0.0, 0.0
+        return Fraction(0)
     lo2, hi2 = int(np.where(t > t[lo], t, np.inf).argmin()), int(np.where(t < t[hi], t, -np.inf).argmax())
-    with np.errstate(over="ignore"):  # a slope that overflows is inf
-        return float((v[lo2] - v[lo]) / (t[lo2] - t[lo])), float((v[hi] - v[hi2]) / (t[hi] - t[hi2]))
+    (t0, t1, t2, t3), (v0, v1, v2, v3) = ([Fraction(a[i].item()) for i in (lo, lo2, hi2, hi)] for a in (t, v))
+    q = Fraction(ROUNDING_SLACK)
+    s_lo = (v1 - v0 - q * (abs(v0) + abs(v1))) / (t1 - t0)
+    s_hi = (v3 - v2 + q * (abs(v2) + abs(v3))) / (t3 - t2)
+    return max(s_hi - s_lo, 0) * Fraction(dip) + max(abs(s_lo), abs(s_hi)) * Fraction(mismatch)
 
 
 def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) -> KaramataReport:
@@ -179,22 +183,18 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     require_convex(g, "karamata_check")
     xa, ya = xv.array, yv.array
     gx, gy = _g_values(g, xa, "x"), _g_values(g, ya, "y")
+    t, v = np.concatenate((xa, ya)), np.concatenate((gx, gy))
     try:
-        scale = exact_sum(np.abs(gx)) + exact_sum(np.abs(gy))
+        scale = exact_sum(np.abs(v))
     except OverflowError:
-        scale = np.inf
-    if not np.isfinite(scale):
-        raise NonFiniteValue("the sum of |g| over x and y")
+        raise NonFiniteValue("the sum of |g| over x and y") from None
     # both sums and the margin are at most scale in magnitude: all finite
     sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x
-    rho = ROUNDING_SLACK * (exact_sum(np.abs(xa)) + exact_sum(np.abs(ya)))  # see KaramataReport
+    rho = ROUNDING_SLACK * exact_sum(np.abs(xa)) + ROUNDING_SLACK * exact_sum(np.abs(ya))  # see KaramataReport
     *prefix, total = verdict.prefix_margins or (0.0,)
     dip, mismatch = max(0.0, -min(prefix, default=0.0)) + rho, abs(total) + rho
-    s_lo, s_hi = _end_chords(np.concatenate((xa, ya)), np.concatenate((gx, gy)))
-    allowance = (s_hi - s_lo) * dip + max(abs(s_lo), abs(s_hi)) * mismatch
-    # not <, so that the nan of an overflowing slope times 0 bounds nothing
-    holds = not margin < -(COMPARISON_TOLERANCE + ROUNDING_SLACK * scale + allowance)
+    holds = -_abel_allowance(t, v, dip, mismatch) <= margin + (COMPARISON_TOLERANCE + ROUNDING_SLACK * scale)
     return KaramataReport(margin, holds, sum_x, sum_y)
 
 

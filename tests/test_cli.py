@@ -309,8 +309,8 @@ class TestKaramata:
         assert json.loads(out)["margin"] == 2.0
 
     def test_exp_on_an_unevenly_rounded_grid_is_convex(self, capsys, tmp_path):
-        # the probe's points are not evenly spaced at the ulp level here, and
-        # exp' = 3e19 times that error once outweighed the second differences
+        # entries a few ulps apart where exp' is about 3e19: expt is convex as
+        # stated, and the margin is far above the rounding of the sums
         x = write_vector(tmp_path, "x.csv", "44.94016331641795,44.94016331641795\n")
         y = write_vector(tmp_path, "y.csv", "44.94016296968159,44.940163663154316\n")
         code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", "expt", "--json")

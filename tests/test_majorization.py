@@ -288,7 +288,7 @@ class TestKaramata:
         assert info.value.witness == (0.0, 0.25, 0.5)
 
     def test_square_near_1e8_passes_the_convexity_guard(self):
-        # second differences of t^2 there are rounding noise of a few units
+        # t^2 near 1e16 rounds in steps of 2, far coarser than the margin 0.125
         rep = karamata_check(lambda t: t * t, [1e8 + 0.25, 1e8 + 0.25], [1e8 + 0.5, 1e8])
         assert rep.holds
 
@@ -343,6 +343,23 @@ class TestKaramata:
         assert rep.margin == pytest.approx(-2e6, rel=1e-3)
         assert not rep.holds
 
+    def test_a_nonnegative_margin_always_holds(self):
+        # g is convex only on its caller's word: its end chords fall from 0.75
+        # to -1, and the prefix margins dip by 1.5e-12 within the slack
+        d = 1.5e-12
+        rep = karamata_check(lambda t: -((t - 0.5) ** 2), [1.0 + d, 0.75 - d, 0.25, 0.0], [1.0, 0.75, 0.25, 0.0])
+        assert rep.margin > 0.0 and rep.holds
+
+    def test_a_violation_fails_where_chord_slopes_overflow(self):
+        # the chord slopes of g pass the largest float, and the pair is
+        # reversed past the majorization check: the margin is -5e307
+        def g(t):
+            return 1.7e308 * (2.0 * t - 1.0) + 1e308 * (2.0 * t - 1.0) ** 2
+
+        with mock.patch.object(majorization, "is_majorized", return_value=MajorizationVerdict(BOTH, ())):
+            rep = karamata_check(g, [0.75, 0.25], [0.5, 0.5])
+        assert (rep.margin, rep.holds) == (-5e307, False)
+
     @pytest.mark.parametrize(
         "g, x, y, where",
         [
@@ -360,7 +377,7 @@ class TestKaramata:
         assert info.value.what == where
 
     def test_convexity_guard_does_not_overflow(self):
-        # second differences of t^2 near 1.4e308 would overflow unscaled
+        # sum |g| passes the largest float on the first pair, not on the second
         with pytest.raises(NonFiniteValue):
             karamata_check(lambda t: t * t, [1e154, 1e154], [1.2e154, 0.8e154])
         rep = karamata_check(lambda t: t * t, [6e153, 6e153], [7e153, 5e153])
@@ -461,6 +478,25 @@ def pushed_pairs(draw, lo_range, widest):
     return x, y
 
 
+@st.composite
+def end_cluster_pairs(draw):
+    """A decreasing y near c, and x moving d, within the slack of
+    is_majorized, from one of y's entries to its first, and k ulps of y's
+    last entry from its second to its last: x and y's two lowest entries are
+    k ulps apart, where rounding makes up much of g's chord slope."""
+    n, c = draw(st.integers(3, 8)), draw(st.floats(1.0, 1e6))
+    spread = draw(st.floats(1e-9, 0.5)) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    y = np.sort(c * (1.0 + spread))[::-1]
+    d = draw(st.floats(0.0, 0.45)) * 1e-12 * y.sum()
+    e = draw(st.integers(1, 4)) * float(np.spacing(y[-1]))
+    x = y.copy()
+    x[0] += d
+    x[draw(st.integers(1, n - 1))] -= d
+    x[1] -= e
+    x[-1] += e
+    return x, y
+
+
 class TestSlackDips:
     """is_majorized calls a pair majorized whose prefix margins dip below
     zero, or whose totals differ, within its slack.  Karamata's Abel
@@ -491,6 +527,12 @@ class TestSlackDips:
         for g in (exponential(3.0), reciprocal(), power_complement(0.5), linear(-2.0, 1.0), v):
             self.check(g, *case)
 
+    @settings(max_examples=150, deadline=None)
+    @given(end_cluster_pairs())
+    def test_end_chords_a_few_ulps_wide(self, case):
+        for g in (lambda t: t * t, lambda t: 0.1 * t, lambda t: math.exp(t / 1e5)):
+            self.check(g, *case)
+
     @pytest.mark.parametrize(
         "g, x, y",
         [
@@ -499,8 +541,24 @@ class TestSlackDips:
             (lambda t: -t, [1e6, 0.0], [1e6, 5e-7]),  # the totals differ by 5e-7
             # the totals differ by 2^-36, half an ulp of each, so both round alike
             (lambda t: 65537.5 - t, [65536.5, 65536.25], [65536.5, 65536.25 + 2**-36]),
+            # the two lowest entries are 2 ulps apart: g's chord there rounds to
+            # 0.125, above the 0.1 of the highest chord
+            (lambda t: 0.1 * t, [3e6 + 2**-20, 1e6 - 2**-20 - 2**-33, 5e5 + 2**-33], [3e6, 1e6, 5e5]),
+            # 2 ulps apart again: the chord of t^2 rounds to 2^21, above the highest 2000128
+            (
+                lambda t: t * t,
+                [1000001.0000004768, 1000000.9335250279, 1000000.0000000002],
+                [1000001.0, 1000000.933525505, 1000000.0],
+            ),
+            # the lowest chord, 2 ulps wide, rounds to 2^18 for a true 248554, not
+            # past the highest 268504, but cuts the gap between them to a third
+            (
+                lambda t: t * t,
+                [134251.89682811164, 127777.33671674444, 125866.9435165745, 124510.91196908911, 124276.91449377697],
+                [134251.8968278505, 127777.33671674444, 125866.94351683569, 124510.91196908911, 124276.91449377695],
+            ),
         ],
-        ids=["square", "exp", "totals", "rounded-totals"],
+        ids=["square", "exp", "totals", "rounded-totals", "linear-end-chord", "square-end-chord", "square-low-chord"],
     )
     def test_reproducers(self, g, x, y):
         assert is_majorized(x, y).relation == "both"
