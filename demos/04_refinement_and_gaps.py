@@ -5,8 +5,9 @@ Refinement, convergence, and when the gap refuses to close
 Splitting an interval can only grow the right-endpoint sum of a
 decreasing function, so repeated bisection produces a non-decreasing
 staircase of lower bounds converging to the integral.  The gap is zero
-only for constant g; for strictly decreasing g it stays positive at
-every finite n, with an exact closed form in the linear uniform case.
+only for constant g; for any other continuous decreasing g, flat
+stretches and all, it stays positive at every finite n, with an exact
+closed form in the linear uniform case.
 """
 
 from monobound import (
@@ -28,8 +29,8 @@ for k, value in enumerate(refinement_chain(g, trivial, depth=6)):
     n = 2**k
     print(f"  n = {n:3d}   T_n = {value:.10f}   gap = {2.0 / 3.0 - value:.10f}")
 
-# Constant functions are the equality case: the rectangles tile the
-# area exactly and the gap vanishes.
+# For a continuous g the constant functions are the only equality case:
+# the rectangles tile the area exactly and the gap vanishes.
 flat = bound_report(constant(3.0), cumulative(uniform_weights(8)))
 print()
 print("constant g: gap =", flat.gap, " strict =", flat.strict)

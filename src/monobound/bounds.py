@@ -34,7 +34,8 @@ from .errors import InvalidArgument, NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
 
-#: Default absolute tolerance of ``strict``, the enclosure slack and the quadrature oracles.
+#: Absolute tolerance of the benchmark's quadrature and enclosure checks, which
+#: ``bench/checks.py`` and ``bench/workloads.py`` import; the library reads none.
 DEFAULT_QUAD_TOL = 1e-10
 #: Float slack granted to algebraic identities and the bound's checks,
 #: relative to the magnitudes they compare (see BoundReport).
@@ -46,12 +47,12 @@ class BoundReport:
     """Everything the main inequality says about one (g, partition) pair.
 
     ``gap`` is integral - t_n: non-negative for decreasing g, non-positive
-    for increasing g.  ``strict`` is True when the gap clears 10x ``tol``,
-    False when equality is genuinely attainable (g not strictly monotone),
-    and None when g is strictly monotone but the computed gap sits inside
-    numerical noise.  ``tol`` is that threshold and the enclosure's slack,
-    ``scale`` is M = max(|g(0)|, |g(1)|), the largest |g| on [0, 1]; the
-    checks scale their slack by them, and ``to_dict`` leaves both out.
+    for increasing g.  ``strict`` is a fact of g: the gap is the sum over
+    the cells [S_(i-1), S_i] of the integral of g(t) - g(S_i), each term of
+    one sign, so for a continuous g it vanishes only when g is constant on
+    every cell, hence on [0, 1].  ``scale`` is M = max(|g(0)|, |g(1)|), the
+    largest |g| on [0, 1]; every check scales its slack by it, and
+    ``to_dict`` leaves it out.
     """
 
     integral_source = "closed_form"  # the integral is g's; a wire field
@@ -60,13 +61,15 @@ class BoundReport:
     integral: float
     gap: float
     gap_bound: float
-    strict: bool | None
     abel_value: float
     n: int
     direction: str
     evaluation_count: int
-    tol: float
     scale: float
+
+    @property
+    def strict(self) -> bool:
+        return self.direction != CONSTANT
 
     def to_dict(self) -> dict:
         wire = ("t_n", "integral", "integral_source", "gap", "gap_bound", "strict", "abel_value", "n")
@@ -74,9 +77,9 @@ class BoundReport:
 
     def enclosure(self, left: float) -> tuple[float, float, bool]:
         """(lower, upper, contains): t_n and the left sum in order, and whether they
-        hold the integral within ``IDENTITY_TOL * max(1, |integral|) + tol``."""
+        hold the integral within ``IDENTITY_TOL * max(1, scale)``."""
         lower, upper = (left, self.t_n) if self.direction == INCREASING else (self.t_n, left)
-        slack = IDENTITY_TOL * max(1.0, abs(self.integral)) + self.tol
+        slack = IDENTITY_TOL * max(1.0, self.scale)
         return lower, upper, lower - slack <= self.integral <= upper + slack
 
     def invariant_violations(self, left: float | None = None) -> list[str]:
@@ -241,21 +244,16 @@ def gap_bound(g: MonotoneFunction, p: CumulativePartition) -> float:
     return _gap_bound(g0, g1, float(np.diff(p.array).max()))
 
 
-def bound_report(
-    g: MonotoneFunction, p: CumulativePartition, tol: float = DEFAULT_QUAD_TOL
-) -> BoundReport:
+def bound_report(g: MonotoneFunction, p: CumulativePartition) -> BoundReport:
     """Full report: T_n, integral, gap, gap bound, Abel value, strictness.
 
     g is evaluated once, at S_0..S_n: the direct sum and the Abel route
     use the values at S_1..S_n, and the gap bound and ``scale`` the first
     and last, g(0) and g(1), so ``evaluation_count`` is n + 1.  The
-    integral is g's closed form; ``tol`` is the ``strict`` threshold and
-    the enclosure slack.  Raises
-    NonMonotoneFunction for functions that rise and fall, and NonFiniteValue
-    for a value of g, sum, gap or gap bound that is not finite.
+    integral is g's closed form.  Raises NonMonotoneFunction for functions
+    that rise and fall, and NonFiniteValue for a value of g, sum, gap or
+    gap bound that is not finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
     require_monotone(g, "bound_report")
 
     bps = p.array
@@ -267,22 +265,16 @@ def bound_report(
 
     gap = integral - t_n
     gap_bound = _gap_bound(g0, g1, mesh, gap)
-    if (-gap if g.direction == INCREASING else gap) > 10.0 * tol:
-        strict: bool | None = True
-    else:
-        strict = None if g.strictly_monotone else False
 
     return BoundReport(
         t_n=t_n,
         integral=integral,
         gap=gap,
         gap_bound=gap_bound,
-        strict=strict,
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
         evaluation_count=p.n + 1,
-        tol=tol,
         scale=max(abs(g0), abs(g1)),
     )
 

@@ -2,24 +2,25 @@
 
 Grammar:
 
-    monobound bound|enclose (--weights FILE | --uniform N) --fn SPEC [--tol X]
-    monobound abel|refine   (--weights FILE | --uniform N) --fn SPEC [--depth D]
-    monobound transform-check --density SPEC --fn SPEC [--tol X]
-    monobound majorize|karamata --x FILE --y FILE [--fn SPEC]
+    monobound bound|enclose|abel (--weights FILE | --uniform N) --fn SPEC
+    monobound refine             (--weights FILE | --uniform N) --fn SPEC [--depth D]
+    monobound transform-check    --density SPEC --fn SPEC [--tol X]
+    monobound majorize           --x FILE --y FILE
+    monobound karamata           --x FILE --y FILE --fn SPEC
     monobound catalog
 
-and ``--json`` anywhere; ``--depth`` is refine's alone, ``--fn`` karamata's
-(required), and any option a command does not read is a parse error.
-``--tol`` is the ``strict`` threshold and enclosure slack (default 1e-10),
-or transform-check's residual tolerance (1e-8).  Every integral of g is its
-closed form (for ``table:``, the trapezoid sum).  A SPEC is ``name[:args]``:
-one table per family (``_FUNCTIONS``, ``_DENSITIES``, ``_CONVEX``) gives each
-name its constructor and argument form, and the one parser, the ``--help``
-usage and the spec errors all come from it.  karamata's ``--fn`` is
-``square``, ``expt``, ``abs:c=C`` or a function spec of a convex member or
-table (``log``, ``trig`` and ``power`` with k > 1 exit 2).  Input files are
-CSV (numbers separated by commas, spaces or newlines; one ``x,y`` knot per
-line) or a JSON array of numbers or of [x, y] pairs.  Every number is read by
+and ``--json`` anywhere; ``--tol`` is the residual tolerance (default 1e-8),
+and any option a command does not read is a parse error.  Every integral of
+g is its closed form (for ``table:``, the trapezoid sum), and ``strict`` is
+whether g is not constant: for a continuous monotone g the constant
+functions are the only equality case.  A SPEC is ``name[:args]``: one table
+per family (``_FUNCTIONS``, ``_DENSITIES``, ``_CONVEX``) gives each name its
+constructor and argument form, and the one parser, the ``--help`` usage and
+the spec errors all come from it.  karamata's ``--fn`` is ``square``,
+``expt``, ``abs:c=C`` or a function spec of a convex member or table
+(``log``, ``trig`` and ``power`` with k > 1 exit 2).  Input files are CSV
+(numbers separated by commas, spaces or newlines; one ``x,y`` knot per line)
+or a JSON array of numbers or of [x, y] pairs.  Every number is read by
 ``float``, so JSON booleans and strings are refused.
 
 Exit codes: 0 success, 1 parse error (also an unreadable or undecodable file,
@@ -48,7 +49,7 @@ from typing import Callable, Sequence
 
 from . import functions, transform
 from .bounds import (
-    DEFAULT_QUAD_TOL,
+    BoundReport,
     _abel_route,
     abel_violations,
     bound_report,
@@ -62,7 +63,6 @@ from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
 from .partitions import WeightVector, cumulative, from_weights, uniform_weights
 
-DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_DEPTH = 3
 
 #: Rows shown by the catalog command.
@@ -254,7 +254,7 @@ def _weights_from(args: argparse.Namespace) -> WeightVector:
 
 def cmd_bound(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
-    report = bound_report(g, cumulative(_weights_from(args)), tol=args.tol)
+    report = bound_report(g, cumulative(_weights_from(args)))
     return report.to_dict(), report.invariant_violations(), None
 
 
@@ -262,7 +262,7 @@ def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
     p = cumulative(_weights_from(args))
     require_monotone(g, "enclose")
-    report = bound_report(g, p, tol=args.tol)
+    report = bound_report(g, p)
     left = riemann_sum_left(g, p)
     lower, upper, contains = report.enclosure(left)
     payload = {
@@ -343,7 +343,7 @@ def cmd_refine(args: argparse.Namespace) -> _CmdResult:
         {"n": p.n * 2**k, "t_n": v, "gap": integral - v}
         for k, v in enumerate(values)
     ]
-    payload = {"integral": integral, "integral_source": "closed_form", "rows": rows}
+    payload = {"integral": integral, "integral_source": BoundReport.integral_source, "rows": rows}
     return payload, refinement_violations(values), None
 
 
@@ -367,8 +367,8 @@ _PARTITION = ("weights", "uniform", "fn")
 #: Each command with its help line and the options it reads, in the order
 #: ``--help`` lists them; every command also takes ``--json``.
 _COMMANDS = {
-    "bound": (cmd_bound, "full bound report for weights and a function", (*_PARTITION, "tol")),
-    "enclose": (cmd_enclose, "two-sided enclosure of the integral", (*_PARTITION, "tol")),
+    "bound": (cmd_bound, "full bound report for weights and a function", _PARTITION),
+    "enclose": (cmd_enclose, "two-sided enclosure of the integral", _PARTITION),
     "abel": (cmd_abel, "discrete integration-by-parts cross-check", _PARTITION),
     "transform-check": (
         cmd_transform_check, "substitution identity residual for a density", ("density", "fn", "tol")
@@ -416,7 +416,7 @@ _OPTIONS = {
     "density": {"metavar": "SPEC", "help": f"density spec: {_usage(_DENSITIES)}"},
     "x": {"metavar": "FILE", "help": "left vector"},
     "y": {"metavar": "FILE", "help": "right vector"},
-    "tol": {"type": _tolerance, "metavar": "X", "help": "tolerance (default 1e-10; 1e-8 for transform-check)"},
+    "tol": {"type": _tolerance, "default": 1e-8, "metavar": "X", "help": "residual tolerance (default 1e-8)"},
     "depth": {"type": _depth, "default": DEFAULT_DEPTH, "metavar": "D", "help": "bisection depth"},
 }
 
@@ -427,7 +427,7 @@ def build_parser() -> _Parser:
     sub.required = True
     for name, (run, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run, tol=DEFAULT_RESIDUAL_TOL if name == "transform-check" else DEFAULT_QUAD_TOL)
+        p.set_defaults(run=run)
         for option in options:
             p.add_argument(f"--{option}", **_OPTIONS[option])
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")

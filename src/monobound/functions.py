@@ -63,7 +63,6 @@ class MonotoneFunction(_UnitIntervalFunction):
     kind: str
     direction: str
     convex: bool | None
-    strictly_monotone: bool
     formula: str
     closed_form_integral: float
     params: tuple[tuple[str, float], ...] = ()
@@ -96,7 +95,6 @@ def power_complement(k: float) -> MonotoneFunction:
         kind="power_complement",
         direction=DECREASING,
         convex=k <= 1.0,
-        strictly_monotone=True,
         formula=f"1 - x^{k:g}",
         closed_form_integral=k / (k + 1.0),
         params=(("k", k),),
@@ -113,7 +111,6 @@ def exponential(lam: float) -> MonotoneFunction:
         kind="exponential",
         direction=DECREASING,
         convex=True,
-        strictly_monotone=True,
         formula=f"exp(-{lam:g}*x)",
         closed_form_integral=-math.expm1(-lam) / lam,
         params=(("lambda", lam),),
@@ -127,7 +124,6 @@ def logarithmic() -> MonotoneFunction:
         kind="logarithmic",
         direction=DECREASING,
         convex=False,
-        strictly_monotone=True,
         formula="ln(2 - x)",
         closed_form_integral=2.0 * math.log(2.0) - 1.0,
         _fn=lambda x: np.log(2.0 - x),
@@ -140,7 +136,6 @@ def reciprocal() -> MonotoneFunction:
         kind="reciprocal",
         direction=DECREASING,
         convex=True,
-        strictly_monotone=True,
         formula="1/(1 + x)",
         closed_form_integral=math.log(2.0),
         _fn=lambda x: 1.0 / (1.0 + x),
@@ -153,7 +148,6 @@ def trigonometric() -> MonotoneFunction:
         kind="trigonometric",
         direction=DECREASING,
         convex=False,
-        strictly_monotone=True,
         formula="cos(pi*x/2)",
         closed_form_integral=2.0 / math.pi,
         _fn=lambda x: np.cos((math.pi / 2.0) * x),
@@ -169,7 +163,6 @@ def constant(c: float) -> MonotoneFunction:
         kind="constant",
         direction=CONSTANT,
         convex=True,
-        strictly_monotone=False,
         formula=f"{c:g}",
         closed_form_integral=c,
         params=(("c", c),),
@@ -182,12 +175,11 @@ def linear(m: float, b: float) -> MonotoneFunction:
     m, b = float(m), float(b)
     if not (math.isfinite(m) and math.isfinite(b)):
         raise InvalidArgument(f"m and b must be finite, got {m!r}, {b!r}")
-    direction, strict = _direction_of(np.array([m]))
+    direction = _direction_of(np.array([m]))
     return MonotoneFunction(
         kind="linear",
         direction=direction,
         convex=True,
-        strictly_monotone=strict,
         formula=f"{m:g}*x + {b:g}",
         closed_form_integral=m / 2.0 + b,
         params=(("m", m), ("b", b)),
@@ -206,12 +198,11 @@ def tabulated(points: Sequence[tuple[float, float]]) -> MonotoneFunction:
     """
     xs, ys = knot_arrays(points, "tabulated function")
     with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
-        direction, strict = _direction_of(np.diff(ys))
+        direction = _direction_of(np.diff(ys))
     return MonotoneFunction(
         kind="tabulated",
         direction=direction,
         convex=None,
-        strictly_monotone=strict,
         formula=f"piecewise linear through {xs.size} knots",
         closed_form_integral=exact_sum(_trapezoids(xs, ys)),
         kinks=tuple(xs[1:-1].tolist()),
@@ -274,7 +265,7 @@ def require_monotone(g: MonotoneFunction, op: str, decreasing: bool = False) -> 
         with np.errstate(over="ignore"):  # a difference that overflows keeps its sign
             diffs = np.diff(g.values(knots))
         witness = None
-        if _direction_of(diffs)[0] == NON_MONOTONE:
+        if _direction_of(diffs) == NON_MONOTONE:
             j = max(int(np.argmax(diffs > 0.0)), int(np.argmax(diffs < 0.0)))
             witness = (float(knots[j]), float(knots[j + 1]))
         raise NonMonotoneFunction(f"{op} requires a monotone function", witness=witness)
@@ -298,13 +289,9 @@ def require_convex(g: Callable[[float], float], op: str) -> None:
             raise NotConvex(f"{op} requires a convex function", tuple(knots[j : j + 3].tolist()))
 
 
-def _direction_of(diffs: np.ndarray) -> tuple[str, bool]:
-    """(direction, strict) from the exact signs of successive differences."""
+def _direction_of(diffs: np.ndarray) -> str:
+    """The direction that the exact signs of successive differences give."""
     up, down = diffs > 0.0, diffs < 0.0
     if up.any() and down.any():
-        return NON_MONOTONE, False
-    if down.any():
-        return DECREASING, bool(down.all())
-    if up.any():
-        return INCREASING, bool(up.all())
-    return CONSTANT, False
+        return NON_MONOTONE
+    return DECREASING if down.any() else INCREASING if up.any() else CONSTANT

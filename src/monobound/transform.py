@@ -33,7 +33,6 @@ class Density(_UnitIntervalFunction):
     F, clamped into [0, 1]), built together by a constructor that knows the
     mass in closed form and that f is nonnegative."""
 
-    kind: str
     kinks: tuple[float, ...] = ()
     _fn: Callable = field(repr=False, compare=False, default=None)
     cdf: Callable = field(repr=False, compare=False, default=None)
@@ -91,7 +90,6 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     if vals[i] < -1e-12:
         raise InvalidArgument(f"density is negative: f({float(xs[i])!r}) = {float(vals[i])!r}")
     return Density(
-        kind="polynomial",
         _fn=lambda x: P.polyval(x, coeffs),
         cdf=lambda x: np.clip(P.polyval(x, anti) / mass, 0.0, 1.0),
     )
@@ -137,7 +135,6 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
         return np.clip(out, 0.0, 1.0)
 
     return Density(
-        kind="tabulated",
         kinks=tuple(xs[1:-1].tolist()),
         _fn=lambda x: np.interp(x, xs, ys),
         cdf=cdf,

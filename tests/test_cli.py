@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -85,6 +87,12 @@ class TestBound:
         assert float(lines["t_n"]) == got["t_n"]
         assert float(lines["integral"]) == got["integral"]
         assert lines["strict"] == "true"
+
+    @pytest.mark.parametrize("n, spec", [("3", "power:k=1e-9"), ("7", "linear:m=-1e-300,b=1e-300")])
+    def test_strict_whatever_the_scale_of_g(self, capsys, n, spec):
+        # gaps of about a half and a seventh of integrals of 1e-9 and 5e-301
+        code, out, _ = run(capsys, "bound", "--uniform", n, "--fn", spec)
+        assert code == 0 and "strict = true" in out.splitlines()
 
     def test_json_vector_file(self, capsys, tmp_path):
         path = write_vector(tmp_path, "w.json", "[0.25, 0.25, 0.5]")
@@ -600,21 +608,21 @@ class TestExitCodes:
         assert run(capsys, "bound", "--fn", "recip")[0] == 1
 
     def test_negative_tol(self, capsys):
-        assert run(capsys, "bound", "--uniform", "4", "--fn", "recip", "--tol", "-3")[0] == 1
+        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", "-3")[0] == 1
 
     def test_zero_tol(self, capsys):
-        assert run(capsys, "bound", "--uniform", "4", "--fn", "recip", "--tol", "0")[0] == 1
+        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", "0")[0] == 1
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol(self, capsys, tol):
-        assert run(capsys, "enclose", "--uniform", "4", "--fn", "recip", "--tol", tol)[0] == 1
+        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", tol)[0] == 1
 
     @pytest.mark.parametrize(
         "tol, message",
         [("-3", "must be positive and finite, got -3.0"), ("abc", "invalid float value: 'abc'")],
     )
     def test_tol_messages_name_the_flag(self, capsys, tol, message):
-        code, out, err = run(capsys, "bound", "--uniform", "4", "--fn", "recip", "--tol", tol)
+        code, out, err = run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", tol)
         assert (code, out, err) == (1, "", f"error: argument --tol: {message}\n")
 
     def test_negative_weight_is_a_domain_error(self, capsys, tmp_path):
@@ -848,8 +856,8 @@ class TestNonFiniteTable:
 
 #: The options each command reads; every command also takes --json.
 ACCEPTED = {
-    "bound": {"weights", "uniform", "fn", "tol"},
-    "enclose": {"weights", "uniform", "fn", "tol"},
+    "bound": {"weights", "uniform", "fn"},
+    "enclose": {"weights", "uniform", "fn"},
     "abel": {"weights", "uniform", "fn"},
     "transform-check": {"density", "fn", "tol"},
     "majorize": {"x", "y"},
@@ -874,6 +882,25 @@ class TestOptionSets:
         code, out, err = run(capsys, command, f"--{option}", VALUES[option])
         assert (code, out) == (1, "")
         assert err == f"error: unrecognized arguments: --{option} {VALUES[option]}\n"
+
+
+def grammar(text):
+    """{command: the --options its grammar line names} from lines ``monobound A|B ...``."""
+    out = {}
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["monobound"] and len(words) > 1:
+            for command in words[1].split("|"):
+                out[command] = set(re.findall(r"--([a-z]+)", line))
+    return out
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "text", [(Path(__file__).parents[1] / "README.md").read_text(), cli.__doc__], ids=["README.md", "cli.py"]
+    )
+    def test_grammar_names_the_options_each_command_reads(self, text):
+        assert grammar(text) == {name: set(options) for name, (_, _, options) in cli._COMMANDS.items()}
 
 
 class TestEntryPoint:

@@ -34,7 +34,7 @@ CASES = {
     "bound-increasing": ["bound", "--uniform", "4", "--fn", "linear:m=1,b=0"],
     "bound-non-monotone": ["bound", "--uniform", "4", "--fn", "table:@{rise_fall}"],
     "enclose-recip": ["enclose", "--weights", "{worked}", "--fn", "recip"],
-    "enclose-table": ["enclose", "--uniform", "6", "--fn", "table:@{dec_table}", "--tol", "1e-9"],
+    "enclose-table": ["enclose", "--uniform", "6", "--fn", "table:@{dec_table}"],
     "enclose-increasing": ["enclose", "--weights", "{skewed}", "--fn", "linear:m=2,b=-1"],
     "enclose-non-monotone": ["enclose", "--uniform", "4", "--fn", "table:@{rise_fall}"],
     "abel-exp": ["abel", "--weights", "{skewed}", "--fn", "exp:lambda=1.5"],

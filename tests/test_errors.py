@@ -3,7 +3,7 @@
 import pytest
 
 from monobound import InvalidArgument, MonoboundError
-from monobound.bounds import bound_report
+from monobound.bounds import refinement_chain
 from monobound.functions import power_complement, reciprocal, tabulated
 from monobound.partitions import cumulative, uniform_weights
 
@@ -11,7 +11,7 @@ FAULTS = {
     "power_complement(-1)": lambda: power_complement(-1),
     "uniform_weights(0)": lambda: uniform_weights(0),
     "tabulated([(0, 1)])": lambda: tabulated([(0, 1)]),
-    "bound_report(tol=0.0)": lambda: bound_report(reciprocal(), cumulative(uniform_weights(4)), tol=0.0),
+    "refinement_chain(depth=0)": lambda: refinement_chain(reciprocal(), cumulative(uniform_weights(4)), 0),
 }
 
 

@@ -234,12 +234,12 @@ class TestProbe:
 
     def test_power_complement_probes_strictly_decreasing(self):
         g = power_complement(2)
-        assert g.direction == DECREASING and g.strictly_monotone
+        assert g.direction == DECREASING
         assert (np.diff(g.values(np.linspace(0.0, 1.0, 101))) < 0.0).all()
 
     def test_constant_probes_constant(self):
         g = constant(3)
-        assert g.direction == CONSTANT and not g.strictly_monotone
+        assert g.direction == CONSTANT
         assert (np.diff(g.values(np.linspace(0.0, 1.0, 11))) == 0.0).all()
 
     def test_bump_probes_non_monotone_with_witness(self):
@@ -259,12 +259,12 @@ class TestProbe:
 
     @pytest.mark.parametrize("g", STRICT_FIVE, ids=lambda g: g.kind)
     def test_catalog_functions_strictly_decreasing(self, g):
-        assert g.direction == DECREASING and g.strictly_monotone
+        assert g.direction == DECREASING
         assert (np.diff(g.values(np.linspace(0.0, 1.0, 1001))) < 0.0).all()
 
     def test_increasing_linear(self):
         g = linear(2, 0)
-        assert g.direction == INCREASING and g.strictly_monotone
+        assert g.direction == INCREASING
         assert (np.diff(g.values(np.linspace(0.0, 1.0, 1001))) > 0.0).all()
 
 
@@ -405,8 +405,11 @@ class TestTabulated:
         assert tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]).direction == NON_MONOTONE
 
     def test_plateau_breaks_strictness(self):
+        # a plateau makes g not strictly decreasing, yet the gap stays positive:
+        # only a constant g reaches equality
         g = tabulated([(0.0, 1.0), (0.4, 0.5), (0.6, 0.5), (1.0, 0.0)])
-        assert g.direction == DECREASING and not g.strictly_monotone
+        assert g.direction == DECREASING
+        assert bound_report(g, cumulative(uniform_weights(5))).strict is True
 
     def test_knots_must_span_unit_interval(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,7 @@ from monobound.transform import (
 
 
 EPS = float(np.finfo(float).eps)
-#: Test ids of ``catalog_densities()``; the uniform and triangular densities
-#: are tables, so their ``kind`` does not tell them apart.
+#: Test ids of ``catalog_densities()``.
 DENSITY_IDS = ["uniform", "polynomial0", "polynomial1", "triangular", "tabulated"]
 
 
@@ -98,11 +97,11 @@ class TestDensities:
             triangular_density(1.5)
 
     def test_uniform_is_a_table(self):
-        f = uniform_density()
-        assert f.kind == "tabulated" and f.kinks == ()
+        f, table = uniform_density(), tabulated_density([(0.0, 1.0), (1.0, 1.0)])
+        assert f.kinks == table.kinks == ()
         xs = np.array([-1e300, -3.0, -0.5, 0.0, 1e-300, 0.3, 0.7, 1.0, 1.5, 1e200, math.inf, -math.inf])
-        assert f.values(xs).tolist() == [1.0] * xs.size
-        assert f.cdf(xs).tobytes() == np.clip(xs, 0.0, 1.0).tobytes()
+        assert f.values(xs).tolist() == table.values(xs).tolist() == [1.0] * xs.size
+        assert f.cdf(xs).tobytes() == table.cdf(xs).tobytes() == np.clip(xs, 0.0, 1.0).tobytes()
 
     def test_triangular_apex_value(self):
         assert triangular_density(0.5)(0.5) == 2.0
