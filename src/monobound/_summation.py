@@ -10,7 +10,8 @@ subtracting a large power of two splits each value into a high part on a
 coarse grid, whose sum is exact in any order, and a remainder.  One round
 leaves remainders whose plain sum, with its a priori error bound, almost
 always pins down the correctly rounded total; a second round, and then
-:func:`math.fsum`, serve the sums it cannot decide.
+:func:`math.fsum`, serve the sums it cannot decide.  Below ``_FSUM_CUTOFF``
+(288) values, fsum over a list costs less than the kernel's ~10 us.
 
 The extraction certifies each block on its own, with constants from the
 block's own largest magnitude, so sums whose terms are formed on the fly
@@ -34,10 +35,11 @@ from typing import Callable
 import numpy as np
 
 #: Below this many values :func:`exact_sum` calls :func:`math.fsum`, whose
-#: cost grows with the values but which has no fixed cost; the kernel's
-#: fixed cost is ~20 us of numpy calls, and the two cross between about 400
-#: (values spread over many binades) and 700 values (a few binades).
-_FSUM_CUTOFF = 512
+#: cost grows with the values (~30 ns each) but which has no fixed cost; the
+#: kernel's fixed cost is ~10 us of numpy calls for one block, and the two
+#: cross between about 250 (terms formed block by block, as in the Riemann
+#: and Abel sums) and 330 values (a plain array).
+_FSUM_CUTOFF = 288
 #: Values per block of both kernels: their block-sized buffers stay in cache
 #: and their memory is bounded whatever the input size.  At n = 10**6 the
 #: two kernels together ran fastest at 2**15, within 10 % at 2**14 and 2**16.
@@ -47,9 +49,12 @@ _CHUNK = 1 << 15
 #: fsum, which keeps its own OverflowError for an intermediate overflow.
 _LIMIT = 2.0**960
 #: Each block's exponent is at least this one's, so the second round's unit
-#: and the error bound stay normal floats; when every value lies below it,
-#: the sum goes to fsum, since the bound would then dwarf the total.
+#: and the error bound stay normal floats.
 _TINY = 2.0**-800
+#: A sum whose first block lies below _TINY is taken times 2**_SCALE, which
+#: is exact and lifts even 2**-1074 to _TINY.  Its rounded total scales back
+#: exactly: below 2**-1022 the exact sum, a multiple of 2**-1074, is a float.
+_SCALE = 1074 - 800
 
 #: ``produce(start, stop, out)`` returns values start..stop-1 of a sum: a
 #: view of an existing array, or ``out`` (stop - start floats) filled in.
@@ -82,19 +87,25 @@ def exact_sum(values) -> float:
     exact sum of every block's t and rest and B that of every block's E.
     Both ends go to :func:`math.fsum` with every block's terms and bound as
     separate terms, so nothing is rounded before the final rounding.  When
-    the two ends round to the same nonzero float, rounding is monotone, so
-    the exact sum rounds to that float too, and it is returned.  A block of
-    tiny values gets tiny constants of its own, so blocks of very different
-    magnitudes do not loosen each other's bounds.
+    the two ends round to the same float, rounding is monotone, so the
+    exact sum rounds to that float too, and it is returned; as B > 0, it
+    is never zero.  A block of tiny values gets tiny constants of its own,
+    so blocks of very different magnitudes do not loosen each other's
+    bounds.  A sum whose first block lies below 2**-800 is taken times
+    2**274 first, which is exact, and its total scaled back.  A block of
+    zeros needs no extraction, and a sum of zeros returns fsum's signed
+    zero for one zero per block, -0.0 for a block of -0.0 only.
 
     Handed to :func:`math.fsum` instead, keeping its results and exceptions:
     fewer than ``_FSUM_CUTOFF`` values; any value that is not finite or is
-    at least 2**960 in magnitude (inf, nan, intermediate overflow); all
-    values below 2**-800 (exact zeros included); and a total neither pass
-    can decide: one within B of a rounding midpoint, or one that rounds to
-    zero (fsum's signed-zero rules).
+    at least 2**960 in magnitude (inf, nan, intermediate overflow), or at
+    least 2**686 in a sum taken times 2**274; and a total neither pass can
+    decide: one within B of a rounding midpoint, or an exact zero of
+    nonzero values (fsum's signed-zero rules).
     """
     a = np.asarray(values, dtype=float)
+    if a.size < _FSUM_CUTOFF:
+        return math.fsum(a.tolist())
     return _blocked_sum(a.size, lambda start, stop, out: a[start:stop])
 
 
@@ -108,36 +119,38 @@ def _blocked_sum(n: int, produce: Producer) -> float:
     if n < _FSUM_CUTOFF:
         return _fsum_of(n, produce)
     size = min(n, _CHUNK)
-    buf, q, r = np.empty(size), np.empty(size), np.empty(size)
+    buf, rem = np.empty(size), np.empty(size)
     for rounds in (1, 2):
         terms, bounds = [], []
-        top = 0.0
         for start in range(0, n, size):
-            stop = min(start + size, n)
-            m = stop - start
-            block = produce(start, stop, buf[:m])
-            lo, hi = block.min(), block.max()
-            if not (-_LIMIT < lo and hi < _LIMIT):  # nan fails too
+            m = min(size, n - start)
+            out, r = (buf, rem) if m == size else (buf[:m], rem[:m])
+            block = produce(start, start + m, out)
+            top = max(-float(np.minimum.reduce(block)), float(np.maximum.reduce(block)))
+            if start == 0:
+                scale = _SCALE if top < _TINY else 0
+            if not top < math.ldexp(_LIMIT, -scale):  # nan fails too
                 return _fsum_of(n, produce)
-            block_top = max(-lo, hi)
-            top = max(top, block_top)
-            e = math.frexp(max(block_top, _TINY))[1]
+            if scale:
+                block = np.multiply(block, 2.0**scale, out=out)
+                top *= 2.0**scale
+            if top == 0.0:  # no extraction; the plain sum is -0.0 when all are
+                terms.append(np.add.reduce(block))
+                continue
+            e = math.frexp(max(top, _TINY))[1]
             k = (m + 2).bit_length()
-            qb, rb, part = q[:m], r[:m], block
+            part, q = block, r
             for shift in (k, 2 * k - 53)[:rounds]:  # s1, then s2
                 s = math.ldexp(1.0, e + shift)
-                np.add(part, s, out=qb)
-                qb -= s
-                np.subtract(part, qb, out=rb)
-                terms.append(qb.sum())
-                part = rb
-            terms.append(rb.sum())
+                np.add(part, s, out=q)
+                q -= s
+                terms.append(np.add.reduce(q))
+                part, q = np.subtract(part, q, out=r), out  # q is summed: r takes its buffer
+            terms.append(np.add.reduce(r))
             bounds.append(math.ldexp(1.0, e + (rounds + 2) * k - 53 * rounds - 52))
-        if top < _TINY:
-            break
-        total = math.fsum((*terms, *(-b for b in bounds)))
-        if total != 0.0 and total == math.fsum((*terms, *bounds)):
-            return total
+        total = math.fsum((*terms, *[-b for b in bounds]))
+        if not bounds or total == math.fsum((*terms, *bounds)):  # zeros, or decided
+            return math.ldexp(total, -scale)
     return _fsum_of(n, produce)
 
 
@@ -157,10 +170,12 @@ def compensated_prefix_sums(values) -> np.ndarray:
     Entry i equals, bit for bit, the value of Neumaier's scalar accumulator
     (running total plus running compensation) after adding v_1..v_i.  One
     sweep over ``_CHUNK`` blocks forms, while a block is in cache, its plain
-    totals (``np.cumsum`` seeded with the plain total so far), each step's
-    error, their running sum (``np.cumsum`` seeded with the compensation so
-    far) and the final add.  ``np.cumsum`` accumulates strictly left to
-    right, so seeded blocks round exactly as the scalar loop does.  Each
+    totals (a cumulative sum seeded with the plain total so far), each
+    step's error, their running sum (seeded with the compensation so far)
+    and the final add.  The cumulative sums are ``np.add.accumulate``, the
+    ufunc behind ``np.cumsum`` without its wrapper, which accumulates
+    strictly left to right, so seeded blocks round exactly as the scalar
+    loop does.  Each
     step's error comes from Knuth's branch-free TwoSum (Muller et al.,
     *Handbook of Floating-Point Arithmetic*, ch. 4): like Neumaier's branch,
     the exact error, and +0.0 when the step is exact.  Both sums start from
@@ -168,7 +183,8 @@ def compensated_prefix_sums(values) -> np.ndarray:
     writable float64 array of length n + 1; other buffers hold one block.
     """
     a = np.asarray(values, dtype=float)
-    out = np.zeros(a.size + 1)
+    out = np.empty(a.size + 1)
+    out[0] = 0.0
     err, lost = np.empty(min(a.size, _CHUNK) + 1), np.empty(min(a.size, _CHUNK))
     plain = comp = 0.0  # the running plain total and compensation
     for start in range(0, a.size, _CHUNK):
@@ -176,7 +192,7 @@ def compensated_prefix_sums(values) -> np.ndarray:
         block, c, x = out[start:start + v.size + 1], err[:v.size + 1], lost[:v.size]
         done = block[0]  # entry start is final; it lends its slot to the seed
         block[0], block[1:] = plain, v
-        np.cumsum(block, out=block)
+        np.add.accumulate(block, out=block)
         prev, s, b = block[:-1], block[1:], c[1:]
         np.subtract(s, prev, out=b)  # the part of v that reached s
         np.subtract(s, b, out=x)
@@ -184,7 +200,7 @@ def compensated_prefix_sums(values) -> np.ndarray:
         np.subtract(v, b, out=b)  # what v lost
         b += x
         c[0] = comp
-        np.cumsum(c, out=c)
+        np.add.accumulate(c, out=c)
         plain, comp = block[-1], c[-1]
         s += b
         block[0] = done

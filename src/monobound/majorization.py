@@ -20,8 +20,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ._summation import compensated_prefix_sums, exact_sum
-from .errors import InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized, SumOverflow
-from .functions import require_convex
+from .errors import DomainViolation, InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized, SumOverflow
+from .functions import MonotoneFunction, require_convex
 from .partitions import WeightVector, _ArrayBacked
 
 #: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
@@ -141,9 +141,17 @@ def is_majorized(x: VectorLike, y: VectorLike) -> MajorizationVerdict:
 
 
 def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np.ndarray:
-    """g at each point; raises NonFiniteValue if one overflows or is not finite."""
+    """g at each point, a catalog member's or table's in one ``g.values`` call after
+    its ``__call__``'s [0, 1] check; NonFiniteValue if one overflows or is not finite."""
     try:
-        values = np.array([float(g(t)) for t in points.tolist()])
+        if isinstance(g, MonotoneFunction):
+            outside = ~((points >= 0.0) & (points <= 1.0))
+            if outside.any():
+                raise DomainViolation(float(points[outside.argmax()]))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+                values = g.values(points)
+        else:
+            values = np.array([float(g(t)) for t in points.tolist()])
     except OverflowError:
         raise NonFiniteValue(f"g on {where}") from None
     if not np.isfinite(values).all():
@@ -173,7 +181,8 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     the entries to [0, 1]; any other scalar callable is convex on its
     caller's word.  Raises NotMajorized / NotConvex when the hypotheses
     fail, and NonFiniteValue when a value of g, or the sum of |g| over x
-    and y, is not finite.  g is called once per entry; the sums are
+    and y, is not finite.  A catalog member or table is evaluated on each
+    vector at once, any other g once per entry; the sums are
     :func:`exact_sum`'s, which are :func:`math.fsum`'s bit for bit.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)

@@ -61,16 +61,15 @@ def _check_positive(a: np.ndarray) -> None:
         raise NonPositiveWeight(i, float(a[i]))
 
 
-def _check_sum(a: np.ndarray) -> None:
-    """Raise SumOutOfTolerance unless positive weights sum to 1 within SUM_TOLERANCE."""
+def _check_sum(a: np.ndarray, plain: float) -> None:
+    """Raise SumOutOfTolerance unless positive weights, of plain sum ``plain``,
+    sum to 1 within SUM_TOLERANCE."""
     # Summed in any order, n positive weights err by at most gamma_(n-1)
     # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
     # plain sum, covers that error and the exact sum's own rounding with
     # room to spare, so a plain sum that clears the tolerance by
     # ``bound`` settles it as the exact sum would.  Near the edge, and
     # for the error message, the exact sum decides.
-    with np.errstate(over="ignore"):
-        plain = float(np.sum(a))
     bound = 4.0 * a.size * 2.0**-53 * plain
     if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
         total = _weight_sum(a)
@@ -135,7 +134,9 @@ class WeightVector(_ArrayBacked):
         if a.size == 0:
             raise EmptyInput("weight vector")
         _check_positive(a)
-        _check_sum(a)
+        with np.errstate(over="ignore"):
+            plain = float(np.add.reduce(a))
+        _check_sum(a, plain)
         return a
 
     @property
@@ -169,9 +170,8 @@ class CumulativePartition(_ArrayBacked):
             if not abs(bps[-1] - 1.0) <= SUM_TOLERANCE:  # NaN fails too
                 raise InvalidArgument(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
             bps[-1] = 1.0
-        bad = ~(bps[1:] > bps[:-1])
-        if bad.any():
-            i = int(np.argmax(bad)) + 1
+        if not (bps[1:] > bps[:-1]).all():  # NaN fails too
+            i = int(np.argmax(~(bps[1:] > bps[:-1]))) + 1
             raise InvalidArgument(
                 f"breakpoints must be strictly increasing; "
                 f"S_{i - 1}={float(bps[i - 1])!r} >= S_{i}={float(bps[i])!r}"
@@ -209,7 +209,7 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     if not q.min() > 0.0:
         i = int(np.argmin(q))
         raise WeightUnderflow(i, float(a[i]), total)
-    _check_sum(q)
+    _check_sum(q, float(np.add.reduce(q)))  # each q_i <= 1: the sum cannot overflow
     return WeightVector._adopt(q, checked=True)
 
 
@@ -258,6 +258,7 @@ def bisect_all(p: CumulativePartition) -> CumulativePartition:
 
     Raises PointOutsideInterval for the first interval whose midpoint
     rounds onto one of its ends (an interval between adjacent floats).
+    That test and p's ends make the partition's check, which is not repeated.
     """
     bps = p.array
     mids = 0.5 * (bps[:-1] + bps[1:])
@@ -268,4 +269,4 @@ def bisect_all(p: CumulativePartition) -> CumulativePartition:
     out = np.empty(2 * bps.size - 1)
     out[0::2] = bps
     out[1::2] = mids
-    return CumulativePartition._adopt(out)
+    return CumulativePartition._adopt(out, checked=True)

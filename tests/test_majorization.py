@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monobound.errors import LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
+from monobound.errors import DomainViolation, LengthMismatch, NonFiniteValue, NotConvex, NotMajorized, SumOverflow
 from monobound.functions import (
+    MonotoneFunction,
     constant,
     exponential,
     linear,
@@ -307,6 +308,21 @@ class TestKaramata:
         x, y = generate_majorized_pair(n=50, transfers=80, seed=4)
         karamata_check(lambda t: calls.append(t) or t * t, x, y)
         assert sorted(calls) == sorted(x.entries + y.entries)
+
+    def test_catalog_member_is_evaluated_once_per_vector(self):
+        # one g.values call on x and one on y, with the values g's __call__
+        # gives (exp agrees at every point), and __call__'s domain error
+        g = exponential(1.0)
+        x, y = generate_majorized_pair(n=50, transfers=80, seed=4)
+        xs, ys = x.array / 100.0, y.array / 100.0
+        with mock.patch.object(MonotoneFunction, "values", autospec=True, side_effect=MonotoneFunction.values) as spy:
+            rep = karamata_check(g, xs, ys)
+        assert spy.call_count == 2
+        assert rep == karamata_check(lambda t: g(t), xs, ys)
+        for bad, first in (([0.5, 1.5, -0.5], 1.5), ([0.5, -0.5, 1.5], -0.5)):
+            with pytest.raises(DomainViolation) as info:
+                karamata_check(g, bad, bad[::-1])
+            assert info.value.x == first
 
     def test_convex_table_need_not_be_monotone(self):
         v = tabulated([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)])

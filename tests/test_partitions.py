@@ -369,6 +369,21 @@ class TestHelpers:
         q = bisect_all(CumulativePartition([0.0, 0.2, 0.5, 1.0]))
         assert q.breakpoints == (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
+    def test_bisect_all_checks_its_midpoints_only(self):
+        # [0.5, 0.5 + 2 ulp] splits at 0.5 + 1 ulp, and the result is not
+        # validated a second time; bisecting again puts [0.5, 0.5 + 1 ulp]
+        # between adjacent floats, which the midpoint test alone refuses
+        mid = float(np.nextafter(0.5, 1.0))
+        hi = float(np.nextafter(mid, 1.0))
+        p = CumulativePartition([0.0, 0.5, hi, 1.0])
+        with mock.patch.object(CumulativePartition, "_validated", side_effect=AssertionError):
+            q = bisect_all(p)
+            with pytest.raises(PointOutsideInterval) as info:
+                bisect_all(q)
+        assert q.breakpoints == (0.0, 0.25, 0.5, mid, hi, 0.5 * (hi + 1.0), 1.0)
+        assert q == CumulativePartition(q.breakpoints)
+        assert (info.value.index, info.value.value) == (3, 0.5)
+
     def test_bisect_all_between_adjacent_floats_raises(self):
         # the midpoint of [0.5, nextafter(0.5)] rounds onto 0.5
         hi = float(np.nextafter(0.5, 1.0))

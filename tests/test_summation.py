@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monobound import _summation, bounds
 from monobound._summation import compensated_prefix_sums, exact_sum
@@ -127,6 +127,9 @@ CUTOFF = _summation._FSUM_CUTOFF
 # a fixed size a few cutoffs up: the kernel's k = (n + 2).bit_length() steps
 # from 11 to 12 just below it, and the cases keep their ids if CUTOFF moves
 LARGE = 2048
+# a fixed size between the cutoff and LARGE: its cases keep their ids
+# whatever CUTOFF is, and dict.fromkeys drops a size CUTOFF gives too
+MID = 512
 # both sides of the hand-off to fsum
 sizes = st.sampled_from([1, 2, 100, CUTOFF - 1, CUTOFF, CUTOFF + 1, 3 * CUTOFF + 5])
 subnormal = st.integers(min_value=-(2**20), max_value=2**20).map(lambda k: k * 5e-324)
@@ -174,7 +177,9 @@ class TestExactSumMatchesFsum:
         assert_matches_fsum(tiled(pattern, size))
 
     @pytest.mark.parametrize(
-        "k", [1, 2, 3, CUTOFF - 1, CUTOFF, 2 * CUTOFF + 1, LARGE - 1, LARGE, 2 * LARGE + 1]
+        "k",
+        [1, 2, 3, *dict.fromkeys((CUTOFF - 1, CUTOFF, 2 * CUTOFF + 1, MID - 1, MID, 2 * MID + 1)),
+         LARGE - 1, LARGE, 2 * LARGE + 1],
     )
     def test_one_plus_many_half_ulps(self, k):
         assert_matches_fsum([1.0] + [2.0**-53] * k)
@@ -195,7 +200,9 @@ class TestExactSumMatchesFsum:
         assert_matches_fsum(tiled(pattern, CUTOFF + 1))
 
     @pytest.mark.parametrize(
-        "size", [1, CUTOFF - 1, CUTOFF, 3 * CUTOFF + 5, LARGE - 1, LARGE, 3 * LARGE + 5]
+        "size",
+        [1, *dict.fromkeys((CUTOFF - 1, CUTOFF, 3 * CUTOFF + 5, MID - 1, MID, 3 * MID + 5)),
+         LARGE - 1, LARGE, 3 * LARGE + 5],
     )
     @pytest.mark.parametrize(
         "pattern", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-5e-324, 5e-324]]
@@ -214,7 +221,7 @@ class TestExactSumMatchesFsum:
             [1e308, 1e308],  # OverflowError
         ],
     )
-    @pytest.mark.parametrize("padding", [0, CUTOFF, LARGE])
+    @pytest.mark.parametrize("padding", [0, *dict.fromkeys((CUTOFF, MID)), LARGE])
     def test_special_values_and_overflow(self, pattern, padding):
         assert_matches_fsum(pattern + [0.5] * padding)
 
@@ -413,6 +420,19 @@ class TestCertificate:
         assert passes == [1, 1, 1, 1]
         assert report.invariant_violations() == []
 
+    @pytest.mark.parametrize("n", [CUTOFF, 1000, _summation._CHUNK])
+    def test_one_pass_per_sum_of_a_one_block_certification(self, n):
+        # the weight total, T_n, the Abel value and the left sum of one
+        # block each: one extraction round decides every one
+        a = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+        calls, spy = fsum_list_calls()
+        with spy, counted_passes() as passes:
+            p = cumulative(from_weights(a, normalize=True))
+            bound_report(reciprocal(), p)
+            riemann_sum_left(reciprocal(), p)
+        assert calls == []
+        assert passes == [1, 1, 1, 1]
+
 
 class TestCallSitesMatchFsum:
     """The library's one-shot sums equal the fsum formulas they replaced."""
@@ -522,9 +542,12 @@ class TestBlockedCore:
     def test_tiny_blocks_between_large_blocks(self, between):
         # blocks of 2**-300-scale values alternate with blocks of zeros or of
         # values below 2**-800; those get the constants of 2**-800, whose
-        # bound is far below the total, so the fast path still decides
+        # bound is far below the total, so the fast path still decides.
+        # 512 // 7 blocks each, the data the case was written for: other
+        # counts can put the total on a rounding midpoint (192 // 7 does),
+        # which no certificate decides
         rng = np.random.default_rng(7)
-        large = rng.uniform(-1.0, 1.0, (CUTOFF // 7, 7)) * 2.0**-300
+        large = rng.uniform(-1.0, 1.0, (512 // 7, 7)) * 2.0**-300
         tiny = np.resize(np.array(between), large.shape)
         values = np.stack([large, tiny], axis=1).ravel()
         calls, spy = fsum_list_calls()
@@ -533,9 +556,49 @@ class TestBlockedCore:
         assert calls == [values.size]
 
 
+# values from 2**-900 down to the subnormals, and zeros of either sign
+tiny = st.builds(
+    lambda m, e: m * 2.0**-e, st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=900, max_value=1074)
+)
+zeros = st.sampled_from([0.0, -0.0])
+patterns = st.one_of(
+    *(st.lists(s, min_size=1, max_size=16) for s in (tiny, zeros, subnormal, st.one_of(tiny, zeros, subnormal)))
+)
+CHUNK = _summation._CHUNK
+
+
+class TestTinySums:
+    """Sums whose values all lie below 2**-800, which the kernel takes times
+    2**_SCALE, and sums of zeros, which need no extraction."""
+
+    @pytest.mark.parametrize("size", [1, CUTOFF - 1, CUTOFF, CHUNK - 1, CHUNK, CHUNK + 1])
+    @given(head=patterns, tail=patterns, cut=st.sampled_from(["start", "middle", "end", "block"]),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_tiny_zero_and_subnormal_sums(self, size, head, tail, cut, seed):
+        # a head and a tail of two patterns: at CHUNK + 1 values, cut at the
+        # block's end, one block may be all zeros and the other tiny;
+        # subnormal patterns give subnormal totals
+        split = {"start": 0, "middle": size // 2, "end": size, "block": min(size, CHUNK)}[cut]
+        assert_matches_fsum(np.concatenate((tiled(head, split, seed), tiled(tail, size - split, seed))))
+
+    @pytest.mark.parametrize("scale", [2.0**-801, 2.0**-900, 2.0**-1000])
+    @pytest.mark.parametrize("chunk", [CHUNK, 7], ids=["one-block", "7-blocks"])
+    def test_tiny_and_zero_sums_take_one_pass(self, scale, chunk):
+        # values taken times 2**_SCALE have a total that scales back
+        # exactly, so one extraction round decides it; zeros need none
+        values = np.random.default_rng(1).lognormal(0.0, 2.0, 3 * CUTOFF) * scale
+        for v in (values, -values, np.zeros(3 * CUTOFF), -np.zeros(3 * CUTOFF)):
+            calls, spy = fsum_list_calls()
+            with mock.patch.object(_summation, "_CHUNK", chunk), spy, counted_passes() as passes:
+                assert_matches_fsum(v)
+            assert calls == [v.size]  # only the reference's own call
+            assert passes == [1]
+
+
 def fused_sizes():
     for chunk in (7, *LARGE_CHUNKS):
-        for n in (CUTOFF - 1, CUTOFF, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        for n in dict.fromkeys((CUTOFF - 1, CUTOFF, MID - 1, MID, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)):
             yield pytest.param(chunk, n, id=f"chunk{chunk}-n{n}")
 
 
