@@ -38,7 +38,6 @@ from .errors import (
     NotNormalized,
     PointOutsideInterval,
     SumOutOfTolerance,
-    SumOverflow,
     ToleranceNotReached,
     TooLarge,
     WeightBelowResolution,
@@ -116,7 +115,6 @@ __all__ = [
     "QuadratureResult",
     "RealVector",
     "SumOutOfTolerance",
-    "SumOverflow",
     "ToleranceNotReached",
     "TooLarge",
     "TransformReport",

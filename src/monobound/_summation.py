@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
 #: Below this many values :func:`exact_sum` calls :func:`math.fsum`, whose
 #: cost grows with the values (~30 ns each) but which has no fixed cost; the
 #: kernel's fixed cost is ~10 us of numpy calls for one block, and the two
@@ -152,6 +154,18 @@ def _blocked_sum(n: int, produce: Producer) -> float:
         if not bounds or total == math.fsum((*terms, *bounds)):  # zeros, or decided
             return math.ldexp(total, -scale)
     return _fsum_of(n, produce)
+
+
+def _finite_sum(what: str, total: Callable[[], float]) -> float:
+    """``total()``, or NonFiniteValue naming ``what`` where fsum raises (inf - inf, a total past
+    float64) or the total is inf or nan: the one place a sum that leaves float64 is refused."""
+    try:
+        value = total()
+    except (ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise NonFiniteValue(what)
+    return value
 
 
 def _fsum_of(n: int, produce: Producer) -> float:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._summation import Producer, _blocked_sum
+from ._summation import _blocked_sum, _finite_sum
 from .errors import InvalidArgument, NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
 from .partitions import CumulativePartition, bisect_all, require_within_budget
@@ -127,17 +127,6 @@ def refinement_violations(values: list[float]) -> list[str]:
     ]
 
 
-def _finite_sum(n: int, produce: Producer, what: str) -> float:
-    """``_blocked_sum``, or NonFiniteValue naming ``what`` if a value or the sum is not finite."""
-    try:
-        total = _blocked_sum(n, produce)
-    except (ValueError, OverflowError):  # fsum's inf - inf and intermediate overflow
-        total = math.nan
-    if not math.isfinite(total):
-        raise NonFiniteValue(what)
-    return total
-
-
 def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """sum_i (S_i - S_{i-1}) * vals_i and the largest width, in one blocked pass.
 
@@ -154,7 +143,7 @@ def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
         out *= vals[start:stop]
         return out
 
-    return _finite_sum(vals.size, produce, "the Riemann sum of g"), mesh
+    return _finite_sum("the Riemann sum of g", lambda: _blocked_sum(vals.size, produce)), mesh
 
 
 def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
@@ -176,7 +165,7 @@ def _abel_value(bps: np.ndarray, vals: np.ndarray) -> float:
         return out
 
     with np.errstate(over="ignore", invalid="ignore"):  # nan or inf ends in NonFiniteValue
-        return _finite_sum(n, produce, "the Abel sum of g")
+        return _finite_sum("the Abel sum of g", lambda: _blocked_sum(n, produce))
 
 
 def _gap_bound(g0: float, g1: float, mesh: float, gap: float = 0.0) -> float:

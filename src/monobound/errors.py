@@ -157,15 +157,8 @@ class NotMajorized(MonoboundError):
         super().__init__(f"x is not majorized by y (relation: {relation})")
 
 
-class SumOverflow(MonoboundError):
-    """Prefix sums of a vector pair overflow float64, so they cannot be compared."""
-
-    def __init__(self):
-        super().__init__("prefix sums of x and y overflow float64; rescale the inputs")
-
-
 class NonFiniteValue(MonoboundError):
-    """A value of g, or a sum of its values, overflows float64 or is not finite."""
+    """A value of g, or a sum (of weights, vectors or values of g), is not finite in float64."""
 
     def __init__(self, what: str):
         self.what = what

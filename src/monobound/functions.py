@@ -176,6 +176,11 @@ def linear(m: float, b: float) -> MonotoneFunction:
     if not (math.isfinite(m) and math.isfinite(b)):
         raise InvalidArgument(f"m and b must be finite, got {m!r}, {b!r}")
     direction = _direction_of(np.array([m]))
+
+    def fn(x):
+        with np.errstate(over="ignore"):  # a value that is not finite is refused where it is used
+            return m * x + b
+
     return MonotoneFunction(
         kind="linear",
         direction=direction,
@@ -183,7 +188,7 @@ def linear(m: float, b: float) -> MonotoneFunction:
         formula=f"{m:g}*x + {b:g}",
         closed_form_integral=m / 2.0 + b,
         params=(("m", m), ("b", b)),
-        _fn=lambda x: m * x + b,
+        _fn=fn,
     )
 
 

@@ -19,8 +19,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums, exact_sum
-from .errors import DomainViolation, InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized, SumOverflow
+from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
+from .errors import DomainViolation, InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized
 from .functions import MonotoneFunction, require_convex
 from .partitions import WeightVector, _ArrayBacked
 
@@ -116,19 +116,19 @@ def is_majorized(x: VectorLike, y: VectorLike) -> MajorizationVerdict:
     with slack ``COMPARISON_TOLERANCE * max(sum |x_i|, sum |y_i|)``.
     Unequal totals give "total_mismatch"; prefix margins of both signs give
     "incomparable"; margins vanishing in both directions mean the vectors
-    are permutations of each other ("both").  Raises SumOverflow when a
-    prefix sum, margin or sum |.| overflows.
+    are permutations of each other ("both").  Raises NonFiniteValue when a
+    prefix sum, margin or sum |.| is not finite.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     if xv.n != yv.n:
         raise LengthMismatch(xv.n, yv.n)
     xs, ys = np.sort(xv.array)[::-1], np.sort(yv.array)[::-1]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            margins = compensated_prefix_sums(ys)[1:] - compensated_prefix_sums(xs)[1:]
-        slack = COMPARISON_TOLERANCE * max(exact_sum(np.abs(xs)), exact_sum(np.abs(ys)))
-    except (FloatingPointError, OverflowError):
-        raise SumOverflow() from None
+    what = "a sum of x or y"
+    slack = COMPARISON_TOLERANCE * _finite_sum(what, lambda: max(exact_sum(np.abs(v)) for v in (xs, ys)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a margin that is not finite
+        margins = compensated_prefix_sums(ys)[1:] - compensated_prefix_sums(xs)[1:]
+    if not np.isfinite(margins).all():
+        raise NonFiniteValue(what)
     prefix_margins = tuple(margins.tolist())
     if abs(margins[-1]) > slack:
         return MajorizationVerdict(TOTAL_MISMATCH, prefix_margins)
@@ -193,10 +193,7 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     xa, ya = xv.array, yv.array
     gx, gy = _g_values(g, xa, "x"), _g_values(g, ya, "y")
     t, v = np.concatenate((xa, ya)), np.concatenate((gx, gy))
-    try:
-        scale = exact_sum(np.abs(v))
-    except OverflowError:
-        raise NonFiniteValue("the sum of |g| over x and y") from None
+    scale = _finite_sum("the sum of |g| over x and y", lambda: exact_sum(np.abs(v)))
     # both sums and the margin are at most scale in magnitude: all finite
     sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x

@@ -20,11 +20,10 @@ from typing import Iterable
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums, exact_sum
+from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
 from .errors import (
     EmptyInput,
     InvalidArgument,
-    NonFiniteValue,
     NonPositiveWeight,
     PointOutsideInterval,
     SumOutOfTolerance,
@@ -72,17 +71,9 @@ def _check_sum(a: np.ndarray, plain: float) -> None:
     # for the error message, the exact sum decides.
     bound = 4.0 * a.size * 2.0**-53 * plain
     if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
-        total = _weight_sum(a)
+        total = _finite_sum("the sum of the weights", lambda: exact_sum(a))
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumOutOfTolerance(total, SUM_TOLERANCE)
-
-
-def _weight_sum(a: np.ndarray) -> float:
-    """``exact_sum`` of positive finite weights; NonFiniteValue if it overflows."""
-    try:
-        return exact_sum(a)
-    except OverflowError:
-        raise NonFiniteValue("the sum of the weights") from None
 
 
 class _ArrayBacked:
@@ -204,7 +195,7 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     if not normalize:
         return WeightVector._adopt(a)
     _check_positive(a)
-    total = _weight_sum(a)
+    total = _finite_sum("the sum of the weights", lambda: exact_sum(a))
     q = a / total  # each 0 < a_i <= total, so q lies in [0, 1] and a zero underflowed
     if not q.min() > 0.0:
         i = int(np.argmin(q))

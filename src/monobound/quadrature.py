@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._summation import exact_sum
+from ._summation import _finite_sum, exact_sum
 from .errors import InvalidArgument, NonFiniteValue, ToleranceNotReached
 
 _MAX_DEPTH = 48
@@ -55,15 +55,14 @@ def _gk15(fx, x0, x1):
     """K15 value, error estimate and rounding floor of panels [x0, x1] from their
     node values ``fx``, summed row by row so that no bit depends on the block."""
     kronrod = gauss = absolute = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused in batched_quadrature
-        for j, w in enumerate(_K15):
-            kronrod = kronrod + w * fx[j]
-            absolute = absolute + w * abs(fx[j])
-        for j, w in enumerate(_G7):
-            gauss = gauss + w * fx[2 * j + 1]
-        half = 0.5 * (x1 - x0)
-        floor = half * (_ROUNDING * absolute)
-        return half * kronrod, np.maximum(half * abs(kronrod - gauss), floor), floor
+    for j, w in enumerate(_K15):
+        kronrod = kronrod + w * fx[j]
+        absolute = absolute + w * abs(fx[j])
+    for j, w in enumerate(_G7):
+        gauss = gauss + w * fx[2 * j + 1]
+    half = 0.5 * (x1 - x0)
+    floor = half * (_ROUNDING * absolute)
+    return half * kronrod, np.maximum(half * abs(kronrod - gauss), floor), floor
 
 
 def batched_quadrature(
@@ -91,6 +90,7 @@ def batched_quadrature(
     # one column per panel: x0, x1, local_tol; all panels of an entry have the same depth
     stack = [(0, np.array([edges[:-1], edges[1:], tol * np.diff(edges) / (b - a)]))]
     values, errs = [], []  # of the accepted panels, per block
+    what = "a quadrature sum of the integrand"
     evals = 0
 
     while stack:
@@ -99,11 +99,12 @@ def batched_quadrature(
             stack.append((depth, panels[:, _BLOCK:]))
         x0, x1, loc_tol = panels[:, :_BLOCK]
         xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * _NODES  # one row per node
-        fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+            fx = np.asarray(fv(xs.ravel()), dtype=float).reshape(xs.shape)
+            value, err, floor = _gk15(fx, x0, x1)
         evals += xs.size
-        value, err, floor = _gk15(fx, x0, x1)
         if not np.isfinite(err).all():  # a non-finite sum makes err non-finite too
-            raise NonFiniteValue("a quadrature sum of the integrand")
+            raise NonFiniteValue(what)
         accept = (err <= loc_tol) | (err <= floor) | (depth >= _MAX_DEPTH)
         values.append(value[accept])
         errs.append(err[accept])
@@ -116,10 +117,7 @@ def batched_quadrature(
             children[:, 1::2] = xm, x1, 0.5 * loc_tol
             stack.append((depth + 1, children))
 
-    try:
-        total, err_total = exact_sum(np.concatenate(values)), exact_sum(np.concatenate(errs))
-    except OverflowError:  # the exact total exceeds float64
-        raise NonFiniteValue("a quadrature sum of the integrand") from None
+    total, err_total = (_finite_sum(what, lambda: exact_sum(np.concatenate(v))) for v in (values, errs))
     if err_total > tol:
         raise ToleranceNotReached(total, err_total)
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evals)

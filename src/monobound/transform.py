@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._summation import compensated_prefix_sums, exact_sum
+from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
 from .errors import EmptyInput, InvalidArgument, NotNormalized
 from .functions import MonotoneFunction, _UnitIntervalFunction, _trapezoids, knot_arrays
 from .quadrature import batched_quadrature
@@ -78,7 +78,7 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     if not all(math.isfinite(c) for c in coeffs):
         raise InvalidArgument("polynomial coefficients must be finite")
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
-    mass = exact_sum(anti)
+    mass = _finite_sum("the mass of the polynomial", lambda: exact_sum(anti))
     if abs(mass - 1.0) > _MASS_TOLERANCE:
         raise NotNormalized(mass)
     P = np.polynomial.polynomial

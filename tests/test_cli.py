@@ -250,7 +250,7 @@ class TestMajorize:
         code, out, err = run(capsys, "majorize", "--x", x, "--y", x, *fmt)
         assert code == 2
         assert out == ""
-        assert err == "domain error: prefix sums of x and y overflow float64; rescale the inputs\n"
+        assert err == "domain error: a sum of x or y is not finite in float64; rescale the inputs\n"
 
 
 class TestKaramata:
@@ -336,7 +336,7 @@ class TestKaramata:
         x = write_vector(tmp_path, "x.csv", "1e308\n1e308\n")
         code, _, err = run(capsys, "karamata", "--x", x, "--y", x, "--fn", "square")
         assert code == 2
-        assert "overflow" in err
+        assert err == "domain error: a sum of x or y is not finite in float64; rescale the inputs\n"
 
     def test_unmajorized_inputs_rejected(self, capsys, tmp_path):
         x = write_vector(tmp_path, "x.csv", "1,0\n")
@@ -852,6 +852,39 @@ class TestNonFiniteTable:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("domain error: ")
+
+
+EXTREMES = ["1e308", "-1e308", "1.7e308", "-1.7e308", "5e-324", "0", "1"]
+EXTREME_FNS = [f"linear:m={m},b={b}" for m in EXTREMES for b in EXTREMES] + [
+    "power:k=5e-324", "power:k=1.7e308", "exp:lambda=5e-324", "exp:lambda=1.7e308",
+    "const:c=1.7e308", "const:c=-1.7e308", "const:c=5e-324",
+]
+EXTREME_RUNS = [
+    (command, "--uniform", "3", "--fn", fn) for command in ("bound", "enclose", "abel", "refine") for fn in EXTREME_FNS
+] + [
+    ("transform-check", "--density", density, "--fn", fn)
+    for density in ("uniform", "tri:peak=0", "tri:peak=1", "poly:1e308,1e308,1e308")
+    for fn in [*EXTREME_FNS, "trig"]
+]
+
+
+class TestExtremeInputs:
+    """Values of g, and sums of them, at the ends of float64.
+
+    Every run succeeds or is a domain error with exactly one line on
+    stderr: no traceback, exit 3 or floating-point warning (warnings are
+    errors here) on the way.
+    """
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", EXTREME_RUNS, ids=" ".join)
+    def test_succeeds_or_is_one_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("domain error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 #: The options each command reads; every command also takes --json.

@@ -114,7 +114,7 @@ class TestMatchesNeumaierLoop:
         "head", [[1e308, 1e308], [-1e308, -1e308, -1e308], [1.7e308, 1e-300, 1.7e308]]
     )
     def test_overflow_raises_under_errstate(self, head, chunk):
-        # is_majorized turns this FloatingPointError into SumOverflow; the
+        # is_majorized refuses such sums with NonFiniteValue; the
         # overflow sits in the first block or, with 7-value blocks, a later one
         values = [0.5] * 20 + head
         with mock.patch.object(_summation, "_CHUNK", chunk):

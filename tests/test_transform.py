@@ -68,6 +68,10 @@ class TestDensities:
         with pytest.raises(NotNormalized):
             polynomial_density([1e308, 1e308])
 
+    def test_polynomial_mass_that_overflows_is_not_finite(self):
+        with pytest.raises(NonFiniteValue, match="the mass of the polynomial"):
+            polynomial_density([1e308, 1e308, 1e308])
+
     def test_polynomial_rejects_negative_values(self):
         with pytest.raises(ValueError):
             polynomial_density([-0.5, 3.0])  # f(0) < 0 despite unit mass
