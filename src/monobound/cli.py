@@ -4,32 +4,32 @@ Grammar:
 
     monobound bound|enclose|abel (--weights FILE | --uniform N) --fn SPEC
     monobound refine             (--weights FILE | --uniform N) --fn SPEC [--depth D]
-    monobound transform-check    --density SPEC --fn SPEC [--tol X]
+    monobound transform-check    --density SPEC --fn SPEC
     monobound majorize           --x FILE --y FILE
     monobound karamata           --x FILE --y FILE --fn SPEC
     monobound catalog
 
-and ``--json`` anywhere; ``--tol`` is the residual tolerance (default 1e-8),
-and any option a command does not read is a parse error.  Every integral of
-g is its closed form (for ``table:``, the trapezoid sum), and ``strict`` is
-whether g is not constant: for a continuous monotone g the constant
-functions are the only equality case.  A SPEC is ``name[:args]``: one table
-per family (``_FUNCTIONS``, ``_DENSITIES``, ``_CONVEX``) gives each name its
-constructor and argument form, and the one parser, the ``--help`` usage and
-the spec errors all come from it.  karamata's ``--fn`` is ``square``,
-``expt``, ``abs:c=C`` or a function spec of a convex member or table
-(``log``, ``trig`` and ``power`` with k > 1 exit 2).  Input files are CSV
-(numbers separated by commas, spaces or newlines; one ``x,y`` knot per line)
-or a JSON array of numbers or of [x, y] pairs.  Every number is read by
-``float``, so JSON booleans and strings are refused.
+and ``--json`` anywhere; any option a command does not read is a parse
+error; transform-check's bound is 1e-8 times max |g| at g's knots.  Every
+integral of g is its closed form (for ``table:``, the trapezoid sum), and
+``strict`` is whether g is not constant: for a continuous monotone g the
+constant functions are the only equality case.  A SPEC is ``name[:args]``:
+one table per family (``_FUNCTIONS``, ``_DENSITIES``, ``_CONVEX``) gives
+each name its constructor and argument form, and the one parser, the
+``--help`` usage and the spec errors all come from it.  karamata's ``--fn``
+is ``square``, ``expt``, ``abs:c=C`` or a function spec of a convex member
+or table (``log``, ``trig`` and ``power`` with k > 1 exit 2).  Input files
+are CSV (numbers separated by commas, spaces or newlines; one ``x,y`` knot
+per line) or a JSON array of numbers or of [x, y] pairs.  Every number is
+read by ``float``, so JSON booleans and strings are refused.
 
 Exit codes: 0 success, 1 parse error (also an unreadable or undecodable file,
-a ``--tol`` that is not positive and finite, or a ``--depth`` below 1), 2
-domain error (bad weights, non-monotone or non-convex function, failed
-precondition, a partition over ``partitions.MAX_INTERVALS``, a quadrature sum
-that overflows: any ``MonoboundError``), 3 mathematical-invariant
-violation.  Code 3 signals a bug in the math, never bad input, so CI can tell
-the two apart; anything else ends in a traceback.
+or a ``--depth`` below 1), 2 domain error (bad weights, non-monotone or
+non-convex function, failed precondition, a partition over
+``partitions.MAX_INTERVALS``, or for ``abel`` over ``ABEL_MAX_TERMS``, a
+quadrature sum that overflows: any ``MonoboundError``), 3
+mathematical-invariant violation.  Code 3 signals a bug in the math, never
+bad input, so CI can tell the two apart; anything else ends in a traceback.
 ``bounds`` decides the bound-family invariants: ``bound`` checks that the
 Abel route agrees with T_n, the sign of the gap and the gap bound;
 ``enclose`` checks those and that [lower, upper] holds the integral;
@@ -57,13 +57,15 @@ from .bounds import (
     refinement_violations,
     riemann_sum_left,
 )
-from .errors import MonoboundError
+from .errors import MonoboundError, TooLarge
 from .functions import MonotoneFunction, require_monotone
 from .jsonio import format_float, render_json
 from .majorization import is_majorized, karamata_check
-from .partitions import WeightVector, cumulative, from_weights, uniform_weights
+from .partitions import MAX_INTERVALS, WeightVector, cumulative, from_weights, uniform_weights
 
 DEFAULT_DEPTH = 3
+#: Most terms ``abel`` prints, each about 150 bytes of Python float and text on the way out.
+ABEL_MAX_TERMS = 2**20
 
 #: Rows shown by the catalog command.
 CATALOG_SPECS = (
@@ -244,12 +246,15 @@ def _require(value: str | None, flag: str) -> str:
     return value
 
 
-def _weights_from(args: argparse.Namespace) -> WeightVector:
+def _weights_from(args: argparse.Namespace, limit: int = MAX_INTERVALS) -> WeightVector:
     if (args.weights is None) == (args.uniform is None):
         raise CliParseError("exactly one of --weights FILE and --uniform N is required")
-    if args.uniform is not None:
-        return uniform_weights(args.uniform)
-    return from_weights(_read_numbers(args.weights))
+    if args.uniform is not None and args.uniform > limit:
+        raise TooLarge(args.uniform, 0, limit)  # before N weights are allocated
+    w = from_weights(_read_numbers(args.weights)) if args.uniform is None else uniform_weights(args.uniform)
+    if w.n > limit:
+        raise TooLarge(w.n, 0, limit)
+    return w
 
 
 def cmd_bound(args: argparse.Namespace) -> _CmdResult:
@@ -278,7 +283,7 @@ def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
 
 def cmd_abel(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
-    p = cumulative(_weights_from(args))
+    p = cumulative(_weights_from(args, ABEL_MAX_TERMS))
     t_n, value, terms = _abel_route(g, p)
     payload = {
         "abel_value": value,
@@ -293,7 +298,7 @@ def cmd_abel(args: argparse.Namespace) -> _CmdResult:
 def cmd_transform_check(args: argparse.Namespace) -> _CmdResult:
     f = parse_density_spec(_require(args.density, "--density"))
     g = parse_fn_spec(_require(args.fn, "--fn"))
-    report = transform.pit_identity_check(f, g, tol=args.tol)
+    report = transform.pit_identity_check(f, g)
     problems = [] if report.passed else [
         f"residual {report.residual!r} exceeds tolerance {report.tol!r}"
     ]
@@ -371,7 +376,7 @@ _COMMANDS = {
     "enclose": (cmd_enclose, "two-sided enclosure of the integral", _PARTITION),
     "abel": (cmd_abel, "discrete integration-by-parts cross-check", _PARTITION),
     "transform-check": (
-        cmd_transform_check, "substitution identity residual for a density", ("density", "fn", "tol")
+        cmd_transform_check, "substitution identity residual for a density", ("density", "fn")
     ),
     "majorize": (cmd_majorize, "majorization relation between two vectors", ("x", "y")),
     "karamata": (cmd_karamata, "convex-sum inequality on a majorized pair", ("x", "y", "fn")),
@@ -390,23 +395,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliParseError(message)
 
 
-def _checked(convert: Callable[[str], float], valid: Callable[[float], bool], requirement: str):
-    """An argparse type: ``convert`` the text, then refuse values that are not ``valid``."""
+def _depth(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value!r}")
+    return value
 
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value!r}")
-        return value
-
-    return parse
-
-
-_tolerance = _checked(float, lambda t: 0.0 < t < math.inf, "positive and finite")
-_depth = _checked(int, lambda d: d >= 1, ">= 1")
 
 #: ``add_argument`` keywords of each option a command may read.
 _OPTIONS = {
@@ -416,7 +413,6 @@ _OPTIONS = {
     "density": {"metavar": "SPEC", "help": f"density spec: {_usage(_DENSITIES)}"},
     "x": {"metavar": "FILE", "help": "left vector"},
     "y": {"metavar": "FILE", "help": "right vector"},
-    "tol": {"type": _tolerance, "default": 1e-8, "metavar": "X", "help": "residual tolerance (default 1e-8)"},
     "depth": {"type": _depth, "default": DEFAULT_DEPTH, "metavar": "D", "help": "bisection depth"},
 }
 

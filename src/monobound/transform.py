@@ -40,7 +40,7 @@ class Density(_UnitIntervalFunction):
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Residual check of the substitution identity at a given tolerance."""
+    """Residual check of the substitution identity; ``tol`` is the bound in force."""
 
     lhs: float
     rhs: float
@@ -151,19 +151,23 @@ def _preimages(cdf: Callable, ts: Sequence[float]) -> np.ndarray:
     return hi
 
 
-def pit_identity_check(f: Density, g: MonotoneFunction, tol: float) -> TransformReport:
-    """Verify integral of f*g(F) equals integral of g, within ``tol``.
+def pit_identity_check(f: Density, g: MonotoneFunction, tol: float = 1e-8) -> TransformReport:
+    """Verify integral of f*g(F) equals integral of g, to ``tol`` times g's scale.
 
-    The left side is integrated adaptively with panel edges at the kinks of
-    f and where F crosses a kink of g; the right side is g's closed form.
-    The check is numerical: a passing report certifies the residual, not
-    the identity in the abstract.
+    The scale M is max |g| at 0, g's kinks and 1 (exact for a table or a
+    monotone g), and the report's ``tol`` is bound = tol * max(M, 2^-1022).
+    The left side is integrated adaptively to bound/2 with panel edges at
+    the kinks of f and where F crosses a kink of g; the right side is g's
+    closed form.  A pass certifies the residual, not the identity itself.
     """
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
+    if not 0.0 < tol < 1.0:  # tol * M then cannot overflow; from 2 up, every residual passes
+        raise InvalidArgument(f"tol must lie in (0, 1), got {tol!r}")
+    knots = np.array([0.0, *g.kinks, 1.0])  # those require_monotone reads
+    scale = _finite_sum("a value of g at its knots", lambda: float(np.abs(g.values(knots)).max()))
+    bound = tol * max(scale, 2.0**-1022)
     pdf, cdf_fn, gfn = f._fn, f.cdf, g._fn
     kinks = f.kinks + tuple(_preimages(cdf_fn, g.kinks).tolist())
-    lhs = batched_quadrature(lambda x: pdf(x) * gfn(cdf_fn(x)), tol=tol / 2.0, breakpoints=kinks).value
+    lhs = batched_quadrature(lambda x: pdf(x) * gfn(cdf_fn(x)), tol=bound / 2.0, breakpoints=kinks).value
     rhs = g.closed_form_integral
     residual = abs(lhs - rhs)
-    return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=tol, passed=residual <= tol)
+    return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=bound, passed=residual <= bound)

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from monobound import bounds, cli, majorization
+from monobound import bounds, cli, majorization, transform
 from monobound.bounds import bound_report, refinement_chain, riemann_sum_right
 from monobound.cli import build_parser, main
 from monobound.functions import power_complement
@@ -177,6 +177,14 @@ class TestAbel:
         assert len(json.loads(out)["terms"]) == 6
 
 
+SCALES = (1e6, -1e6, 1e20, -1e20, 1e300, -1e300)
+#: Function specs with g's scale, max |g| on [0, 1].
+SCALED_FNS = (
+    [(f"const:c={s!r}", abs(s)) for s in (*SCALES, 0.0, 5e-324)]
+    + [(f"linear:m={-s!r},b={s!r}", abs(s)) for s in SCALES]
+)
+
+
 class TestTransformCheck:
     def test_uniform_density_recovers_plain_integral(self, capsys):
         code, out, _ = run(capsys, "transform-check", "--density", "uniform", "--fn", "trig", "--json")
@@ -209,6 +217,31 @@ class TestTransformCheck:
     def test_wire_keys(self, capsys):
         _, out, _ = run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--json")
         assert list(json.loads(out).keys()) == ["lhs", "rhs", "residual", "tol", "pass"]
+
+    @pytest.mark.parametrize("density", ["uniform", "tri:peak=0.3", "poly:0.5,1"])
+    @pytest.mark.parametrize("fn, scale", SCALED_FNS, ids=[fn for fn, _ in SCALED_FNS])
+    def test_the_bound_scales_with_g(self, capsys, density, fn, scale):
+        # 1e-8 absolute was out of the quadrature's reach from |g| ~ 5e5 up
+        code, out, err = run(capsys, "transform-check", "--density", density, "--fn", fn, "--json")
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert got["pass"] is True and got["tol"] == 1e-8 * max(scale, 2.0**-1022)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_a_left_side_off_by_a_millionth_is_caught(self, capsys, scale):
+        # 50 % off at scale 1e-20 passed against an absolute 1e-8
+        quadrature = transform.batched_quadrature
+
+        def planted(*args, **kwargs):
+            result = quadrature(*args, **kwargs)
+            return dataclasses.replace(result, value=result.value * (1.0 + 1e-6))
+
+        fn = f"linear:m={-scale!r},b={scale!r}"
+        with mock.patch.object(transform, "batched_quadrature", planted):
+            code, out, err = run(capsys, "transform-check", "--density", "tri:peak=0.3", "--fn", fn, "--json")
+        got = json.loads(out)
+        assert code == 3 and got["pass"] is False
+        assert err == f"invariant violation: residual {got['residual']!r} exceeds tolerance {got['tol']!r}\n"
 
 
 class TestMajorize:
@@ -432,6 +465,10 @@ class TestRefine:
         code, _, err = run(capsys, "refine", "--weights", "/nonexistent.csv", "--fn", "recip", "--depth", "0")
         assert (code, err) == (1, "error: argument --depth: must be >= 1, got 0\n")
 
+    def test_depth_that_is_not_an_int(self, capsys):
+        code, _, err = run(capsys, "refine", "--weights", "/nonexistent.csv", "--fn", "recip", "--depth", "two")
+        assert (code, err) == (1, "error: argument --depth: invalid int value: 'two'\n")
+
 
 class TestPlantedBugs:
     """A wrong sum planted in the library makes the bound-family commands exit 3.
@@ -555,6 +592,19 @@ class TestInputBudget:
         assert out == ""
         assert "1000000000000 intervals" in err and "134217728" in err
 
+    def test_abel_past_its_term_budget(self, capsys):
+        n = cli.ABEL_MAX_TERMS + 1
+        code, out, err = self.run_traced(capsys, "abel", "--uniform", str(n), "--fn", "recip", "--json")
+        assert (code, out) == (2, "")
+        assert err == f"domain error: a partition of {n} intervals exceeds the limit of {n - 1} intervals\n"
+
+    def test_abel_weights_file_past_its_term_budget_evaluates_no_g(self, capsys, worked_weights):
+        g = dataclasses.replace(power_complement(2), _fn=lambda x: pytest.fail("g evaluated"))
+        with mock.patch.object(cli, "ABEL_MAX_TERMS", 2), mock.patch.object(cli, "parse_fn_spec", lambda spec: g):
+            code, out, err = run(capsys, "abel", "--weights", worked_weights, "--fn", "power:k=2")
+        assert (code, out) == (2, "")
+        assert err == "domain error: a partition of 3 intervals exceeds the limit of 2 intervals\n"
+
     def test_deep_refine(self, capsys, tmp_path):
         weights = write_vector(tmp_path, "ten.csv", "0.1\n" * 10)
         code, out, err = self.run_traced(
@@ -606,24 +656,6 @@ class TestExitCodes:
 
     def test_neither_weights_nor_uniform(self, capsys):
         assert run(capsys, "bound", "--fn", "recip")[0] == 1
-
-    def test_negative_tol(self, capsys):
-        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", "-3")[0] == 1
-
-    def test_zero_tol(self, capsys):
-        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", "0")[0] == 1
-
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_non_finite_tol(self, capsys, tol):
-        assert run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", tol)[0] == 1
-
-    @pytest.mark.parametrize(
-        "tol, message",
-        [("-3", "must be positive and finite, got -3.0"), ("abc", "invalid float value: 'abc'")],
-    )
-    def test_tol_messages_name_the_flag(self, capsys, tol, message):
-        code, out, err = run(capsys, "transform-check", "--density", "uniform", "--fn", "recip", "--tol", tol)
-        assert (code, out, err) == (1, "", f"error: argument --tol: {message}\n")
 
     def test_negative_weight_is_a_domain_error(self, capsys, tmp_path):
         bad = write_vector(tmp_path, "bad.csv", "0.5,-0.1,0.6\n")
@@ -873,7 +905,8 @@ class TestExtremeInputs:
 
     Every run succeeds or is a domain error with exactly one line on
     stderr: no traceback, exit 3 or floating-point warning (warnings are
-    errors here) on the way.
+    errors here) on the way.  transform-check's bound scales with g, so
+    its quadrature never falls short of it (ToleranceNotReached).
     """
 
     @pytest.mark.filterwarnings("error")
@@ -885,6 +918,8 @@ class TestExtremeInputs:
             assert err.startswith("domain error: ") and err.count("\n") == 1
         else:
             assert err == ""
+        if argv[0] == "transform-check":
+            assert not err.startswith("domain error: quadrature reached estimated error")
 
 
 #: The options each command reads; every command also takes --json.
@@ -892,7 +927,7 @@ ACCEPTED = {
     "bound": {"weights", "uniform", "fn"},
     "enclose": {"weights", "uniform", "fn"},
     "abel": {"weights", "uniform", "fn"},
-    "transform-check": {"density", "fn", "tol"},
+    "transform-check": {"density", "fn"},
     "majorize": {"x", "y"},
     "karamata": {"x", "y", "fn"},
     "refine": {"weights", "uniform", "fn", "depth"},

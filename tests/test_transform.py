@@ -261,6 +261,39 @@ class TestPitIdentity:
         assert list(d.keys()) == ["lhs", "rhs", "residual", "tol", "pass"]
         assert d["pass"] is True
 
+    def test_default_tolerance_is_relative_to_max_abs_g_at_the_knots(self):
+        # a table that rises and falls: its largest |g| is at an interior knot
+        g = tabulated([(0.0, 0.5), (0.3, -4.0), (0.7, 3.0), (1.0, 1.0)])
+        rep = pit_identity_check(triangular_density(0.4), g)
+        assert rep.passed and rep.tol == 1e-8 * 4.0
+
+    @pytest.mark.parametrize("c, bound", [(0.0, 1e-8 * 2.0**-1022), (5e-324, 1e-8 * 2.0**-1022), (-3e5, 3e-3)])
+    def test_bound_of_a_constant(self, c, bound):
+        rep = pit_identity_check(uniform_density(), constant(c), 1e-8)
+        assert rep.passed and rep.tol == bound
+
+    def test_g_not_finite_at_a_knot_is_refused_before_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(transform, "batched_quadrature", refuse)
+        with pytest.raises(NonFiniteValue, match="a value of g at its knots"):
+            pit_identity_check(uniform_density(), linear(1e308, 1e308))
+
+    @pytest.mark.parametrize("k", [-900, -60, -1, 1, 60, 900])
+    @pytest.mark.parametrize("f", catalog_densities(), ids=DENSITY_IDS)
+    def test_scaling_g_by_a_power_of_two_scales_the_report_exactly(self, f, k):
+        knots = [(0.0, 1.2), (0.5, 0.3), (0.8, -0.7), (1.0, 0.1)]
+        for g, scaled in [
+            (linear(-3.0, 2.0), linear(-3.0 * 2.0**k, 2.0 * 2.0**k)),
+            (tabulated(knots), tabulated([(x, y * 2.0**k) for x, y in knots])),
+        ]:
+            rep, big = pit_identity_check(f, g), pit_identity_check(f, scaled)
+            assert (big.lhs, big.rhs, big.residual, big.tol) == tuple(
+                math.ldexp(v, k) for v in (rep.lhs, rep.rhs, rep.residual, rep.tol)
+            )
+            assert big.passed is rep.passed is True
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             pit_identity_check(uniform_density(), constant(1.0), 0.0)
@@ -268,6 +301,12 @@ class TestPitIdentity:
     def test_infinite_tolerance(self):
         with pytest.raises(ValueError):
             pit_identity_check(uniform_density(), constant(1.0), math.inf)
+
+    @pytest.mark.parametrize("tol", [1.0, 1e10])
+    def test_relative_tolerance_of_one_or_more(self, tol):
+        # 1e10 * 1e300 would overflow the bound
+        with pytest.raises(ValueError, match="tol must lie in \\(0, 1\\)"):
+            pit_identity_check(uniform_density(), constant(1e300), tol)
 
 
 class TestEmpiricalPartition:
