@@ -25,23 +25,14 @@ from .bounds import (
     riemann_sum_right,
 )
 from .errors import (
-    DomainViolation,
-    EmptyInput,
     InvalidArgument,
-    LengthMismatch,
     MonoboundError,
     NonFiniteValue,
     NonMonotoneFunction,
-    NonPositiveWeight,
     NotConvex,
     NotMajorized,
-    NotNormalized,
-    PointOutsideInterval,
-    SumOutOfTolerance,
     ToleranceNotReached,
     TooLarge,
-    WeightBelowResolution,
-    WeightUnderflow,
 )
 from .functions import (
     CONSTANT,
@@ -95,31 +86,22 @@ __all__ = [
     "CumulativePartition",
     "DECREASING",
     "Density",
-    "DomainViolation",
-    "EmptyInput",
     "INCREASING",
     "InvalidArgument",
     "KaramataReport",
-    "LengthMismatch",
     "MajorizationVerdict",
     "MonoboundError",
     "MonotoneFunction",
     "NON_MONOTONE",
     "NonFiniteValue",
     "NonMonotoneFunction",
-    "NonPositiveWeight",
     "NotConvex",
     "NotMajorized",
-    "NotNormalized",
-    "PointOutsideInterval",
     "QuadratureResult",
     "RealVector",
-    "SumOutOfTolerance",
     "ToleranceNotReached",
     "TooLarge",
     "TransformReport",
-    "WeightBelowResolution",
-    "WeightUnderflow",
     "WeightVector",
     "abel_sum",
     "abel_terms",

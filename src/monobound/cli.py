@@ -246,14 +246,14 @@ def _require(value: str | None, flag: str) -> str:
     return value
 
 
-def _weights_from(args: argparse.Namespace, limit: int = MAX_INTERVALS) -> WeightVector:
+def _weights_from(args: argparse.Namespace, limit: int = MAX_INTERVALS, budget: str = "the limit") -> WeightVector:
     if (args.weights is None) == (args.uniform is None):
         raise CliParseError("exactly one of --weights FILE and --uniform N is required")
     if args.uniform is not None and args.uniform > limit:
-        raise TooLarge(args.uniform, 0, limit)  # before N weights are allocated
+        raise TooLarge(args.uniform, 0, limit, budget)  # before N weights are allocated
     w = from_weights(_read_numbers(args.weights)) if args.uniform is None else uniform_weights(args.uniform)
     if w.n > limit:
-        raise TooLarge(w.n, 0, limit)
+        raise TooLarge(w.n, 0, limit, budget)
     return w
 
 
@@ -283,7 +283,7 @@ def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
 
 def cmd_abel(args: argparse.Namespace) -> _CmdResult:
     g = parse_fn_spec(_require(args.fn, "--fn"))
-    p = cumulative(_weights_from(args, ABEL_MAX_TERMS))
+    p = cumulative(_weights_from(args, ABEL_MAX_TERMS, "abel's term budget"))
     t_n, value, terms = _abel_route(g, p)
     payload = {
         "abel_value": value,

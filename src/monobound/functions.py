@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import exact_sum
-from .errors import DomainViolation, InvalidArgument, NonMonotoneFunction, NotConvex
+from .errors import InvalidArgument, NonMonotoneFunction, NotConvex
 from .quadrature import batched_quadrature
 
 DECREASING = "decreasing"
@@ -40,9 +40,9 @@ class _UnitIntervalFunction:
     _fn: Callable
 
     def __call__(self, x: float) -> float:
-        """Evaluate at a scalar point of [0, 1]; raises DomainViolation."""
+        """Evaluate at a scalar point of [0, 1]; raises InvalidArgument."""
         if not 0.0 <= x <= 1.0:
-            raise DomainViolation(x)
+            raise InvalidArgument(f"argument {x!r} lies outside the domain [0, 1]")
         return float(self._fn(x))
 
     def values(self, xs) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
-from .errors import DomainViolation, InvalidArgument, LengthMismatch, NonFiniteValue, NotMajorized
+from .errors import InvalidArgument, NonFiniteValue, NotMajorized
 from .functions import MonotoneFunction, require_convex
 from .partitions import WeightVector, _ArrayBacked
 
@@ -121,7 +121,7 @@ def is_majorized(x: VectorLike, y: VectorLike) -> MajorizationVerdict:
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     if xv.n != yv.n:
-        raise LengthMismatch(xv.n, yv.n)
+        raise InvalidArgument(f"length mismatch: {xv.n} vs {yv.n}")
     xs, ys = np.sort(xv.array)[::-1], np.sort(yv.array)[::-1]
     what = "a sum of x or y"
     slack = COMPARISON_TOLERANCE * _finite_sum(what, lambda: max(exact_sum(np.abs(v)) for v in (xs, ys)))
@@ -147,7 +147,7 @@ def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np
         if isinstance(g, MonotoneFunction):
             outside = ~((points >= 0.0) & (points <= 1.0))
             if outside.any():
-                raise DomainViolation(float(points[outside.argmax()]))
+                g(float(points[outside.argmax()]))  # fails __call__'s check: InvalidArgument
             with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
                 values = g.values(points)
         else:

@@ -21,16 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
-from .errors import (
-    EmptyInput,
-    InvalidArgument,
-    NonPositiveWeight,
-    PointOutsideInterval,
-    SumOutOfTolerance,
-    TooLarge,
-    WeightBelowResolution,
-    WeightUnderflow,
-)
+from .errors import InvalidArgument, TooLarge
 
 #: Accepted deviation of an un-normalized weight sum from 1.
 SUM_TOLERANCE = 1e-9
@@ -54,14 +45,14 @@ def _float_array(values: Iterable[float], copy: bool = True) -> np.ndarray:
 
 
 def _check_positive(a: np.ndarray) -> None:
-    """Raise NonPositiveWeight for the first entry that is not finite and > 0."""
+    """Raise InvalidArgument for the first entry that is not finite and > 0."""
     if not (a.min() > 0.0 and a.max() < np.inf):  # nan fails too
         i = int(np.argmax(~(np.isfinite(a) & (a > 0.0))))
-        raise NonPositiveWeight(i, float(a[i]))
+        raise InvalidArgument(f"weight {i} is {float(a[i])!r}; weights must be positive finite numbers")
 
 
 def _check_sum(a: np.ndarray, plain: float) -> None:
-    """Raise SumOutOfTolerance unless positive weights, of plain sum ``plain``,
+    """Raise InvalidArgument unless positive weights, of plain sum ``plain``,
     sum to 1 within SUM_TOLERANCE."""
     # Summed in any order, n positive weights err by at most gamma_(n-1)
     # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
@@ -73,7 +64,9 @@ def _check_sum(a: np.ndarray, plain: float) -> None:
     if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
         total = _finite_sum("the sum of the weights", lambda: exact_sum(a))
         if abs(total - 1.0) > SUM_TOLERANCE:
-            raise SumOutOfTolerance(total, SUM_TOLERANCE)
+            raise InvalidArgument(
+                f"weights sum to {total!r}, outside 1 +/- {SUM_TOLERANCE:g}; pass normalize=True to rescale"
+            )
 
 
 class _ArrayBacked:
@@ -123,7 +116,7 @@ class WeightVector(_ArrayBacked):
     @staticmethod
     def _validated(a: np.ndarray) -> np.ndarray:
         if a.size == 0:
-            raise EmptyInput("weight vector")
+            raise InvalidArgument("weight vector must not be empty")
         _check_positive(a)
         with np.errstate(over="ignore"):
             plain = float(np.add.reduce(a))
@@ -187,11 +180,11 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     leaving a sum within 1e-15 of 1: the total and each quotient round
     once, by a relative 2^-53 at most.  A weight total that overflows float64
     raises NonFiniteValue, and a weight the division rounds to 0.0 raises
-    WeightUnderflow; the quotients are checked once, not as a new input.
+    InvalidArgument; the quotients are checked once, not as a new input.
     """
     a = _float_array(weights, copy=not normalize)
     if a.size == 0:
-        raise EmptyInput("weight list")
+        raise InvalidArgument("weight list must not be empty")
     if not normalize:
         return WeightVector._adopt(a)
     _check_positive(a)
@@ -199,7 +192,10 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     q = a / total  # each 0 < a_i <= total, so q lies in [0, 1] and a zero underflowed
     if not q.min() > 0.0:
         i = int(np.argmin(q))
-        raise WeightUnderflow(i, float(a[i]), total)
+        raise InvalidArgument(
+            f"weight {i} is {float(a[i])!r}, which underflows to 0.0 after normalisation "
+            f"by the weight total {total!r}"
+        )
     _check_sum(q, float(np.add.reduce(q)))  # each q_i <= 1: the sum cannot overflow
     return WeightVector._adopt(q, checked=True)
 
@@ -207,9 +203,9 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
 def cumulative(w: WeightVector) -> CumulativePartition:
     """Cumulative partition of ``w`` via a compensated prefix sum.
 
-    Raises WeightBelowResolution, naming the first weight a_i, when a
-    weight too small to move the running total leaves two breakpoints
-    equal.
+    Raises InvalidArgument, naming the first weight a_i, when a weight
+    below about half an ulp of the compensated running total S_(i - 1)
+    leaves S_(i - 1) and S_i equal.
     """
     s = compensated_prefix_sums(w.array)
     last = s[-1]
@@ -224,7 +220,11 @@ def cumulative(w: WeightVector) -> CumulativePartition:
         if lost.size == 0:
             raise
         i = int(lost[0]) + 1
-        raise WeightBelowResolution(i, float(w.array[i - 1]), float(s[i - 1])) from None
+        raise InvalidArgument(
+            f"weight a_{i} = {float(w.array[i - 1])!r} is too small to move the running total "
+            f"S_{i - 1} = {float(s[i - 1])!r} (below its rounding resolution), "
+            f"so S_{i - 1} and S_{i} would coincide"
+        ) from None
 
 
 def require_within_budget(n: int, depth: int = 0) -> None:
@@ -247,7 +247,7 @@ def uniform_weights(n: int) -> WeightVector:
 def bisect_all(p: CumulativePartition) -> CumulativePartition:
     """Refinement inserting the midpoint of every interval.
 
-    Raises PointOutsideInterval for the first interval whose midpoint
+    Raises InvalidArgument for the first interval whose midpoint
     rounds onto one of its ends (an interval between adjacent floats).
     That test and p's ends make the partition's check, which is not repeated.
     """
@@ -256,7 +256,7 @@ def bisect_all(p: CumulativePartition) -> CumulativePartition:
     bad = ~((bps[:-1] < mids) & (mids < bps[1:]))
     if bad.any():
         i = int(np.argmax(bad))
-        raise PointOutsideInterval(i + 1, float(mids[i]))
+        raise InvalidArgument(f"refinement point {float(mids[i])!r} is not interior to interval {i + 1}")
     out = np.empty(2 * bps.size - 1)
     out[0::2] = bps
     out[1::2] = mids

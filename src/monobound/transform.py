@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
-from .errors import EmptyInput, InvalidArgument, NotNormalized
+from .errors import InvalidArgument
 from .functions import MonotoneFunction, _UnitIntervalFunction, _trapezoids, knot_arrays
 from .quadrature import batched_quadrature
 
@@ -74,13 +74,14 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
     """
     coeffs = tuple(float(c) for c in coefficients)
     if not coeffs:
-        raise EmptyInput("polynomial coefficients")
+        raise InvalidArgument("polynomial coefficients must not be empty")
     if not all(math.isfinite(c) for c in coeffs):
         raise InvalidArgument("polynomial coefficients must be finite")
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
     mass = _finite_sum("the mass of the polynomial", lambda: exact_sum(anti))
     if abs(mass - 1.0) > _MASS_TOLERANCE:
-        raise NotNormalized(mass)
+        within = np.format_float_scientific(_MASS_TOLERANCE, trim="-", exp_digits=1)  # 1e-9, not 1e-09
+        raise InvalidArgument(f"density has mass {mass!r} on [0, 1]; expected 1 within {within}")
     P = np.polynomial.polynomial
     d = P.polyder(coeffs)
     d = P.polytrim(d, np.abs(d).max() * 2.0**-52)  # else a negligible top term overflows the companion matrix
@@ -121,7 +122,10 @@ def tabulated_density(knots: Sequence[tuple[float, float]]) -> Density:
         raise InvalidArgument("tabulated density values must be finite and nonnegative")
     mass = exact_sum(_trapezoids(xs, ys))
     if mass <= 0.0:
-        raise NotNormalized(mass)
+        raise InvalidArgument(
+            f"tabulated density has mass {mass!r} on [0, 1]; "
+            "its values are rescaled to mass 1, so any positive mass is accepted"
+        )
     ys = ys / mass
     table = compensated_prefix_sums(_trapezoids(xs, ys))
     table[-1] = 1.0
@@ -157,8 +161,9 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float = 1e-8) -> Tr
     The scale M is max |g| at 0, g's kinks and 1 (exact for a table or a
     monotone g), and the report's ``tol`` is bound = tol * max(M, 2^-1022).
     The left side is integrated adaptively to bound/2 with panel edges at
-    the kinks of f and where F crosses a kink of g; the right side is g's
-    closed form.  A pass certifies the residual, not the identity itself.
+    the kinks of f and where F crosses a kink of g, g (and bound/2, and
+    back the result) taken times the exact 2^274 when M < 2^-800; the right
+    side is g's closed form.  A pass certifies the residual, not the identity.
     """
     if not 0.0 < tol < 1.0:  # tol * M then cannot overflow; from 2 up, every residual passes
         raise InvalidArgument(f"tol must lie in (0, 1), got {tol!r}")
@@ -166,8 +171,12 @@ def pit_identity_check(f: Density, g: MonotoneFunction, tol: float = 1e-8) -> Tr
     scale = _finite_sum("a value of g at its knots", lambda: float(np.abs(g.values(knots)).max()))
     bound = tol * max(scale, 2.0**-1022)
     pdf, cdf_fn, gfn = f._fn, f.cdf, g._fn
+    up = 2.0**274 if scale < 2.0**-800 else 1.0  # as in _summation._blocked_sum; 2^1074 would overflow
+    if up > 1.0:  # else f * g of subnormal scale rounds to 0
+        gfn = lambda u: up * g._fn(u)
     kinks = f.kinks + tuple(_preimages(cdf_fn, g.kinks).tolist())
-    lhs = batched_quadrature(lambda x: pdf(x) * gfn(cdf_fn(x)), tol=bound / 2.0, breakpoints=kinks).value
+    q = batched_quadrature(lambda x: pdf(x) * gfn(cdf_fn(x)), tol=bound / 2.0 * up, breakpoints=kinks)
+    lhs = q.value / up
     rhs = g.closed_form_integral
     residual = abs(lhs - rhs)
     return TransformReport(lhs=lhs, rhs=rhs, residual=residual, tol=bound, passed=residual <= bound)

@@ -596,14 +596,14 @@ class TestInputBudget:
         n = cli.ABEL_MAX_TERMS + 1
         code, out, err = self.run_traced(capsys, "abel", "--uniform", str(n), "--fn", "recip", "--json")
         assert (code, out) == (2, "")
-        assert err == f"domain error: a partition of {n} intervals exceeds the limit of {n - 1} intervals\n"
+        assert err == f"domain error: a partition of {n} intervals exceeds abel's term budget of {n - 1} intervals\n"
 
     def test_abel_weights_file_past_its_term_budget_evaluates_no_g(self, capsys, worked_weights):
         g = dataclasses.replace(power_complement(2), _fn=lambda x: pytest.fail("g evaluated"))
         with mock.patch.object(cli, "ABEL_MAX_TERMS", 2), mock.patch.object(cli, "parse_fn_spec", lambda spec: g):
             code, out, err = run(capsys, "abel", "--weights", worked_weights, "--fn", "power:k=2")
         assert (code, out) == (2, "")
-        assert err == "domain error: a partition of 3 intervals exceeds the limit of 2 intervals\n"
+        assert err == "domain error: a partition of 3 intervals exceeds abel's term budget of 2 intervals\n"
 
     def test_deep_refine(self, capsys, tmp_path):
         weights = write_vector(tmp_path, "ten.csv", "0.1\n" * 10)

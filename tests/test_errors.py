@@ -1,23 +1,73 @@
-"""Input faults raise typed exceptions that one ``except MonoboundError`` catches."""
+"""Input faults raise InvalidArgument, which one ``except MonoboundError`` catches.
 
+Each row is a call and the message it must raise, byte for byte: every
+argument a routine does not accept, whatever the routine, is the one type.
+"""
+
+import numpy as np
 import pytest
 
 from monobound import InvalidArgument, MonoboundError
 from monobound.bounds import refinement_chain
 from monobound.functions import power_complement, reciprocal, tabulated
-from monobound.partitions import cumulative, uniform_weights
+from monobound.majorization import is_majorized
+from monobound.partitions import (
+    CumulativePartition,
+    WeightVector,
+    bisect_all,
+    cumulative,
+    from_weights,
+    uniform_weights,
+)
+from monobound.transform import polynomial_density
+
+#: Four intervals; the third lies between adjacent floats, so its midpoint rounds onto 0.5.
+UNBISECTABLE = [0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
 
 FAULTS = {
-    "power_complement(-1)": lambda: power_complement(-1),
-    "uniform_weights(0)": lambda: uniform_weights(0),
-    "tabulated([(0, 1)])": lambda: tabulated([(0, 1)]),
-    "refinement_chain(depth=0)": lambda: refinement_chain(reciprocal(), cumulative(uniform_weights(4)), 0),
+    "power_complement(-1)": (lambda: power_complement(-1), "k must be a positive real, got -1.0"),
+    "uniform_weights(0)": (lambda: uniform_weights(0), "n must be >= 1, got 0"),
+    "tabulated([(0, 1)])": (lambda: tabulated([(0, 1)]), "tabulated function needs at least 2 knots"),
+    "refinement_chain(depth=0)": (
+        lambda: refinement_chain(reciprocal(), cumulative(uniform_weights(4)), 0),
+        "depth must be >= 1, got 0",
+    ),
+    "from_weights([])": (lambda: from_weights([]), "weight list must not be empty"),
+    "WeightVector([])": (lambda: WeightVector([]), "weight vector must not be empty"),
+    "negative weight": (
+        lambda: from_weights([0.5, -0.5]),
+        "weight 1 is -0.5; weights must be positive finite numbers",
+    ),
+    "underflowing weight": (
+        lambda: from_weights([5e-324, 4.0], normalize=True),
+        "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0",
+    ),
+    "sum of 1.1": (
+        lambda: from_weights([0.5, 0.6]),
+        "weights sum to 1.1, outside 1 +/- 1e-09; pass normalize=True to rescale",
+    ),
+    "weight below resolution": (
+        lambda: cumulative(from_weights([1.0, 1e-17, 1e-17], normalize=True)),
+        "weight a_2 = 1e-17 is too small to move the running total S_1 = 1.0 "
+        "(below its rounding resolution), so S_1 and S_2 would coincide",
+    ),
+    "unbisectable partition": (
+        lambda: bisect_all(CumulativePartition(UNBISECTABLE)),
+        "refinement point 0.5 is not interior to interval 3",
+    ),
+    "reciprocal()(1.5)": (lambda: reciprocal()(1.5), "argument 1.5 lies outside the domain [0, 1]"),
+    "polynomial_density([0.5])": (
+        lambda: polynomial_density([0.5]),
+        "density has mass 0.5 on [0, 1]; expected 1 within 1e-9",
+    ),
+    "length mismatch": (lambda: is_majorized([1.0], [0.5, 0.5]), "length mismatch: 1 vs 2"),
 }
 
 
-@pytest.mark.parametrize("call", FAULTS.values(), ids=FAULTS.keys())
-def test_input_fault_is_a_monobound_error(call):
+@pytest.mark.parametrize("call, message", FAULTS.values(), ids=FAULTS.keys())
+def test_input_fault_is_a_monobound_error(call, message):
     with pytest.raises(MonoboundError) as info:
         call()
     # still a ValueError, for callers that catch that
     assert type(info.value) is InvalidArgument and isinstance(info.value, ValueError)
+    assert str(info.value) == message

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from monobound.bounds import bound_report
-from monobound.errors import DomainViolation, NonMonotoneFunction, NotConvex
+from monobound.errors import InvalidArgument, NonMonotoneFunction, NotConvex
 from monobound.functions import (
     CONSTANT,
     DECREASING,
@@ -54,8 +54,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("x", [-0.1, 1.1, -1e-9])
     def test_domain_violation(self, x):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidArgument) as info:
             power_complement(2)(x)
+        assert str(info.value) == f"argument {x!r} lies outside the domain [0, 1]"
 
     def test_evaluation_is_pure(self):
         g = exponential(1.7)

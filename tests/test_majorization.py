@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monobound.errors import DomainViolation, LengthMismatch, NonFiniteValue, NotConvex, NotMajorized
+from monobound.errors import InvalidArgument, NonFiniteValue, NotConvex, NotMajorized
 from monobound.functions import (
     MonotoneFunction,
     constant,
@@ -113,7 +113,7 @@ class TestIsMajorized:
         assert is_majorized([1.0, 1.0], [1.0, 0.0]).relation == "total_mismatch"
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidArgument, match=r"^length mismatch: 1 vs 2$"):
             is_majorized([1.0], [0.5, 0.5])
 
     def test_sorting_is_internal(self):
@@ -320,9 +320,9 @@ class TestKaramata:
         assert spy.call_count == 2
         assert rep == karamata_check(lambda t: g(t), xs, ys)
         for bad, first in (([0.5, 1.5, -0.5], 1.5), ([0.5, -0.5, 1.5], -0.5)):
-            with pytest.raises(DomainViolation) as info:
+            with pytest.raises(InvalidArgument) as info:
                 karamata_check(g, bad, bad[::-1])
-            assert info.value.x == first
+            assert str(info.value) == f"argument {first!r} lies outside the domain [0, 1]"
 
     def test_convex_table_need_not_be_monotone(self):
         v = tabulated([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)])
@@ -696,7 +696,7 @@ class TestBridge:
         assert is_majorized(w1, w2).relation == "y_majorized_by_x"
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidArgument, match=r"^length mismatch: 2 vs 3$"):
             is_majorized(uniform_weights(2), uniform_weights(3))
 
     def test_totals_match_automatically(self):

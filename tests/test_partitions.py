@@ -7,17 +7,7 @@ from hypothesis import given, strategies as st
 
 from monobound import _summation, partitions
 from monobound._summation import compensated_prefix_sums
-from monobound.errors import (
-    EmptyInput,
-    MonoboundError,
-    NonFiniteValue,
-    NonPositiveWeight,
-    PointOutsideInterval,
-    SumOutOfTolerance,
-    TooLarge,
-    WeightBelowResolution,
-    WeightUnderflow,
-)
+from monobound.errors import InvalidArgument, MonoboundError, NonFiniteValue, TooLarge
 from monobound.partitions import (
     MAX_INTERVALS,
     SUM_TOLERANCE,
@@ -36,6 +26,17 @@ weight_lists = st.lists(
 )
 
 
+def sum_message(total: float) -> str:
+    return f"weights sum to {total!r}, outside 1 +/- 1e-09; pass normalize=True to rescale"
+
+
+def below_resolution_message(index: int, value: float, total: float) -> str:
+    return (
+        f"weight a_{index} = {value!r} is too small to move the running total S_{index - 1} = {total!r} "
+        f"(below its rounding resolution), so S_{index - 1} and S_{index} would coincide"
+    )
+
+
 class TestFromWeights:
     def test_worked_weights(self):
         w = from_weights([0.2, 0.3, 0.5])
@@ -51,10 +52,9 @@ class TestFromWeights:
 
     def test_weight_that_underflows_in_normalisation_is_named(self):
         # 5e-324 / 4 rounds to 0.0; the error names the weight as given
-        with pytest.raises(WeightUnderflow) as info:
+        with pytest.raises(InvalidArgument) as info:
             from_weights([5e-324, 4.0], normalize=True)
         assert isinstance(info.value, MonoboundError)
-        assert (info.value.index, info.value.value, info.value.total) == (0, 5e-324, 4.0)
         assert str(info.value) == (
             "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
         )
@@ -67,23 +67,26 @@ class TestFromWeights:
         with mock.patch.object(partitions, "_check_positive", lambda a: calls.append(a) or real(a)):
             try:
                 from_weights(raw, normalize=True)
-            except WeightUnderflow as exc:
-                assert exc.index == 0
+            except InvalidArgument as exc:
+                assert str(exc) == (
+                    "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
+                )
         assert len(calls) == 1 and calls[0].tolist() == raw
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidArgument, match=r"^weight list must not be empty$"):
             from_weights([])
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
     def test_nonpositive_rejected(self, bad):
-        with pytest.raises(NonPositiveWeight) as info:
+        with pytest.raises(InvalidArgument) as info:
             from_weights([0.5, bad, 0.5])
-        assert info.value.index == 1
+        assert str(info.value) == f"weight 1 is {bad!r}; weights must be positive finite numbers"
 
     def test_sum_tolerance_enforced(self):
-        with pytest.raises(SumOutOfTolerance):
+        with pytest.raises(InvalidArgument) as info:
             from_weights([0.5, 0.6])
+        assert str(info.value) == sum_message(1.1)
         # inside the 1e-9 band is fine
         from_weights([0.5, 0.5 + 5e-10])
 
@@ -120,12 +123,12 @@ class TestFromWeights:
     )
     def test_tolerance_is_decided_by_the_exact_sum(self, values):
         # at the edge of the band the plain sum cannot decide, and the
-        # exact sum does; it is what SumOutOfTolerance reports
+        # exact sum does; it is what the refusal reports
         total = math.fsum(values)
         if abs(total - 1.0) > SUM_TOLERANCE:
-            with pytest.raises(SumOutOfTolerance) as info:
+            with pytest.raises(InvalidArgument) as info:
                 from_weights(values)
-            assert info.value.actual == total
+            assert str(info.value) == sum_message(total)
         else:
             assert from_weights(values).n == len(values)
 
@@ -134,18 +137,18 @@ class TestFromWeights:
         a = np.array(raw) * ((1.0 + shift) / math.fsum(raw))
         total = math.fsum(a.tolist())
         if abs(total - 1.0) > SUM_TOLERANCE:
-            with pytest.raises(SumOutOfTolerance) as info:
+            with pytest.raises(InvalidArgument) as info:
                 from_weights(a)
-            assert info.value.actual == total
+            assert str(info.value) == sum_message(total)
         else:
             from_weights(a)
 
     def test_out_of_band_sum_reports_the_exact_sum(self):
         values = [0.75] + [0.1] * 5 + [2.0**-55] * 9
         assert float(np.sum(values)) != math.fsum(values)
-        with pytest.raises(SumOutOfTolerance) as info:
+        with pytest.raises(InvalidArgument) as info:
             from_weights(values)
-        assert info.value.actual == math.fsum(values)
+        assert str(info.value) == sum_message(math.fsum(values))
 
     @given(weight_lists)
     def test_normalized_sum_is_tight(self, raw):
@@ -190,9 +193,9 @@ class TestCumulative:
     def test_weight_below_resolution_is_named(self, raw, index):
         # 1e-17 is below half an ulp of 1.0, so S_(index - 1) = S_index = 1.0
         w = from_weights(raw, normalize=True)
-        with pytest.raises(WeightBelowResolution, match=rf"a_{index} = 1e-17 .* S_{index - 1} = 1\.0") as info:
+        with pytest.raises(InvalidArgument) as info:
             cumulative(w)
-        assert (info.value.index, info.value.value, info.value.total) == (index, 1e-17, 1.0)
+        assert str(info.value) == below_resolution_message(index, 1e-17, 1.0)
 
     def test_lost_last_weight_is_still_snapped_to_one(self):
         # S_2 rounds back to S_1 < 1, and the snap of S_n to 1.0 separates them
@@ -207,9 +210,9 @@ class TestCumulative:
         w = from_weights([1.0] * (index - 1) + [1e-17] + [1.0] * 3, normalize=True)
         total = float(compensated_prefix_sums(w.array[:index - 1])[-1])
         with mock.patch.object(_summation, "_CHUNK", chunk):
-            with pytest.raises(WeightBelowResolution) as info:
+            with pytest.raises(InvalidArgument) as info:
                 cumulative(w)
-        assert (info.value.index, info.value.value, info.value.total) == (index, w.array[index - 1], total)
+        assert str(info.value) == below_resolution_message(index, float(w.array[index - 1]), total)
 
     @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
     @pytest.mark.parametrize("n", [6, 7, 8, 14, 15])
@@ -224,9 +227,9 @@ class TestCumulative:
         assert p.array[:-1].tolist() == neumaier_prefixes(head)
 
     def test_snap_below_the_previous_breakpoint_is_not_blamed_on_a_weight(self):
-        with pytest.raises(ValueError, match="strictly increasing") as info:
+        with pytest.raises(ValueError) as info:
             cumulative(from_weights([0.5, 0.5 + 1e-10, 1e-12]))
-        assert not isinstance(info.value, WeightBelowResolution)
+        assert str(info.value) == "breakpoints must be strictly increasing; S_2=1.0000000001 >= S_3=1.0"
 
 
 class TestRoundTrip:
@@ -378,17 +381,16 @@ class TestHelpers:
         p = CumulativePartition([0.0, 0.5, hi, 1.0])
         with mock.patch.object(CumulativePartition, "_validated", side_effect=AssertionError):
             q = bisect_all(p)
-            with pytest.raises(PointOutsideInterval) as info:
+            with pytest.raises(InvalidArgument) as info:
                 bisect_all(q)
         assert q.breakpoints == (0.0, 0.25, 0.5, mid, hi, 0.5 * (hi + 1.0), 1.0)
         assert q == CumulativePartition(q.breakpoints)
-        assert (info.value.index, info.value.value) == (3, 0.5)
+        assert str(info.value) == "refinement point 0.5 is not interior to interval 3"
 
     def test_bisect_all_between_adjacent_floats_raises(self):
         # the midpoint of [0.5, nextafter(0.5)] rounds onto 0.5
         hi = float(np.nextafter(0.5, 1.0))
         p = CumulativePartition([0.0, 0.25, 0.5, hi, 1.0])
-        with pytest.raises(PointOutsideInterval) as info:
+        with pytest.raises(InvalidArgument) as info:
             bisect_all(p)
-        assert info.value.index == 3
-        assert info.value.value == 0.5
+        assert str(info.value) == "refinement point 0.5 is not interior to interval 3"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from monobound import quadrature, transform
 from monobound.bounds import bound_report, refinement_chain
-from monobound.errors import EmptyInput, NonFiniteValue, NonMonotoneFunction, NotNormalized
+from monobound.errors import InvalidArgument, NonFiniteValue, NonMonotoneFunction
 from monobound.functions import (
     constant,
     exponential,
@@ -60,13 +60,15 @@ class TestDensities:
         assert f(0.3) == 1.0
 
     def test_polynomial_requires_unit_mass(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InvalidArgument) as info:
             polynomial_density([1.0, 1.0])  # mass 1.5
+        assert str(info.value) == "density has mass 1.5 on [0, 1]; expected 1 within 1e-9"
 
     def test_polynomial_mass_is_checked_before_f_is_evaluated(self):
         # f(1) = 1e308 + 1e308 overflows; the mass 1.5e308 is refused first
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InvalidArgument) as info:
             polynomial_density([1e308, 1e308])
+        assert str(info.value) == "density has mass 1.5e+308 on [0, 1]; expected 1 within 1e-9"
 
     def test_polynomial_mass_that_overflows_is_not_finite(self):
         with pytest.raises(NonFiniteValue, match="the mass of the polynomial"):
@@ -133,6 +135,14 @@ class TestDensities:
         f = tabulated_density([(0.0, 3 * 5e-324), (1.0, 3 * 5e-324)])
         assert f.values([0.0, 1.0]).tolist() == [1.0, 1.0]
 
+    def test_tabulated_of_zero_mass_is_refused(self):
+        with pytest.raises(InvalidArgument) as info:
+            tabulated_density([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
+        assert str(info.value) == (
+            "tabulated density has mass 0.0 on [0, 1]; "
+            "its values are rescaled to mass 1, so any positive mass is accepted"
+        )
+
     def test_tabulated_rejects_negative_knots(self):
         with pytest.raises(ValueError):
             tabulated_density([(0.0, 1.0), (0.5, -0.2), (1.0, 1.0)])
@@ -145,7 +155,7 @@ class TestDensities:
         for module in (quadrature, transform):
             monkeypatch.setattr(module, "batched_quadrature", refuse)
         assert len(catalog_densities()) == 5
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InvalidArgument, match=r"^density has mass 1\.5 on \[0, 1\]; expected 1 within 1e-9$"):
             polynomial_density([1.0, 1.0])
 
 
@@ -272,6 +282,17 @@ class TestPitIdentity:
         rep = pit_identity_check(uniform_density(), constant(c), 1e-8)
         assert rep.passed and rep.tol == bound
 
+    @pytest.mark.parametrize("c", [5e-324, 2.0**-1060, 1e-310])
+    @pytest.mark.parametrize(
+        "f",
+        [uniform_density(), triangular_density(0.3), polynomial_density([0.5, 1.0])],
+        ids=["uniform", "tri", "poly"],
+    )
+    def test_g_of_subnormal_scale_keeps_its_left_side(self, f, c):
+        # every GK15 product w * f * g rounds to 0 unless g is lifted first
+        rep = pit_identity_check(f, constant(c))
+        assert rep.lhs != 0.0 and abs(rep.lhs - rep.rhs) <= 2 * math.ulp(rep.rhs)
+
     def test_g_not_finite_at_a_knot_is_refused_before_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature called")
@@ -322,7 +343,7 @@ class TestEmpiricalPartition:
         assert uniform_weights(1).weights == (1.0,)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidArgument, match=r"^weight list must not be empty$"):
             from_weights([], normalize=True)
 
 
