@@ -45,28 +45,21 @@ def _float_array(values: Iterable[float], copy: bool = True) -> np.ndarray:
 
 
 def _check_positive(a: np.ndarray) -> None:
-    """Raise InvalidArgument for the first entry that is not finite and > 0."""
+    """Raise InvalidArgument if ``a`` is empty, or name its first a_i that is not finite and > 0."""
+    if a.size == 0:
+        raise InvalidArgument("weight list must not be empty")
     if not (a.min() > 0.0 and a.max() < np.inf):  # nan fails too
         i = int(np.argmax(~(np.isfinite(a) & (a > 0.0))))
-        raise InvalidArgument(f"weight {i} is {float(a[i])!r}; weights must be positive finite numbers")
+        raise InvalidArgument(f"weight a_{i + 1} is {float(a[i])!r}; weights must be positive finite numbers")
 
 
-def _check_sum(a: np.ndarray, plain: float) -> None:
-    """Raise InvalidArgument unless positive weights, of plain sum ``plain``,
-    sum to 1 within SUM_TOLERANCE."""
-    # Summed in any order, n positive weights err by at most gamma_(n-1)
-    # (about (n - 1)u) times their exact sum.  ``bound``, 4nu times the
-    # plain sum, covers that error and the exact sum's own rounding with
-    # room to spare, so a plain sum that clears the tolerance by
-    # ``bound`` settles it as the exact sum would.  Near the edge, and
-    # for the error message, the exact sum decides.
-    bound = 4.0 * a.size * 2.0**-53 * plain
-    if not abs(plain - 1.0) <= SUM_TOLERANCE - bound:  # inf fails too
-        total = _finite_sum("the sum of the weights", lambda: exact_sum(a))
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise InvalidArgument(
-                f"weights sum to {total!r}, outside 1 +/- {SUM_TOLERANCE:g}; pass normalize=True to rescale"
-            )
+def _check_sum(a: np.ndarray) -> None:
+    """Raise InvalidArgument unless the exact sum of ``a`` is within SUM_TOLERANCE of 1."""
+    total = _finite_sum("the sum of the weights", lambda: exact_sum(a))
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise InvalidArgument(
+            f"weights sum to {total!r}, outside 1 +/- {SUM_TOLERANCE:g}; pass normalize=True to rescale"
+        )
 
 
 class _ArrayBacked:
@@ -115,12 +108,8 @@ class WeightVector(_ArrayBacked):
 
     @staticmethod
     def _validated(a: np.ndarray) -> np.ndarray:
-        if a.size == 0:
-            raise InvalidArgument("weight vector must not be empty")
         _check_positive(a)
-        with np.errstate(over="ignore"):
-            plain = float(np.add.reduce(a))
-        _check_sum(a, plain)
+        _check_sum(a)
         return a
 
     @property
@@ -175,16 +164,14 @@ class CumulativePartition(_ArrayBacked):
 def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVector:
     """Build a WeightVector, optionally rescaling the input by its sum.
 
-    Without ``normalize`` the sum must already be within 1e-9 of 1; with it,
-    any positive weights are accepted and divided by their exact sum,
-    leaving a sum within 1e-15 of 1: the total and each quotient round
-    once, by a relative 2^-53 at most.  A weight total that overflows float64
-    raises NonFiniteValue, and a weight the division rounds to 0.0 raises
-    InvalidArgument; the quotients are checked once, not as a new input.
+    Without ``normalize`` the exact sum must already be within 1e-9 of 1;
+    with it, any positive weights are divided by their exact sum, leaving a
+    sum within 2u + O(u^2) of 1 (u = 2^-53), as the total and each quotient
+    round once, so the quotients are not checked again.  A weight total
+    that overflows float64 raises NonFiniteValue, and a weight the division
+    rounds to 0.0 raises InvalidArgument.
     """
     a = _float_array(weights, copy=not normalize)
-    if a.size == 0:
-        raise InvalidArgument("weight list must not be empty")
     if not normalize:
         return WeightVector._adopt(a)
     _check_positive(a)
@@ -193,10 +180,10 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
     if not q.min() > 0.0:
         i = int(np.argmin(q))
         raise InvalidArgument(
-            f"weight {i} is {float(a[i])!r}, which underflows to 0.0 after normalisation "
+            f"weight a_{i + 1} is {float(a[i])!r}, which underflows to 0.0 after normalisation "
             f"by the weight total {total!r}"
         )
-    _check_sum(q, float(np.add.reduce(q)))  # each q_i <= 1: the sum cannot overflow
+    # T = fl(S) and each q_i = fl(a_i / T) round once: |sum q - 1| <= 2u + O(u^2)
     return WeightVector._adopt(q, checked=True)
 
 
@@ -241,7 +228,8 @@ def uniform_weights(n: int) -> WeightVector:
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     require_within_budget(n)
-    return WeightVector._adopt(np.full(n, 1.0 / n))
+    # n * fl(1/n) = 1 + d with |d| <= u: far inside SUM_TOLERANCE
+    return WeightVector._adopt(np.full(n, 1.0 / n), checked=True)
 
 
 def bisect_all(p: CumulativePartition) -> CumulativePartition:

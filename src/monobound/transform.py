@@ -22,9 +22,8 @@ import numpy as np
 from ._summation import _finite_sum, compensated_prefix_sums, exact_sum
 from .errors import InvalidArgument
 from .functions import MonotoneFunction, _UnitIntervalFunction, _trapezoids, knot_arrays
+from .partitions import SUM_TOLERANCE
 from .quadrature import batched_quadrature
-
-_MASS_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,8 @@ def polynomial_density(coefficients: Sequence[float]) -> Density:
         raise InvalidArgument("polynomial coefficients must be finite")
     anti = (0.0,) + tuple(c / (j + 1.0) for j, c in enumerate(coeffs))
     mass = _finite_sum("the mass of the polynomial", lambda: exact_sum(anti))
-    if abs(mass - 1.0) > _MASS_TOLERANCE:
-        within = np.format_float_scientific(_MASS_TOLERANCE, trim="-", exp_digits=1)  # 1e-9, not 1e-09
-        raise InvalidArgument(f"density has mass {mass!r} on [0, 1]; expected 1 within {within}")
+    if abs(mass - 1.0) > SUM_TOLERANCE:
+        raise InvalidArgument(f"density has mass {mass!r} on [0, 1]; expected 1 within {SUM_TOLERANCE:g}")
     P = np.polynomial.polynomial
     d = P.polyder(coeffs)
     d = P.polytrim(d, np.abs(d).max() * 2.0**-52)  # else a negligible top term overflows the companion matrix

@@ -804,7 +804,7 @@ class TestInputFiles:
     def test_json_integer_beyond_float_range_is_a_domain_error(self, capsys, tmp_path):
         code, out, err, _ = self.run_on(capsys, tmp_path, "weights", b"[1" + b"0" * 400 + b"]")
         assert (code, out) == (2, "")
-        assert err == "domain error: weight 0 is inf; weights must be positive finite numbers\n"
+        assert err == "domain error: weight a_1 is inf; weights must be positive finite numbers\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_density_table_near_the_float_limit_is_renormalized(self, capsys, tmp_path):

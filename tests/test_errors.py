@@ -33,14 +33,15 @@ FAULTS = {
         "depth must be >= 1, got 0",
     ),
     "from_weights([])": (lambda: from_weights([]), "weight list must not be empty"),
-    "WeightVector([])": (lambda: WeightVector([]), "weight vector must not be empty"),
+    "WeightVector([])": (lambda: WeightVector([]), "weight list must not be empty"),
+    "from_weights([], normalize=True)": (lambda: from_weights([], normalize=True), "weight list must not be empty"),
     "negative weight": (
         lambda: from_weights([0.5, -0.5]),
-        "weight 1 is -0.5; weights must be positive finite numbers",
+        "weight a_2 is -0.5; weights must be positive finite numbers",
     ),
     "underflowing weight": (
         lambda: from_weights([5e-324, 4.0], normalize=True),
-        "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0",
+        "weight a_1 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0",
     ),
     "sum of 1.1": (
         lambda: from_weights([0.5, 0.6]),
@@ -58,7 +59,7 @@ FAULTS = {
     "reciprocal()(1.5)": (lambda: reciprocal()(1.5), "argument 1.5 lies outside the domain [0, 1]"),
     "polynomial_density([0.5])": (
         lambda: polynomial_density([0.5]),
-        "density has mass 0.5 on [0, 1]; expected 1 within 1e-9",
+        "density has mass 0.5 on [0, 1]; expected 1 within 1e-09",
     ),
     "length mismatch": (lambda: is_majorized([1.0], [0.5, 0.5]), "length mismatch: 1 vs 2"),
 }

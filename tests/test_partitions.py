@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monobound import _summation, partitions
 from monobound._summation import compensated_prefix_sums
@@ -56,12 +57,12 @@ class TestFromWeights:
             from_weights([5e-324, 4.0], normalize=True)
         assert isinstance(info.value, MonoboundError)
         assert str(info.value) == (
-            "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
+            "weight a_1 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
         )
 
     @pytest.mark.parametrize("raw", [[2.0, 3.0, 5.0], [5e-324, 4.0, 5e-324]], ids=["valid", "underflow"])
     def test_normalization_checks_positivity_once(self, raw):
-        # the input is checked; the quotients only for underflow and their sum
+        # the input is checked; the quotients only for underflow
         calls = []
         real = partitions._check_positive
         with mock.patch.object(partitions, "_check_positive", lambda a: calls.append(a) or real(a)):
@@ -69,9 +70,28 @@ class TestFromWeights:
                 from_weights(raw, normalize=True)
             except InvalidArgument as exc:
                 assert str(exc) == (
-                    "weight 0 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
+                    "weight a_1 is 5e-324, which underflows to 0.0 after normalisation by the weight total 4.0"
                 )
         assert len(calls) == 1 and calls[0].tolist() == raw
+
+    @pytest.mark.parametrize(
+        "build, runs",
+        [
+            (lambda: from_weights([0.2, 0.3, 0.5]), 1),
+            (lambda: WeightVector([0.2, 0.3, 0.5]), 1),
+            (lambda: from_weights([2.0, 3.0, 5.0], normalize=True), 0),
+            (lambda: uniform_weights(7), 0),
+        ],
+        ids=["from_weights", "WeightVector", "from_weights-normalize", "uniform_weights"],
+    )
+    def test_sum_is_checked_only_for_given_weights(self, build, runs):
+        # quotients by the exact total and n copies of fl(1/n) sum to 1
+        # within a few ulps by construction (see the two bound tests below)
+        calls = []
+        real = partitions._check_sum
+        with mock.patch.object(partitions, "_check_sum", lambda a: calls.append(a) or real(a)):
+            build()
+        assert len(calls) == runs
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgument, match=r"^weight list must not be empty$"):
@@ -81,7 +101,7 @@ class TestFromWeights:
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(InvalidArgument) as info:
             from_weights([0.5, bad, 0.5])
-        assert str(info.value) == f"weight 1 is {bad!r}; weights must be positive finite numbers"
+        assert str(info.value) == f"weight a_2 is {bad!r}; weights must be positive finite numbers"
 
     def test_sum_tolerance_enforced(self):
         with pytest.raises(InvalidArgument) as info:
@@ -154,6 +174,22 @@ class TestFromWeights:
     def test_normalized_sum_is_tight(self, raw):
         w = from_weights(raw, normalize=True)
         assert abs(math.fsum(w.weights) - 1.0) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**4), st.integers(-300, 300), st.integers(0, 290), st.integers(0, 2**32 - 1))
+    def test_normalized_sum_is_within_2u_at_any_scale(self, n, lo, spread, seed):
+        # the total and each quotient round once: |sum q - 1| <= 2u + O(u^2);
+        # a spread of at most 10^290 keeps every quotient above 10^-294, so none is subnormal
+        a = 10.0 ** np.random.default_rng(seed).uniform(lo, min(lo + spread, 300), n)
+        q = from_weights(a, normalize=True).array
+        assert abs(math.fsum(q.tolist()) - 1.0) <= 2.0**-51
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 1000, 10**6, 2**20 + 1])
+    def test_uniform_sum_is_within_u(self, n):
+        # n * fl(1/n) = 1 + d with |d| <= u; every entry is fl(1/n), so the exact sum is n times it
+        a = uniform_weights(n).array
+        assert (a == a[0]).all()
+        assert abs(Fraction(float(a[0])) * n - 1) <= Fraction(2) ** -53
 
 
 class TestCumulative:

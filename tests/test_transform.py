@@ -62,13 +62,13 @@ class TestDensities:
     def test_polynomial_requires_unit_mass(self):
         with pytest.raises(InvalidArgument) as info:
             polynomial_density([1.0, 1.0])  # mass 1.5
-        assert str(info.value) == "density has mass 1.5 on [0, 1]; expected 1 within 1e-9"
+        assert str(info.value) == "density has mass 1.5 on [0, 1]; expected 1 within 1e-09"
 
     def test_polynomial_mass_is_checked_before_f_is_evaluated(self):
         # f(1) = 1e308 + 1e308 overflows; the mass 1.5e308 is refused first
         with pytest.raises(InvalidArgument) as info:
             polynomial_density([1e308, 1e308])
-        assert str(info.value) == "density has mass 1.5e+308 on [0, 1]; expected 1 within 1e-9"
+        assert str(info.value) == "density has mass 1.5e+308 on [0, 1]; expected 1 within 1e-09"
 
     def test_polynomial_mass_that_overflows_is_not_finite(self):
         with pytest.raises(NonFiniteValue, match="the mass of the polynomial"):
@@ -155,7 +155,7 @@ class TestDensities:
         for module in (quadrature, transform):
             monkeypatch.setattr(module, "batched_quadrature", refuse)
         assert len(catalog_densities()) == 5
-        with pytest.raises(InvalidArgument, match=r"^density has mass 1\.5 on \[0, 1\]; expected 1 within 1e-9$"):
+        with pytest.raises(InvalidArgument, match=r"^density has mass 1\.5 on \[0, 1\]; expected 1 within 1e-09$"):
             polynomial_density([1.0, 1.0])
 
 
