@@ -51,8 +51,8 @@ class BoundReport:
     the cells [S_(i-1), S_i] of the integral of g(t) - g(S_i), each term of
     one sign, so for a continuous g it vanishes only when g is constant on
     every cell, hence on [0, 1].  ``scale`` is M = max(|g(0)|, |g(1)|), the
-    largest |g| on [0, 1]; every check scales its slack by it, and
-    ``to_dict`` leaves it out.
+    largest |g| on [0, 1]; every check, Abel's too, scales its slack by
+    it, and ``to_dict`` leaves it out.
     """
 
     integral_source = "closed_form"  # the integral is g's; a wire field
@@ -89,7 +89,7 @@ class BoundReport:
         enclosure of the integral when the left sum is given.  A non-empty
         list signals a bug in the library, never valid math.
         """
-        out = abel_violations(self.direction, self.t_n, self.abel_value, ())
+        out = abel_violations(self.direction, self.t_n, self.abel_value, (), self.scale)
         sign = -1.0 if self.direction == INCREASING else 1.0
         slack = IDENTITY_TOL * max(1.0, self.scale)
         if sign * self.gap < -slack:
@@ -104,16 +104,17 @@ class BoundReport:
         return out
 
 
-def abel_violations(direction: str, t_n: float, abel_value: float, terms: Sequence[float]) -> list[str]:
+def abel_violations(direction: str, t_n: float, abel_value: float, terms: Sequence[float], scale: float) -> list[str]:
     """Invariants of the Abel route; empty means OK.
 
-    The Abel value agrees with the direct sum, relative to |t_n|, and for
-    decreasing or constant g none of ``terms`` is negative.
+    The Abel value agrees with the direct sum and, for decreasing or constant
+    g, no term is negative, within ``IDENTITY_TOL * max(1, scale)``, scale = max |g|.
     """
     out = []
-    if abs(abel_value - t_n) > IDENTITY_TOL * max(1.0, abs(t_n)):
+    slack = IDENTITY_TOL * max(1.0, scale)
+    if abs(abel_value - t_n) > slack:
         out.append(f"Abel route {abel_value!r} disagrees with direct sum {t_n!r}")
-    if direction in (DECREASING, CONSTANT) and terms and min(terms) < -IDENTITY_TOL:
+    if direction in (DECREASING, CONSTANT) and terms and min(terms) < -slack:
         out.append(f"negative Abel term {min(terms)!r} for a decreasing function")
     return out
 
@@ -202,12 +203,12 @@ def abel_terms(g, p: CumulativePartition) -> list[float]:
     return _abel_route(g, p)[2]
 
 
-def _abel_route(g, p: CumulativePartition) -> tuple[float, float, list[float]]:
-    """T_n, the Abel value and the Abel terms, from one evaluation of g at S_1..S_n."""
+def _abel_route(g, p: CumulativePartition) -> tuple[float, float, list[float], float]:
+    """T_n, the Abel value, the Abel terms and max |g(S_i)|, from one evaluation of g at S_1..S_n."""
     bps = p.array
     vals = g.values(bps[1:])
     t_n, abel_value = _weighted_sum(bps, vals)[0], _abel_value(bps, vals)  # non-finite first
-    return t_n, abel_value, (bps[1:-1] * (vals[:-1] - vals[1:])).tolist()
+    return t_n, abel_value, (bps[1:-1] * (vals[:-1] - vals[1:])).tolist(), float(np.abs(vals).max())
 
 
 def abel_sum(g, p: CumulativePartition) -> float:

@@ -23,8 +23,9 @@ are CSV (numbers separated by commas, spaces or newlines; one ``x,y`` knot
 per line) or a JSON array of numbers or of [x, y] pairs.  Every number is
 read by ``float``, so JSON booleans and strings are refused.
 
-Exit codes: 0 success, 1 parse error (also an unreadable or undecodable file,
-or a ``--depth`` below 1), 2 domain error (bad weights, non-monotone or
+Exit codes: 0 success, 1 parse error (a missing option, both or neither of
+``--weights`` and ``--uniform``, a ``--depth`` below 1, an unreadable or
+undecodable file), 2 domain error (bad weights, non-monotone or
 non-convex function, failed precondition, a partition over
 ``partitions.MAX_INTERVALS``, or for ``abel`` over ``ABEL_MAX_TERMS``, a
 quadrature sum that overflows: any ``MonoboundError``), 3
@@ -109,20 +110,21 @@ def _read_numbers(path: str, pairs: bool = False) -> list:
         if not pairs and not (data and _floats(data)):
             raise CliParseError(f"{path}: expected a {'' if data else 'non-empty '}JSON array of numbers")
         return data
+    if not pairs:
+        try:
+            return [float(t) for t in stripped.replace(",", " ").split()]
+        except ValueError as exc:
+            raise CliParseError(f"{path}: {exc}") from exc
     out: list = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         parts = line.replace(",", " ").split()
-        where = f"{path}:{lineno}" if pairs else path
-        if pairs and len(parts) != 2 and line.strip():
-            raise CliParseError(f"{where}: expected two columns, got {len(parts)}")
+        if len(parts) != 2 and line.strip():
+            raise CliParseError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
         try:
-            values = [float(p) for p in parts]
+            if parts:
+                out.append([float(p) for p in parts])
         except ValueError as exc:
-            raise CliParseError(f"{where}: {exc}") from exc
-        if not pairs:
-            out.extend(values)
-        elif values:
-            out.append(values)
+            raise CliParseError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -215,11 +217,6 @@ def parse_fn_spec(spec: str) -> MonotoneFunction:
     return _parse_spec(spec, _FUNCTIONS, "function")
 
 
-def parse_density_spec(spec: str) -> transform.Density:
-    """Density from a spec string; see module docstring for the grammar."""
-    return _parse_spec(spec, _DENSITIES, "density")
-
-
 def parse_convex_spec(spec: str) -> tuple[Callable[[float], float], str]:
     """Convex test function (callable, label) for the karamata command; a
     name ``_CONVEX`` does not hold is read as a function spec."""
@@ -240,15 +237,7 @@ def parse_convex_spec(spec: str) -> tuple[Callable[[float], float], str]:
 _CmdResult = tuple[object, list[str], str | None]
 
 
-def _require(value: str | None, flag: str) -> str:
-    if value is None:
-        raise CliParseError(f"this command requires {flag}")
-    return value
-
-
 def _weights_from(args: argparse.Namespace, limit: int = MAX_INTERVALS, budget: str = "the limit") -> WeightVector:
-    if (args.weights is None) == (args.uniform is None):
-        raise CliParseError("exactly one of --weights FILE and --uniform N is required")
     if args.uniform is not None and args.uniform > limit:
         raise TooLarge(args.uniform, 0, limit, budget)  # before N weights are allocated
     w = from_weights(_read_numbers(args.weights)) if args.uniform is None else uniform_weights(args.uniform)
@@ -258,13 +247,13 @@ def _weights_from(args: argparse.Namespace, limit: int = MAX_INTERVALS, budget: 
 
 
 def cmd_bound(args: argparse.Namespace) -> _CmdResult:
-    g = parse_fn_spec(_require(args.fn, "--fn"))
+    g = parse_fn_spec(args.fn)
     report = bound_report(g, cumulative(_weights_from(args)))
     return report.to_dict(), report.invariant_violations(), None
 
 
 def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
-    g = parse_fn_spec(_require(args.fn, "--fn"))
+    g = parse_fn_spec(args.fn)
     p = cumulative(_weights_from(args))
     require_monotone(g, "enclose")
     report = bound_report(g, p)
@@ -282,9 +271,9 @@ def cmd_enclose(args: argparse.Namespace) -> _CmdResult:
 
 
 def cmd_abel(args: argparse.Namespace) -> _CmdResult:
-    g = parse_fn_spec(_require(args.fn, "--fn"))
+    g = parse_fn_spec(args.fn)
     p = cumulative(_weights_from(args, ABEL_MAX_TERMS, "abel's term budget"))
-    t_n, value, terms = _abel_route(g, p)
+    t_n, value, terms, scale = _abel_route(g, p)
     payload = {
         "abel_value": value,
         "t_n": t_n,
@@ -292,12 +281,12 @@ def cmd_abel(args: argparse.Namespace) -> _CmdResult:
         "n": p.n,
         "terms": terms,
     }
-    return payload, abel_violations(g.direction, t_n, value, terms), None
+    return payload, abel_violations(g.direction, t_n, value, terms, scale), None
 
 
 def cmd_transform_check(args: argparse.Namespace) -> _CmdResult:
-    f = parse_density_spec(_require(args.density, "--density"))
-    g = parse_fn_spec(_require(args.fn, "--fn"))
+    f = _parse_spec(args.density, _DENSITIES, "density")
+    g = parse_fn_spec(args.fn)
     report = transform.pit_identity_check(f, g)
     problems = [] if report.passed else [
         f"residual {report.residual!r} exceeds tolerance {report.tol!r}"
@@ -315,16 +304,16 @@ _RELATION_SUMMARY = {
 
 
 def cmd_majorize(args: argparse.Namespace) -> _CmdResult:
-    x = _read_numbers(_require(args.x, "--x"))
-    y = _read_numbers(_require(args.y, "--y"))
+    x = _read_numbers(args.x)
+    y = _read_numbers(args.y)
     verdict = is_majorized(x, y)
     return verdict.to_dict(), [], _RELATION_SUMMARY[verdict.relation]
 
 
 def cmd_karamata(args: argparse.Namespace) -> _CmdResult:
-    x = _read_numbers(_require(args.x, "--x"))
-    y = _read_numbers(_require(args.y, "--y"))
-    g, label = parse_convex_spec(_require(args.fn, "--fn"))
+    x = _read_numbers(args.x)
+    y = _read_numbers(args.y)
+    g, label = parse_convex_spec(args.fn)
     report = karamata_check(g, x, y)
     payload = {
         "g": label,
@@ -340,7 +329,7 @@ def cmd_karamata(args: argparse.Namespace) -> _CmdResult:
 
 
 def cmd_refine(args: argparse.Namespace) -> _CmdResult:
-    g = parse_fn_spec(_require(args.fn, "--fn"))
+    g = parse_fn_spec(args.fn)
     p = cumulative(_weights_from(args))
     values = refinement_chain(g, p, args.depth)
     integral = g.closed_form_integral
@@ -409,10 +398,10 @@ def _depth(text: str) -> int:
 _OPTIONS = {
     "weights": {"metavar": "FILE", "help": "weight file: CSV or JSON array"},
     "uniform": {"type": int, "metavar": "N", "help": "use N equal weights 1/N"},
-    "fn": {"metavar": "SPEC", "help": f"function spec: {_usage(_FUNCTIONS)}"},
-    "density": {"metavar": "SPEC", "help": f"density spec: {_usage(_DENSITIES)}"},
-    "x": {"metavar": "FILE", "help": "left vector"},
-    "y": {"metavar": "FILE", "help": "right vector"},
+    "fn": {"required": True, "metavar": "SPEC", "help": f"function spec: {_usage(_FUNCTIONS)}"},
+    "density": {"required": True, "metavar": "SPEC", "help": f"density spec: {_usage(_DENSITIES)}"},
+    "x": {"required": True, "metavar": "FILE", "help": "left vector"},
+    "y": {"required": True, "metavar": "FILE", "help": "right vector"},
     "depth": {"type": _depth, "default": DEFAULT_DEPTH, "metavar": "D", "help": "bisection depth"},
 }
 
@@ -424,8 +413,9 @@ def build_parser() -> _Parser:
     for name, (run, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
+        either = p.add_mutually_exclusive_group(required=True) if "weights" in options else p
         for option in options:
-            p.add_argument(f"--{option}", **_OPTIONS[option])
+            (either if option in ("weights", "uniform") else p).add_argument(f"--{option}", **_OPTIONS[option])
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     return parser
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from monobound.bounds import (
     BoundReport,
+    _abel_route,
     abel_sum,
     abel_terms,
     abel_violations,
@@ -245,16 +246,45 @@ class TestBoundReport:
 
 class TestRouteChecks:
     def test_abel_agreement_is_relative_to_t_n(self):
-        assert abel_violations(DECREASING, 1e6, 1e6 + 1e-7, [0.0]) == []
-        assert abel_violations(DECREASING, 1.0, 1.0 + 1e-11, [0.0]) == [
+        # relative to g's scale, which is at least |t_n|
+        assert abel_violations(DECREASING, 1e6, 1e6 + 1e-7, [0.0], 1e6) == []
+        assert abel_violations(DECREASING, 1.0, 1.0 + 1e-11, [0.0], 1.0) == [
             f"Abel route {1.0 + 1e-11!r} disagrees with direct sum 1.0"
         ]
 
+    def test_abel_slack_scales_with_g_not_with_t_n(self):
+        # t_n cancels to ~1e-12 while g reaches 1e6: both routes round at ulp(1e6)
+        t_n, value = 3.581135388230905e-12, 1.1013412404281553e-12
+        assert abel_violations(DECREASING, t_n, value, [-1e-7], 1e6) == []
+        assert abel_violations(DECREASING, t_n, value, [-1e-7], 1.0) == [
+            f"Abel route {value!r} disagrees with direct sum {t_n!r}",
+            "negative Abel term -1e-07 for a decreasing function",
+        ]
+
     def test_negative_terms_are_allowed_only_for_increasing_g(self):
-        assert abel_violations(INCREASING, 0.5, 0.5, [-0.25]) == []
-        assert abel_violations(DECREASING, 0.5, 0.5, [-0.25]) == [
+        assert abel_violations(INCREASING, 0.5, 0.5, [-0.25], 1.0) == []
+        assert abel_violations(DECREASING, 0.5, 0.5, [-0.25], 1.0) == [
             "negative Abel term -0.25 for a decreasing function"
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-3.0, 12.0),
+        st.integers(1, 2999),
+        st.integers(0, 2**32 - 1),
+        st.floats(-15.0, -6.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_t_n_cancelling_to_near_zero_is_no_violation(self, log_scale, n, seed, log_shift, sign):
+        # g(x) = b - M x with b set so that T_n = b - M * sum a_i S_i nearly cancels
+        w = np.random.default_rng(seed).lognormal(0.0, 1.0, n)
+        p = cumulative(from_weights(w / w.sum()))
+        m = 10.0**log_scale
+        b = m * math.fsum(np.diff(p.array) * p.array[1:]) * (1.0 + sign * 10.0**log_shift)
+        g = linear(-m, b)
+        assert bound_report(g, p).invariant_violations(riemann_sum_left(g, p)) == []
+        t_n, value, terms, scale = _abel_route(g, p)
+        assert abel_violations(g.direction, t_n, value, terms, scale) == []
 
     def test_refinement_may_not_lower_the_sum(self):
         assert refinement_violations([0.1, 0.2, 0.2]) == []

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monobound import bounds, cli, majorization, transform
 from monobound.bounds import bound_report, refinement_chain, riemann_sum_right
@@ -175,6 +176,13 @@ class TestAbel:
         assert code == 0
         assert sum(points) == 7
         assert len(json.loads(out)["terms"]) == 6
+
+    @pytest.mark.parametrize("fn", ["linear:m=-2e6,b=1001000", "linear:m=-2e6,b=1000999.9"])
+    @pytest.mark.parametrize("command", ["bound", "enclose", "abel"])
+    def test_t_n_cancelling_to_near_zero_is_no_violation(self, capsys, command, fn):
+        # T_n is ~1e-12 or -0.1, g reaches 1e6: the routes differ by rounding at ulp(1e6)
+        code, _, err = run(capsys, command, "--uniform", "1000", "--fn", fn, "--json")
+        assert (code, err) == (0, "")
 
 
 SCALES = (1e6, -1e6, 1e20, -1e20, 1e300, -1e300)
@@ -470,6 +478,10 @@ class TestRefine:
         assert (code, err) == (1, "error: argument --depth: invalid int value: 'two'\n")
 
 
+#: Decreasing g crossing zero at 1/2, of scale 1e6 and 1e20.
+LARGE_ZERO_CROSSING = ["linear:m=-2e6,b=1e6", "linear:m=-2e20,b=1e20"]
+
+
 class TestPlantedBugs:
     """A wrong sum planted in the library makes the bound-family commands exit 3.
 
@@ -551,15 +563,35 @@ class TestPlantedBugs:
             f"invariant violation: Abel route {got['abel_value']!r} disagrees with direct sum {got['t_n']!r}\n"
         )
 
-    def test_abel_with_a_negated_term(self, capsys, worked_weights):
-        def negated(g, p):
-            t_n, value, terms = bounds._abel_route(g, p)
-            return t_n, value, [-t for t in terms]
+    @pytest.mark.usefixtures("dropped_abel_term")
+    @pytest.mark.parametrize("fn", LARGE_ZERO_CROSSING)
+    @pytest.mark.parametrize("command", ["bound", "abel"])
+    def test_dropped_abel_term_at_large_scale(self, capsys, worked_weights, command, fn):
+        code, out, err = run(capsys, command, "--weights", worked_weights, "--fn", fn, "--json")
+        assert code == 3
+        got = json.loads(out)
+        assert err == (
+            f"invariant violation: Abel route {got['abel_value']!r} disagrees with direct sum {got['t_n']!r}\n"
+        )
 
-        with mock.patch.object(cli, "_abel_route", negated):
+    @staticmethod
+    def negated(g, p):
+        t_n, value, terms, scale = bounds._abel_route(g, p)
+        return t_n, value, [-t for t in terms], scale
+
+    def test_abel_with_a_negated_term(self, capsys, worked_weights):
+        with mock.patch.object(cli, "_abel_route", self.negated):
             code, _, err = run(capsys, "abel", "--weights", worked_weights, "--fn", "power:k=2", "--json")
         assert code == 3
         assert err.startswith("invariant violation: negative Abel term -0.375")
+
+    @pytest.mark.parametrize("fn", LARGE_ZERO_CROSSING)
+    def test_abel_with_a_negated_term_at_large_scale(self, capsys, worked_weights, fn):
+        with mock.patch.object(cli, "_abel_route", self.negated):
+            code, out, err = run(capsys, "abel", "--weights", worked_weights, "--fn", fn, "--json")
+        assert code == 3
+        terms = json.loads(out)["terms"]
+        assert err == f"invariant violation: negative Abel term {min(terms)!r} for a decreasing function\n"
 
     def test_refine_with_a_decreasing_chain(self, capsys, worked_weights):
         with mock.patch.object(cli, "refinement_chain", lambda g, p, depth: refinement_chain(g, p, depth)[::-1]):
@@ -806,6 +838,65 @@ class TestInputFiles:
         assert (code, out) == (2, "")
         assert err == "domain error: weight a_1 is inf; weights must be positive finite numbers\n"
 
+    @pytest.mark.parametrize("reader", ["weights", "vector"])
+    def test_bad_number_names_the_file(self, capsys, tmp_path, reader):
+        code, out, err, path = self.run_on(capsys, tmp_path, reader, b"0.5,\n0.25 abc\n0.25\n")
+        assert (code, out, err) == (1, "", f"error: {path}: could not convert string to float: 'abc'\n")
+
+    @pytest.mark.parametrize("reader", ["fn-table", "density-table"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"0,1\n\n1,abc\n", "3: could not convert string to float: 'abc'"),
+            (b"0,1\n1,0,2\n", "2: expected two columns, got 3"),
+            (b"0,1\n,,\n1,0\n", "2: expected two columns, got 0"),
+        ],
+    )
+    def test_bad_knot_names_the_line(self, capsys, tmp_path, reader, text, message):
+        code, out, err, path = self.run_on(capsys, tmp_path, reader, text)
+        assert (code, out, err) == (1, "", f"error: {path}:{message}\n")
+
+    @staticmethod
+    def per_line_numbers(text):
+        """The numbers of a flat file read one line at a time, as the reader once did."""
+        out = []
+        for line in text.strip().splitlines():
+            out.extend(float(t) for t in line.replace(",", " ").split())
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats().map(repr),
+                    st.integers(-(10**30), 10**30).map(str),
+                    st.sampled_from(["inf", "-Infinity", "+1e5", "1_0", ".5", "abc", "0x1", "1e", "--1"]),
+                ),
+                st.lists(
+                    st.sampled_from([",", " ", "\t", "\r", "\r\n", "\n", "\v", "\f", "\x1c", "\x1d",
+                                     "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]),
+                    min_size=1,
+                    max_size=4,
+                ).map("".join),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.text(st.sampled_from(" \n,\t"), max_size=3),
+    )
+    def test_one_split_reads_what_the_per_line_reader_read(self, tmp_path_factory, tokens, lead):
+        text = lead + "".join(token + sep for token, sep in tokens)
+        path = tmp_path_factory.getbasetemp() / "flat.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = [repr(v) for v in self.per_line_numbers(path.read_text(encoding="utf-8"))]
+        except ValueError as exc:
+            with pytest.raises(cli.CliParseError, match=f"^{re.escape(f'{path}: {exc}')}$"):
+                cli._read_numbers(str(path))
+        else:
+            assert [repr(v) for v in cli._read_numbers(str(path))] == expected
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_density_table_near_the_float_limit_is_renormalized(self, capsys, tmp_path):
         code, out, err, _ = self.run_on(capsys, tmp_path, "density-table", b"0,1e308\n1,1e308\n")
@@ -938,18 +1029,61 @@ VALUES = {"weights": "w.csv", "uniform": "3", "fn": "recip", "density": "uniform
 FOREIGN = [(c, o) for c in ACCEPTED for o in VALUES if o not in ACCEPTED[c]]
 
 
+def argv_setting(command, option):
+    """A valid command line of ``command`` that sets ``option``: a value for each
+    option the command requires, with ``--weights`` in place of ``--uniform``
+    when ``option`` is weights, and ``option`` appended when it is not there
+    (last, so that a foreign option ends the command line)."""
+    options = [o for o in sorted(ACCEPTED[command]) if o not in ("weights", "depth")]
+    if option == "weights" and "uniform" in options:
+        options[options.index("uniform")] = option
+    elif option not in options:
+        options.append(option)
+    return [command, *(token for o in options for token in (f"--{o}", VALUES[o]))]
+
+
 class TestOptionSets:
     @pytest.mark.parametrize("command", ACCEPTED)
     def test_options_a_command_reads_are_parsed(self, command):
         for option in ACCEPTED[command]:
-            args = build_parser().parse_args([command, f"--{option}", VALUES[option], "--json"])
+            args = build_parser().parse_args([*argv_setting(command, option), "--json"])
             assert args.json is True and getattr(args, option) is not None
 
     @pytest.mark.parametrize("command, option", FOREIGN, ids=[f"{c}--{o}" for c, o in FOREIGN])
     def test_options_a_command_ignores_are_refused(self, capsys, command, option):
-        code, out, err = run(capsys, command, f"--{option}", VALUES[option])
+        code, out, err = run(capsys, *argv_setting(command, option))
         assert (code, out) == (1, "")
         assert err == f"error: unrecognized arguments: --{option} {VALUES[option]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--uniform", "4"], "the following arguments are required: --fn"),
+            (["bound", "--fn", "recip"], "one of the arguments --weights --uniform is required"),
+            (
+                ["bound", "--weights", "w.csv", "--uniform", "4", "--fn", "recip"],
+                "argument --uniform: not allowed with argument --weights",
+            ),
+            (["majorize"], "the following arguments are required: --x, --y"),
+        ],
+        ids=" ".join,
+    )
+    def test_parser_names_a_missing_or_excluded_option(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, usage",
+        [
+            ("bound", "monobound bound [-h] (--weights FILE | --uniform N) --fn SPEC [--json]"),
+            ("refine", "monobound refine [-h] (--weights FILE | --uniform N) --fn SPEC [--depth D] [--json]"),
+        ],
+    )
+    def test_help_usage_is_the_grammar(self, capsys, command, usage):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        first_paragraph = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(first_paragraph.split()) == f"usage: {usage}"  # wrapped to the terminal's width
 
 
 def grammar(text):
