@@ -1,6 +1,6 @@
 """Riemann-sum bounds for monotone functions over a cumulative partition.
 
-For a decreasing g and any cumulative partition 0 = S_0 < ... < S_n = 1,
+For a decreasing g and any cumulative partition 0 = S_0 <= ... <= S_n = 1,
 the right-endpoint sum
 
     T_n(g) = sum_i (S_i - S_{i-1}) * g(S_i)
@@ -32,7 +32,7 @@ import numpy as np
 from ._summation import _blocked_sum, _finite_sum
 from .errors import InvalidArgument, NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
-from .partitions import CumulativePartition, bisect_all, require_within_budget
+from .partitions import CumulativePartition, _breakpoints, bisect_all, require_within_budget
 
 #: Absolute tolerance of the benchmark's quadrature and enclosure checks, which
 #: ``bench/checks.py`` and ``bench/workloads.py`` import; the library reads none.
@@ -184,13 +184,13 @@ def riemann_sum_right(g, p: CumulativePartition) -> float:
     integral only when g is decreasing.  Raises NonFiniteValue when a value
     of g or the sum is not finite, as do the left, Abel and chain sums.
     """
-    bps = p.array
+    bps = _breakpoints(p)
     return _weighted_sum(bps, g.values(bps[1:]))[0]
 
 
 def riemann_sum_left(g, p: CumulativePartition) -> float:
     """sum_i (S_i - S_{i-1}) * g(S_{i-1}); over-estimates for decreasing g."""
-    bps = p.array
+    bps = _breakpoints(p)
     return _weighted_sum(bps, g.values(bps[:-1]))[0]
 
 
@@ -205,7 +205,7 @@ def abel_terms(g, p: CumulativePartition) -> list[float]:
 
 def _abel_route(g, p: CumulativePartition) -> tuple[float, float, list[float], float]:
     """T_n, the Abel value, the Abel terms and max |g(S_i)|, from one evaluation of g at S_1..S_n."""
-    bps = p.array
+    bps = _breakpoints(p)
     vals = g.values(bps[1:])
     t_n, abel_value = _weighted_sum(bps, vals)[0], _abel_value(bps, vals)  # non-finite first
     return t_n, abel_value, (bps[1:-1] * (vals[:-1] - vals[1:])).tolist(), float(np.abs(vals).max())
@@ -217,7 +217,7 @@ def abel_sum(g, p: CumulativePartition) -> float:
     Evaluated in this literal form, not by reduction to the direct sum, so
     agreement with :func:`riemann_sum_right` is a real cross-check.
     """
-    bps = p.array
+    bps = _breakpoints(p)
     return _abel_value(bps, g.values(bps[1:]))
 
 
@@ -231,7 +231,7 @@ def gap_bound(g: MonotoneFunction, p: CumulativePartition) -> float:
     """
     require_monotone(g, "gap_bound", decreasing=True)
     g0, g1 = g.values(np.array([0.0, 1.0])).tolist()
-    return _gap_bound(g0, g1, float(np.diff(p.array).max()))
+    return _gap_bound(g0, g1, float(np.diff(_breakpoints(p)).max()))
 
 
 def bound_report(g: MonotoneFunction, p: CumulativePartition) -> BoundReport:
@@ -246,7 +246,7 @@ def bound_report(g: MonotoneFunction, p: CumulativePartition) -> BoundReport:
     """
     require_monotone(g, "bound_report")
 
-    bps = p.array
+    bps = _breakpoints(p)
     vals = g.values(bps)
     t_n, mesh = _weighted_sum(bps, vals[1:])
     abel_value = _abel_value(bps, vals[1:])

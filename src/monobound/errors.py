@@ -3,11 +3,10 @@
 Every exception derives from :class:`MonoboundError` so callers can catch
 library failures with a single handler.  :class:`InvalidArgument` (also a
 ValueError) is every argument outside what a routine accepts: an empty
-input, a weight a_i that is not positive, underflows or is below the
-running total's resolution, weights whose exact sum is not 1 within 1e-9,
-a point outside [0, 1] or outside its interval, a density of the wrong
-mass, vectors of unequal length, and each out-of-range parameter; its
-message names the values at fault.  Each other class asks the caller for
+input, a weight a_i that is not positive or underflows, weights whose
+exact sum is not 1 within 1e-9, a point outside [0, 1], a density of the
+wrong mass, vectors of unequal length, and each out-of-range parameter;
+its message names the values at fault.  Each other class asks the caller for
 something different: :class:`NonFiniteValue` (rescale the inputs),
 :class:`TooLarge` (a size budget), :class:`ToleranceNotReached` (the
 quadrature did not converge), and :class:`NonMonotoneFunction`,

@@ -1,9 +1,9 @@
 """Weight vectors and the cumulative partitions they induce on [0, 1].
 
 A weight vector holds positive weights a_1..a_n with sum 1.  Its running
-totals S_i = a_1 + ... + a_i form the strictly increasing breakpoints
+totals S_i = a_1 + ... + a_i form the breakpoints
 
-    0 = S_0 < S_1 < ... < S_n = 1,
+    0 = S_0 <= S_1 <= ... <= S_n = 1,
 
 computed as a compensated prefix sum (Neumaier's rounding at every step,
 evaluated with whole-array operations) so the partition is reproducible bit
@@ -124,11 +124,11 @@ class WeightVector(_ArrayBacked):
 
 @dataclass(frozen=True, eq=False)
 class CumulativePartition(_ArrayBacked):
-    """Breakpoints 0 = S_0 < S_1 < ... < S_n = 1.
+    """Breakpoints 0 = S_0 <= S_1 <= ... <= S_n = 1; a cell of zero width adds nothing to any sum.
 
-    A final breakpoint within :data:`SUM_TOLERANCE` of 1 is snapped to
-    exactly 1.0 on construction, so catalog functions with special values
-    at the right endpoint are evaluated there exactly.
+    The breakpoints as given must not decrease, and S_n must lie within
+    :data:`SUM_TOLERANCE` of 1; S_n, and any breakpoint above 1, become exactly
+    1.0, so catalog functions with special values at 1 are evaluated there exactly.
     """
 
     array: np.ndarray
@@ -139,16 +139,15 @@ class CumulativePartition(_ArrayBacked):
             raise InvalidArgument("a partition needs at least the two endpoints")
         if bps[0] != 0.0:
             raise InvalidArgument(f"first breakpoint must be exactly 0.0, got {float(bps[0])!r}")
-        if bps[-1] != 1.0:
-            if not abs(bps[-1] - 1.0) <= SUM_TOLERANCE:  # NaN fails too
-                raise InvalidArgument(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
-            bps[-1] = 1.0
-        if not (bps[1:] > bps[:-1]).all():  # NaN fails too
-            i = int(np.argmax(~(bps[1:] > bps[:-1]))) + 1
+        if not abs(bps[-1] - 1.0) <= SUM_TOLERANCE:  # NaN fails too
+            raise InvalidArgument(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
+        if not (bps[1:] >= bps[:-1]).all():  # NaN fails too
+            i = int(np.argmax(~(bps[1:] >= bps[:-1]))) + 1
             raise InvalidArgument(
-                f"breakpoints must be strictly increasing; "
-                f"S_{i - 1}={float(bps[i - 1])!r} >= S_{i}={float(bps[i])!r}"
+                f"breakpoints must not decrease; S_{i - 1}={float(bps[i - 1])!r} > S_{i}={float(bps[i])!r}"
             )
+        # sorted, so those above 1 are a suffix (a NaN S_n was refused above)
+        bps[min(np.searchsorted(bps, 1.0), bps.size - 1):] = 1.0
         return bps
 
     @property
@@ -159,6 +158,13 @@ class CumulativePartition(_ArrayBacked):
     def n(self) -> int:
         """Number of intervals."""
         return self.array.size - 1
+
+
+def _breakpoints(p: CumulativePartition) -> np.ndarray:
+    """``p.array``, or TypeError for another type, such as a WeightVector's weights."""
+    if not isinstance(p, CumulativePartition):
+        raise TypeError(f"expected a CumulativePartition, got {type(p).__name__}; build one with cumulative(w)")
+    return p.array
 
 
 def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVector:
@@ -190,28 +196,10 @@ def from_weights(weights: Iterable[float], normalize: bool = False) -> WeightVec
 def cumulative(w: WeightVector) -> CumulativePartition:
     """Cumulative partition of ``w`` via a compensated prefix sum.
 
-    Raises InvalidArgument, naming the first weight a_i, when a weight
-    below about half an ulp of the compensated running total S_(i - 1)
-    leaves S_(i - 1) and S_i equal.
+    A weight below the running total's resolution leaves a cell of zero
+    width; the compensation carries its mass on to a later breakpoint.
     """
-    s = compensated_prefix_sums(w.array)
-    last = s[-1]
-    try:
-        return CumulativePartition._adopt(s)
-    except ValueError:
-        # the partition's own check failed; blame a weight only if one was
-        # lost (a failure the snap of S_n to 1.0 causes stays as it was), so
-        # look at S_n as it was before the check snapped it in place
-        s[-1] = last
-        lost = np.flatnonzero(~(s[1:] > s[:-1]))
-        if lost.size == 0:
-            raise
-        i = int(lost[0]) + 1
-        raise InvalidArgument(
-            f"weight a_{i} = {float(w.array[i - 1])!r} is too small to move the running total "
-            f"S_{i - 1} = {float(s[i - 1])!r} (below its rounding resolution), "
-            f"so S_{i - 1} and S_{i} would coincide"
-        ) from None
+    return CumulativePartition._adopt(compensated_prefix_sums(w.array))
 
 
 def require_within_budget(n: int, depth: int = 0) -> None:
@@ -233,18 +221,13 @@ def uniform_weights(n: int) -> WeightVector:
 
 
 def bisect_all(p: CumulativePartition) -> CumulativePartition:
-    """Refinement inserting the midpoint of every interval.
+    """Refinement inserting the midpoint of every interval, which needs no check.
 
-    Raises InvalidArgument for the first interval whose midpoint
-    rounds onto one of its ends (an interval between adjacent floats).
-    That test and p's ends make the partition's check, which is not repeated.
+    For a <= b in [0, 1], fl(0.5 * fl(a + b)) lies in [a, b], as rounding is monotone
+    and 2a, 2b, 0.5 * 2a and 0.5 * 2b are exact; between adjacent floats it is an end.
     """
-    bps = p.array
+    bps = _breakpoints(p)
     mids = 0.5 * (bps[:-1] + bps[1:])
-    bad = ~((bps[:-1] < mids) & (mids < bps[1:]))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidArgument(f"refinement point {float(mids[i])!r} is not interior to interval {i + 1}")
     out = np.empty(2 * bps.size - 1)
     out[0::2] = bps
     out[1::2] = mids

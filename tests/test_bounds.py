@@ -35,6 +35,7 @@ from monobound.functions import (
 )
 from monobound.partitions import (
     CumulativePartition,
+    bisect_all,
     cumulative,
     from_weights,
     uniform_weights,
@@ -516,6 +517,27 @@ class TestEnclosure:
             i = g.closed_form_integral
             assert riemann_sum_right(g, p) <= i + 1e-12
             assert i <= riemann_sum_left(g, p) + 1e-12
+
+
+class TestWrongArrayType:
+    """A WeightVector holds an array too, but its weights are no breakpoints."""
+
+    CALLS = {
+        "riemann_sum_right": lambda p: riemann_sum_right(reciprocal(), p),
+        "riemann_sum_left": lambda p: riemann_sum_left(reciprocal(), p),
+        "abel_sum": lambda p: abel_sum(reciprocal(), p),
+        "abel_terms": lambda p: abel_terms(reciprocal(), p),
+        "gap_bound": lambda p: gap_bound(reciprocal(), p),
+        "bound_report": lambda p: bound_report(constant(3), p),
+        "refinement_chain": lambda p: refinement_chain(reciprocal(), p, 1),
+        "bisect_all": bisect_all,
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_weight_vector_is_refused(self, call):
+        with pytest.raises(TypeError) as info:
+            call(from_weights([0.3, 0.7]))
+        assert str(info.value) == "expected a CumulativePartition, got WeightVector; build one with cumulative(w)"
 
 
 class TestRefinementChain:

@@ -21,9 +21,6 @@ from monobound.partitions import (
 )
 from monobound.transform import polynomial_density
 
-#: Four intervals; the third lies between adjacent floats, so its midpoint rounds onto 0.5.
-UNBISECTABLE = [0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
-
 FAULTS = {
     "power_complement(-1)": (lambda: power_complement(-1), "k must be a positive real, got -1.0"),
     "uniform_weights(0)": (lambda: uniform_weights(0), "n must be >= 1, got 0"),
@@ -47,15 +44,6 @@ FAULTS = {
         lambda: from_weights([0.5, 0.6]),
         "weights sum to 1.1, outside 1 +/- 1e-09; pass normalize=True to rescale",
     ),
-    "weight below resolution": (
-        lambda: cumulative(from_weights([1.0, 1e-17, 1e-17], normalize=True)),
-        "weight a_2 = 1e-17 is too small to move the running total S_1 = 1.0 "
-        "(below its rounding resolution), so S_1 and S_2 would coincide",
-    ),
-    "unbisectable partition": (
-        lambda: bisect_all(CumulativePartition(UNBISECTABLE)),
-        "refinement point 0.5 is not interior to interval 3",
-    ),
     "reciprocal()(1.5)": (lambda: reciprocal()(1.5), "argument 1.5 lies outside the domain [0, 1]"),
     "polynomial_density([0.5])": (
         lambda: polynomial_density([0.5]),
@@ -72,3 +60,24 @@ def test_input_fault_is_a_monobound_error(call, message):
     # still a ValueError, for callers that catch that
     assert type(info.value) is InvalidArgument and isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+#: Four intervals; the third lies between adjacent floats, so its midpoint rounds onto 0.5.
+ADJACENT = [0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
+
+#: Partitions with cells of zero width, which no sum over a partition sees: no input fault.
+ACCEPTED = {
+    "weight below resolution": (
+        lambda: cumulative(from_weights([1.0, 1e-17, 1e-17], normalize=True)),
+        (0.0, 1.0, 1.0, 1.0),
+    ),
+    "interval between adjacent floats": (
+        lambda: bisect_all(CumulativePartition(ADJACENT)),
+        (0.0, 0.125, 0.25, 0.375, 0.5, 0.5, ADJACENT[3], 0.75, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, breakpoints", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_zero_width_cell_is_no_input_fault(call, breakpoints):
+    assert call().breakpoints == breakpoints

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monobound import _summation, partitions
-from monobound._summation import compensated_prefix_sums
 from monobound.errors import InvalidArgument, MonoboundError, NonFiniteValue, TooLarge
 from monobound.partitions import (
     MAX_INTERVALS,
@@ -29,13 +28,6 @@ weight_lists = st.lists(
 
 def sum_message(total: float) -> str:
     return f"weights sum to {total!r}, outside 1 +/- 1e-09; pass normalize=True to rescale"
-
-
-def below_resolution_message(index: int, value: float, total: float) -> str:
-    return (
-        f"weight a_{index} = {value!r} is too small to move the running total S_{index - 1} = {total!r} "
-        f"(below its rounding resolution), so S_{index - 1} and S_{index} would coincide"
-    )
 
 
 class TestFromWeights:
@@ -226,12 +218,12 @@ class TestCumulative:
         [([1.0] + [1e-17] * 3, 2), ([0.5, 0.5, 1e-17], 3)],
         ids=["interior", "last"],
     )
-    def test_weight_below_resolution_is_named(self, raw, index):
+    def test_weight_below_resolution_leaves_a_zero_width_cell(self, raw, index):
         # 1e-17 is below half an ulp of 1.0, so S_(index - 1) = S_index = 1.0
         w = from_weights(raw, normalize=True)
-        with pytest.raises(InvalidArgument) as info:
-            cumulative(w)
-        assert str(info.value) == below_resolution_message(index, 1e-17, 1.0)
+        p = cumulative(w)
+        assert p.array.tolist() == neumaier_prefixes(w.array.tolist())
+        assert p.array[index - 1] == p.array[index] == 1.0
 
     def test_lost_last_weight_is_still_snapped_to_one(self):
         # S_2 rounds back to S_1 < 1, and the snap of S_n to 1.0 separates them
@@ -242,13 +234,13 @@ class TestCumulative:
     @pytest.mark.parametrize("index", [2, 7, 8, 14, 15])
     def test_lost_weight_at_a_block_edge(self, index, chunk):
         # with 7-value blocks, S_7 and S_14 end a block of the prefix sweep
-        # and S_8 and S_15 start one
+        # and S_8 and S_15 start one; the lost weight leaves S_(index - 1) = S_index
         w = from_weights([1.0] * (index - 1) + [1e-17] + [1.0] * 3, normalize=True)
-        total = float(compensated_prefix_sums(w.array[:index - 1])[-1])
         with mock.patch.object(_summation, "_CHUNK", chunk):
-            with pytest.raises(InvalidArgument) as info:
-                cumulative(w)
-        assert str(info.value) == below_resolution_message(index, float(w.array[index - 1]), total)
+            p = cumulative(w)
+        assert p.array[:-1].tolist() == neumaier_prefixes(w.array.tolist())[:-1]
+        assert p.array[-1] == 1.0
+        assert p.array[index - 1] == p.array[index]
 
     @pytest.mark.parametrize("chunk", [7, _summation._CHUNK])
     @pytest.mark.parametrize("n", [6, 7, 8, 14, 15])
@@ -262,10 +254,9 @@ class TestCumulative:
         assert p.array[-2:].tolist() == [1.0 - 2.0**-53, 1.0]
         assert p.array[:-1].tolist() == neumaier_prefixes(head)
 
-    def test_snap_below_the_previous_breakpoint_is_not_blamed_on_a_weight(self):
-        with pytest.raises(ValueError) as info:
-            cumulative(from_weights([0.5, 0.5 + 1e-10, 1e-12]))
-        assert str(info.value) == "breakpoints must be strictly increasing; S_2=1.0000000001 >= S_3=1.0"
+    def test_breakpoints_above_one_are_clamped_with_the_last(self):
+        # the weights sum to 1 within SUM_TOLERANCE, and S_2 = S_3 = 1.0000000001
+        assert cumulative(from_weights([0.5, 0.5 + 1e-10, 1e-12])).breakpoints == (0.0, 0.5, 1.0, 1.0)
 
 
 class TestRoundTrip:
@@ -308,9 +299,16 @@ class TestPartitionValidation:
         with pytest.raises(ValueError):
             CumulativePartition([0.0, 0.5, math.nan])
 
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError):
-            CumulativePartition([0.0, 0.5, 0.5, 1.0])
+    def test_breakpoints_must_not_decrease(self):
+        assert CumulativePartition([0.0, 0.5, 0.5, 1.0]).breakpoints == (0.0, 0.5, 0.5, 1.0)
+        for bps, message in (
+            ([0.0, 0.5, 0.4, 1.0], "S_1=0.5 > S_2=0.4"),
+            # the pair is judged as given, before S_n is snapped and the breakpoints above 1 clamped
+            ([0.0, 2.0, 1.0000000001], "S_1=2.0 > S_2=1.0000000001"),
+        ):
+            with pytest.raises(InvalidArgument) as info:
+                CumulativePartition(bps)
+            assert str(info.value) == f"breakpoints must not decrease; {message}"
 
     def test_needs_two_breakpoints(self):
         with pytest.raises(ValueError):
@@ -408,25 +406,23 @@ class TestHelpers:
         q = bisect_all(CumulativePartition([0.0, 0.2, 0.5, 1.0]))
         assert q.breakpoints == (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
 
-    def test_bisect_all_checks_its_midpoints_only(self):
-        # [0.5, 0.5 + 2 ulp] splits at 0.5 + 1 ulp, and the result is not
-        # validated a second time; bisecting again puts [0.5, 0.5 + 1 ulp]
-        # between adjacent floats, which the midpoint test alone refuses
+    def test_bisect_all_checks_nothing(self):
+        # [0.5, 0.5 + 2 ulp] splits at 0.5 + 1 ulp, and no result is validated;
+        # bisecting again splits [0.5, 0.5 + 1 ulp] and [0.5 + 1 ulp, 0.5 + 2 ulp],
+        # each between adjacent floats, at an end (ties round to even)
         mid = float(np.nextafter(0.5, 1.0))
         hi = float(np.nextafter(mid, 1.0))
         p = CumulativePartition([0.0, 0.5, hi, 1.0])
         with mock.patch.object(CumulativePartition, "_validated", side_effect=AssertionError):
             q = bisect_all(p)
-            with pytest.raises(InvalidArgument) as info:
-                bisect_all(q)
+            r = bisect_all(q)
         assert q.breakpoints == (0.0, 0.25, 0.5, mid, hi, 0.5 * (hi + 1.0), 1.0)
-        assert q == CumulativePartition(q.breakpoints)
-        assert str(info.value) == "refinement point 0.5 is not interior to interval 3"
+        assert r.breakpoints[4:9] == (0.5, 0.5, mid, hi, hi)
+        for part in (q, r):
+            assert part == CumulativePartition(part.breakpoints)
 
-    def test_bisect_all_between_adjacent_floats_raises(self):
+    def test_bisect_all_between_adjacent_floats_leaves_a_zero_width_cell(self):
         # the midpoint of [0.5, nextafter(0.5)] rounds onto 0.5
         hi = float(np.nextafter(0.5, 1.0))
-        p = CumulativePartition([0.0, 0.25, 0.5, hi, 1.0])
-        with pytest.raises(InvalidArgument) as info:
-            bisect_all(p)
-        assert str(info.value) == "refinement point 0.5 is not interior to interval 3"
+        q = bisect_all(CumulativePartition([0.0, 0.25, 0.5, hi, 1.0]))
+        assert q.breakpoints == (0.0, 0.125, 0.25, 0.375, 0.5, 0.5, hi, 0.75, 1.0)
