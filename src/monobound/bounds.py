@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from ._summation import _blocked_sum, _finite_sum
 from .errors import InvalidArgument, NonFiniteValue
 from .functions import CONSTANT, DECREASING, INCREASING, MonotoneFunction, require_monotone
-from .partitions import CumulativePartition, _breakpoints, bisect_all, require_within_budget
+from .partitions import CumulativePartition, _bisected, _breakpoints, require_within_budget
 
 #: Absolute tolerance of the benchmark's quadrature and enclosure checks, which
 #: ``bench/checks.py`` and ``bench/workloads.py`` import; the library reads none.
@@ -40,6 +41,8 @@ DEFAULT_QUAD_TOL = 1e-10
 #: Float slack granted to algebraic identities and the bound's checks,
 #: relative to the magnitudes they compare (see BoundReport).
 IDENTITY_TOL = 1e-12
+#: Cells a refinement chain forms at a time: 64 KiB temporaries stay under glibc's mmap threshold.
+_SUB = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def _weighted_sum(bps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     def produce(start: int, stop: int, out: np.ndarray) -> np.ndarray:
         nonlocal mesh
         np.subtract(bps[start + 1:stop + 1], bps[start:stop], out=out)
-        mesh = max(mesh, float(out.max()))
+        mesh = max(mesh, float(np.maximum.reduce(out)))
         out *= vals[start:stop]
         return out
 
@@ -274,16 +277,30 @@ def refinement_chain(g: MonotoneFunction, p: CumulativePartition, depth: int) ->
 
     The first entry is T_n on p itself.  For decreasing g the sequence is
     non-decreasing and bounded above by the integral: refining can only
-    raise rectangles toward the graph.  Raises TooLarge, before any
-    bisection, when the last partition would exceed MAX_INTERVALS.
+    raise rectangles toward the graph.  Entry d is T_n on p after d rounds of
+    :func:`bisect_all`, bit for bit, but no refined partition is built, so
+    memory grows with n and one block, not with n * 2**depth.  Raises
+    TooLarge, before any work, when the last partition would exceed MAX_INTERVALS.
     """
     if depth < 1:
         raise InvalidArgument(f"depth must be >= 1, got {depth}")
     require_within_budget(p.n, depth)
     require_monotone(g, "refinement_chain", decreasing=True)
-    values = [riemann_sum_right(g, p)]
-    current = p
-    for _ in range(depth):
-        current = bisect_all(current)
-        values.append(riemann_sum_right(g, current))
-    return values
+    bps = _breakpoints(p)
+
+    def produce(start: int, stop: int, out: np.ndarray, d: int) -> np.ndarray:
+        # cells [a, b) lie in base intervals a >> d .. (b - 1) >> d: bisect those d times, keeping their ancestors
+        for a in range(start, stop, _SUB):
+            b = min(a + _SUB, stop)
+            lo, ends = a >> d, bps[a >> d:((b - 1) >> d) + 2]
+            for s in range(d - 1, -1, -1):
+                ends, lo = _bisected(ends)[(a >> s) - 2 * lo:((b - 1) >> s) + 2 - 2 * lo], a >> s
+            cells = out[a - start:b - start]
+            np.subtract(ends[1:], ends[:-1], out=cells)
+            cells *= g.values(ends[1:])
+        return out
+
+    return [
+        _finite_sum("the Riemann sum of g", lambda: _blocked_sum(p.n << d, partial(produce, d=d)))
+        for d in range(depth + 1)
+    ]

@@ -26,8 +26,8 @@ from .errors import InvalidArgument, TooLarge
 #: Accepted deviation of an un-normalized weight sum from 1.
 SUM_TOLERANCE = 1e-9
 #: Most intervals a partition built from a size (``uniform_weights``) or by
-#: repeated bisection (``refinement_chain``) may have: 2**27 breakpoints are
-#: 1 GiB of float64, and evaluating and summing over them needs a few more.
+#: repeated bisection (``refinement_chain``, which streams them) may have: 2**27
+#: breakpoints are 1 GiB of float64, and a chain to 2**27 cells evaluates g ~2**28 times.
 MAX_INTERVALS = 2**27
 
 
@@ -143,6 +143,8 @@ class CumulativePartition(_ArrayBacked):
             raise InvalidArgument(f"last breakpoint {float(bps[-1])!r} is not within {SUM_TOLERANCE:g} of 1")
         if not (bps[1:] >= bps[:-1]).all():  # NaN fails too
             i = int(np.argmax(~(bps[1:] >= bps[:-1]))) + 1
+            if np.isnan(bps[i]):  # S_0 and S_n are numbers, so the first NaN fails first as S_i
+                raise InvalidArgument(f"breakpoint S_{i} is nan; breakpoints must be numbers")
             raise InvalidArgument(
                 f"breakpoints must not decrease; S_{i - 1}={float(bps[i - 1])!r} > S_{i}={float(bps[i])!r}"
             )
@@ -225,10 +227,16 @@ def bisect_all(p: CumulativePartition) -> CumulativePartition:
 
     For a <= b in [0, 1], fl(0.5 * fl(a + b)) lies in [a, b], as rounding is monotone
     and 2a, 2b, 0.5 * 2a and 0.5 * 2b are exact; between adjacent floats it is an end.
+    ``refinement_chain`` forms stretches of repeated bisections with the same helper.
     """
-    bps = _breakpoints(p)
-    mids = 0.5 * (bps[:-1] + bps[1:])
+    return CumulativePartition._adopt(_bisected(_breakpoints(p)), checked=True)
+
+
+def _bisected(bps: np.ndarray) -> np.ndarray:
+    """``bps`` with the midpoint fl(0.5 * fl(a + b)) of each neighbouring pair a, b between them."""
     out = np.empty(2 * bps.size - 1)
     out[0::2] = bps
-    out[1::2] = mids
-    return CumulativePartition._adopt(out, checked=True)
+    mids = out[1::2]
+    np.add(bps[:-1], bps[1:], out=mids)
+    mids *= 0.5
+    return out

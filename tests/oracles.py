@@ -1,4 +1,7 @@
-"""Scalar reference implementations the vectorized kernels are tested against."""
+"""Reference implementations, scalar or unstreamed, that the library's kernels are tested against."""
+
+from monobound.bounds import riemann_sum_right
+from monobound.partitions import bisect_all
 
 
 class NeumaierSum:
@@ -36,3 +39,13 @@ def neumaier_prefixes(values) -> list[float]:
         acc.add(v)
         out.append(acc.value)
     return out
+
+
+def bisected_chain(g, p, depth: int) -> list[float]:
+    """T_n on p and after each of ``depth`` rounds of ``bisect_all``, every refined
+    partition built in full: ``refinement_chain`` must give these bits."""
+    values = [riemann_sum_right(g, p)]
+    for _ in range(depth):
+        p = bisect_all(p)
+        values.append(riemann_sum_right(g, p))
+    return values

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+from monobound import _summation
 from monobound.bounds import (
     BoundReport,
     _abel_route,
@@ -482,6 +483,19 @@ class TestStreamingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n
+
+    @pytest.mark.parametrize("g", [reciprocal(), exponential(1.0), trigonometric()], ids=["recip", "exp", "trig"])
+    def test_refinement_chain_builds_no_refined_partition(self, g):
+        # the depth-5 partition alone would be 2**21 breakpoints, 16 MiB
+        p = cumulative(uniform_weights(2**16))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            refinement_chain(g, p, 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _summation._CHUNK * 8
 
 
 class TestGapBound:

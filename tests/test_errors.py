@@ -50,6 +50,14 @@ FAULTS = {
         "density has mass 0.5 on [0, 1]; expected 1 within 1e-09",
     ),
     "length mismatch": (lambda: is_majorized([1.0], [0.5, 0.5]), "length mismatch: 1 vs 2"),
+    "nan breakpoint": (
+        lambda: CumulativePartition([0.0, float("nan"), 1.0]),
+        "breakpoint S_1 is nan; breakpoints must be numbers",
+    ),
+    "nan after a run of equal breakpoints": (
+        lambda: CumulativePartition([0.0, 0.5, 0.5, float("nan"), float("nan"), 1.0]),
+        "breakpoint S_3 is nan; breakpoints must be numbers",
+    ),
 }
 
 

@@ -11,9 +11,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from monobound import _summation
+from monobound import _summation, bounds
 from monobound.bounds import (
     abel_sum,
     abel_terms,
@@ -23,25 +23,41 @@ from monobound.bounds import (
     refinement_violations,
     riemann_sum_left,
 )
-from monobound.functions import exponential, linear, logarithmic, power_complement, reciprocal, trigonometric
+from monobound.functions import (
+    constant,
+    exponential,
+    linear,
+    logarithmic,
+    power_complement,
+    reciprocal,
+    tabulated,
+    trigonometric,
+)
 from monobound.partitions import CumulativePartition, bisect_all, cumulative, from_weights
+
+from oracles import bisected_chain
 
 DECREASING_G = [power_complement(2), exponential(1), logarithmic(), reciprocal(), trigonometric(), linear(-2e6, 1e6)]
 U = Fraction(2) ** -53
 
-#: Weights of every size, and weights below half an ulp of any running total of the others.
-mixed_weights = st.lists(
-    st.one_of(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-30, max_value=1e-17)),
-    min_size=1,
-    max_size=60,
-)
+
+def weight_lists(max_size=60):
+    """Weights of every size, and weights below half an ulp of any running total of the others."""
+    return st.lists(
+        st.one_of(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-30, max_value=1e-17)),
+        min_size=1,
+        max_size=max_size,
+    )
+
+
+mixed_weights = weight_lists()
 
 
 @st.composite
-def zero_width_partitions(draw):
+def zero_width_partitions(draw, max_size=60):
     """Breakpoints of drawn weights, each repeated 1-4 times: runs of zero-width cells,
     also at S_0 and as the last cell."""
-    bps = cumulative(from_weights(draw(mixed_weights), normalize=True)).array.tolist()
+    bps = cumulative(from_weights(draw(weight_lists(max_size)), normalize=True)).array.tolist()
     repeats = draw(st.lists(st.integers(0, 3), min_size=len(bps), max_size=len(bps)))
     return CumulativePartition([b for b, r in zip(bps, repeats) for _ in range(r + 1)])
 
@@ -132,3 +148,43 @@ def test_midpoints_lie_in_their_intervals(ends):
 def test_deep_chain_over_adjacent_floats():
     p = CumulativePartition([0.0, 0.5, float(np.nextafter(0.5, 1.0)), 1.0])
     assert refinement_violations(refinement_chain(reciprocal(), p, 20)) == []
+
+
+#: Decreasing g of every kind, a table, and a constant at the bottom of the range.
+CHAIN_G = [
+    *DECREASING_G,
+    power_complement(0.5),
+    tabulated([(0.0, 5.0), (0.3, 2.0), (0.7, 1.5), (1.0, 0.0)]),
+    constant(1e-300),
+]
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("chunk, sub", [(7, 3), (_summation._CHUNK, bounds._SUB)], ids=["7-blocks", "default-blocks"])
+@settings(max_examples=40, deadline=None)
+@given(p=zero_width_partitions(20), depth=st.integers(1, 6), g=st.sampled_from(CHAIN_G))
+def test_streamed_chain_matches_full_bisection(chunk, sub, p, depth, g):
+    # refinement_chain bisects a block at a time from the base breakpoints; with 7-value
+    # blocks formed 3 cells at a time, pieces start mid-interval and span base intervals,
+    # the last block is short, and no sum goes to fsum before the blocked path
+    patches = (
+        mock.patch.object(_summation, "_CHUNK", chunk),
+        mock.patch.object(_summation, "_FSUM_CUTOFF", 0),
+        mock.patch.object(bounds, "_SUB", sub),
+    )
+    with patches[0], patches[1], patches[2]:
+        assert hexes(refinement_chain(g, p, depth)) == hexes(bisected_chain(g, p, depth))
+
+
+@settings(max_examples=12, deadline=None)
+@given(raw=weight_lists(3), depth=st.integers(1, 20), g=st.sampled_from(CHAIN_G))
+@example(raw=[1.0], depth=20, g=reciprocal())
+@example(raw=[0.25, 0.25, 0.5], depth=14, g=exponential(1.0))
+def test_deep_streamed_chain_matches_full_bisection(raw, depth, g):
+    # past depth 15 a block of 2**15 cells lies inside one base interval; 3 * 2**14 cells end in a short block
+    p = cumulative(from_weights(raw, normalize=True))
+    with mock.patch.object(_summation, "_FSUM_CUTOFF", 0):
+        assert hexes(refinement_chain(g, p, depth)) == hexes(bisected_chain(g, p, depth))
