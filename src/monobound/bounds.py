@@ -38,8 +38,8 @@ from .partitions import CumulativePartition, _bisected, _breakpoints, require_wi
 #: Absolute tolerance of the benchmark's quadrature and enclosure checks, which
 #: ``bench/checks.py`` and ``bench/workloads.py`` import; the library reads none.
 DEFAULT_QUAD_TOL = 1e-10
-#: Float slack granted to algebraic identities and the bound's checks,
-#: relative to the magnitudes they compare (see BoundReport).
+#: Float slack of the algebraic identities and the bound's checks, IDENTITY_TOL * max(1, M)
+#: for the magnitude M they compare: relative above 1, absolute below it (see BoundReport).
 IDENTITY_TOL = 1e-12
 #: Cells a refinement chain forms at a time: 64 KiB temporaries stay under glibc's mmap threshold.
 _SUB = 1 << 13
@@ -67,12 +67,15 @@ class BoundReport:
     abel_value: float
     n: int
     direction: str
-    evaluation_count: int
     scale: float
 
     @property
     def strict(self) -> bool:
         return self.direction != CONSTANT
+
+    @property
+    def evaluation_count(self) -> int:
+        return self.n + 1  # g at S_0..S_n, once each (see bound_report)
 
     def to_dict(self) -> dict:
         wire = ("t_n", "integral", "integral_source", "gap", "gap_bound", "strict", "abel_value", "n")
@@ -123,7 +126,7 @@ def abel_violations(direction: str, t_n: float, abel_value: float, terms: Sequen
 
 
 def refinement_violations(values: list[float]) -> list[str]:
-    """Steps of a :func:`refinement_chain` that lowered T_n, relative to |T_n|; empty means OK."""
+    """Chain steps that lowered T_n by over ``IDENTITY_TOL * max(1, |T_n|)``, absolute below 1; empty means OK."""
     return [
         f"refinement decreased the sum: {prev!r} -> {nxt!r}"
         for prev, nxt in zip(values, values[1:])
@@ -257,17 +260,15 @@ def bound_report(g: MonotoneFunction, p: CumulativePartition) -> BoundReport:
     g0, g1 = float(vals[0]), float(vals[-1])
 
     gap = integral - t_n
-    gap_bound = _gap_bound(g0, g1, mesh, gap)
 
     return BoundReport(
         t_n=t_n,
         integral=integral,
         gap=gap,
-        gap_bound=gap_bound,
+        gap_bound=_gap_bound(g0, g1, mesh, gap),
         abel_value=abel_value,
         n=p.n,
         direction=g.direction,
-        evaluation_count=p.n + 1,
         scale=max(abs(g0), abs(g1)),
     )
 

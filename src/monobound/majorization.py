@@ -24,11 +24,8 @@ from .errors import InvalidArgument, NonFiniteValue, NotMajorized
 from .functions import MonotoneFunction, require_convex
 from .partitions import WeightVector, _ArrayBacked
 
-#: Relative slack on prefix and total comparisons (see :func:`is_majorized`),
-#: and the absolute part of the slack on values and sums of g.
-COMPARISON_TOLERANCE = 1e-12
-#: A few ulps: the relative part of the slack on values and sums of g, which
-#: carry a rounding of g and of the sum, and on the rounded prefix margins.
+#: A few ulps: the relative slack on values and sums of g, which carry a
+#: rounding of g and of the sum, and on the rounded prefix margins.
 ROUNDING_SLACK = 4 * float(np.finfo(float).eps)
 
 X_MAJORIZED_BY_Y = "x_majorized_by_y"
@@ -82,17 +79,16 @@ class MajorizationVerdict:
 class KaramataReport:
     """sum g(y) - sum g(x) for majorized x < y and convex g.
 
-    ``holds`` lets the margin fall below zero by ``COMPARISON_TOLERANCE``
-    plus ``ROUNDING_SLACK`` times sum |g(x_i)| + sum |g(y_i)| (the rounding
-    of g and of the sums), and by what the slack of :func:`is_majorized`
-    lets through.  By Abel summation, as in Karamata's proof, the margin is
-    sum_k (c_k - c_(k+1)) D_k + c_n D_n for the prefix margins D_k and the
-    falling chord slopes c_k of g between the k-th largest x and y, all in
-    [s_lo, s_hi]: the slopes between the two lowest and the two highest
-    distinct entries, moved out by ``ROUNDING_SLACK`` times their two |g|.
-    So it is at least -max(0, s_hi - s_lo) * max(0, -min D_k) -
-    max(|s_lo|, |s_hi|) * |D_n|, in exact rationals, each D_k widened by
-    its rounding, ``ROUNDING_SLACK`` * (sum |x_i| + sum |y_i|).
+    ``holds`` lets the margin fall below zero by ``ROUNDING_SLACK`` times
+    sum |g(x_i)| + sum |g(y_i)| (the rounding of g and of the sums), and by
+    what the slack rho of :func:`is_majorized` lets through.  By Abel
+    summation, as in Karamata's proof, the margin is sum_k (c_k - c_(k+1))
+    D_k + c_n D_n for the prefix margins D_k and the falling chord slopes
+    c_k of g between the k-th largest x and y, all in [s_lo, s_hi]: the
+    slopes between the two lowest and the two highest distinct entries,
+    moved out by ``ROUNDING_SLACK`` times their two |g|.  So it is at least
+    -max(0, s_hi - s_lo) * max(0, -min D_k) - max(|s_lo|, |s_hi|) * |D_n|
+    in exact rationals, each D_k widened by its rounding, rho.
     """
 
     margin: float
@@ -109,35 +105,38 @@ def as_real_vector(v: VectorLike) -> RealVector:
     return RealVector(np.asarray(v, dtype=float).ravel())
 
 
+def _rho(xa: np.ndarray, ya: np.ndarray) -> float:
+    """rho = ROUNDING_SLACK * sum |x_i| + ROUNDING_SLACK * sum |y_i|, scaled term by term so as not to overflow."""
+    return _finite_sum("a sum of x or y", lambda: sum(ROUNDING_SLACK * exact_sum(np.abs(a)) for a in (xa, ya)))
+
+
 def is_majorized(x: VectorLike, y: VectorLike) -> MajorizationVerdict:
     """Decide the majorization relation between x and y.
 
     Both vectors are sorted in decreasing order; prefix sums are compared
-    with slack ``COMPARISON_TOLERANCE * max(sum |x_i|, sum |y_i|)``.
-    Unequal totals give "total_mismatch"; prefix margins of both signs give
-    "incomparable"; margins vanishing in both directions mean the vectors
-    are permutations of each other ("both").  Raises NonFiniteValue when a
-    prefix sum, margin or sum |.| is not finite.
+    with slack rho = ``ROUNDING_SLACK`` * (sum |x_i| + sum |y_i|), the
+    rounding they carry.  Unequal totals give "total_mismatch"; prefix
+    margins of both signs give "incomparable"; margins vanishing in both
+    directions mean the vectors are permutations of each other ("both").
+    Raises NonFiniteValue when a prefix sum, margin or sum |.| is not finite.
     """
     xv, yv = as_real_vector(x), as_real_vector(y)
     if xv.n != yv.n:
         raise InvalidArgument(f"length mismatch: {xv.n} vs {yv.n}")
     xs, ys = np.sort(xv.array)[::-1], np.sort(yv.array)[::-1]
-    what = "a sum of x or y"
-    slack = COMPARISON_TOLERANCE * _finite_sum(what, lambda: max(exact_sum(np.abs(v)) for v in (xs, ys)))
+    slack = _rho(xs, ys)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a margin that is not finite
         margins = compensated_prefix_sums(ys)[1:] - compensated_prefix_sums(xs)[1:]
     if not np.isfinite(margins).all():
-        raise NonFiniteValue(what)
-    prefix_margins = tuple(margins.tolist())
-    if abs(margins[-1]) > slack:
-        return MajorizationVerdict(TOTAL_MISMATCH, prefix_margins)
+        raise NonFiniteValue("a sum of x or y")
     y_under = bool((margins[:-1] <= slack).all())
-    if (margins[:-1] >= -slack).all():
+    if abs(margins[-1]) > slack:
+        relation = TOTAL_MISMATCH
+    elif (margins[:-1] >= -slack).all():
         relation = BOTH if y_under else X_MAJORIZED_BY_Y
     else:
         relation = Y_MAJORIZED_BY_X if y_under else INCOMPARABLE
-    return MajorizationVerdict(relation, prefix_margins)
+    return MajorizationVerdict(relation, tuple(margins.tolist()))
 
 
 def _g_values(g: Callable[[float], float], points: np.ndarray, where: str) -> np.ndarray:
@@ -197,10 +196,10 @@ def karamata_check(g: Callable[[float], float], x: VectorLike, y: VectorLike) ->
     # both sums and the margin are at most scale in magnitude: all finite
     sum_x, sum_y = exact_sum(gx), exact_sum(gy)
     margin = sum_y - sum_x
-    rho = ROUNDING_SLACK * exact_sum(np.abs(xa)) + ROUNDING_SLACK * exact_sum(np.abs(ya))  # see KaramataReport
+    rho = _rho(xa, ya)  # see KaramataReport
     *prefix, total = verdict.prefix_margins or (0.0,)
     dip, mismatch = max(0.0, -min(prefix, default=0.0)) + rho, abs(total) + rho
-    holds = -_abel_allowance(t, v, dip, mismatch) <= margin + (COMPARISON_TOLERANCE + ROUNDING_SLACK * scale)
+    holds = -_abel_allowance(t, v, dip, mismatch) <= margin + ROUNDING_SLACK * scale
     return KaramataReport(margin, holds, sum_x, sum_y)
 
 

@@ -285,6 +285,15 @@ class TestMajorize:
         assert code == 2
         assert "domain error" in err
 
+    def test_a_margin_of_1e_13_is_not_a_permutation(self, capsys, tmp_path):
+        # y < x holds exactly and x < y fails by 1e-13, hundreds of times the
+        # slack rho = ROUNDING_SLACK * (sum |x_i| + sum |y_i|) = 1.8e-15
+        x = write_vector(tmp_path, "x.csv", "1,0\n")
+        y = write_vector(tmp_path, "y.csv", "0.9999999999999,1e-13\n")
+        code, out, err = run(capsys, "majorize", "--x", x, "--y", y)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "y ≺ x (y is majorized by x)"
+
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_overflowing_prefix_sums_are_a_domain_error(self, capsys, tmp_path, fmt):
         x = write_vector(tmp_path, "x.csv", "1e308\n1e308\n")
@@ -338,12 +347,13 @@ class TestKaramata:
 
     @pytest.mark.parametrize(
         "spec, x_text, y_text",
-        [("square", "1000000.0000005,-5e-7\n", "1000000,0\n"), ("expt", "700.0000000005,-5e-10\n", "700,0\n")],
+        [("square", "1000000.0000000005,-5e-10\n", "1000000,0\n"), ("expt", "700.0000000000003,-3e-13\n", "700,0\n")],
         ids=["square", "expt"],
     )
     def test_prefix_margins_dipping_within_the_slack_pass(self, capsys, tmp_path, spec, x_text, y_text):
         # majorize calls each pair "both", though the first prefix margin is
-        # negative; Abel summation bounds the negative margin this costs
+        # negative by about a quarter of the slack rho = ROUNDING_SLACK *
+        # (sum |x_i| + sum |y_i|); Abel summation bounds the negative margin this costs
         x, y = write_vector(tmp_path, "x.csv", x_text), write_vector(tmp_path, "y.csv", y_text)
         code, out, err = run(capsys, "karamata", "--x", x, "--y", y, "--fn", spec, "--json")
         assert (code, err) == (0, "")

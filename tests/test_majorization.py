@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monobound.errors import InvalidArgument, NonFiniteValue, NotConvex, NotMajorized
 from monobound.functions import (
@@ -20,6 +22,7 @@ from monobound.functions import (
 from monobound import majorization
 from monobound.majorization import (
     BOTH,
+    ROUNDING_SLACK,
     MajorizationVerdict,
     RealVector,
     as_real_vector,
@@ -35,11 +38,16 @@ vectors = st.lists(
 )
 
 
+def rho(x, y):
+    """The slack of is_majorized: ROUNDING_SLACK * fsum |x_i| + ROUNDING_SLACK * fsum |y_i|."""
+    return ROUNDING_SLACK * math.fsum(abs(t) for t in x) + ROUNDING_SLACK * math.fsum(abs(t) for t in y)
+
+
 def oracle_is_majorized(x, y):
     """The tuple-and-sorted() implementation, one scalar step at a time.
 
-    Prefix sums come from a NeumaierSum loop; the slack is the relative one,
-    1e-12 * max(fsum |x_i|, fsum |y_i|).  Returns (relation, margins).
+    Prefix sums come from a NeumaierSum loop; the slack is rho(x, y), the
+    rounding of the prefix sums.  Returns (relation, margins).
     """
     def prefixes(values):
         acc, out = NeumaierSum(), []
@@ -51,7 +59,7 @@ def oracle_is_majorized(x, y):
     xs = sorted((float(t) for t in x), reverse=True)
     ys = sorted((float(t) for t in y), reverse=True)
     margins = tuple(b - a for a, b in zip(prefixes(xs), prefixes(ys)))
-    slack = 1e-12 * max(math.fsum(abs(t) for t in xs), math.fsum(abs(t) for t in ys))
+    slack = rho(xs, ys)
     if abs(margins[-1]) > slack:
         return "total_mismatch", margins
     x_under = all(m >= -slack for m in margins[:-1])
@@ -361,8 +369,9 @@ class TestKaramata:
 
     def test_a_nonnegative_margin_always_holds(self):
         # g is convex only on its caller's word: its end chords fall from 0.75
-        # to -1, and the prefix margins dip by 1.5e-12 within the slack
-        d = 1.5e-12
+        # to -1, and the prefix margins dip by d = 2^-49, half the slack rho = 2^-48
+        d = 2.0**-49
+        assert d == rho([1.0, 0.75, 0.25, 0.0], [1.0, 0.75, 0.25, 0.0]) / 2
         rep = karamata_check(lambda t: -((t - 0.5) ** 2), [1.0 + d, 0.75 - d, 0.25, 0.0], [1.0, 0.75, 0.25, 0.0])
         assert rep.margin > 0.0 and rep.holds
 
@@ -477,17 +486,18 @@ class TestConvexityProbe:
 
 
 @st.composite
-def pushed_pairs(draw, lo_range, widest):
+def pushed_pairs(draw, lo_range, widest, most=0.9):
     """A generated majorized pair on a hull up to ``widest`` wide, whose low
-    end is drawn by ``lo_range(width)``, pushed past majorization by less
-    than the slack of is_majorized: x's largest entry gains d, and its
-    smallest loses d or, so that the totals differ, keeps it."""
+    end is drawn by ``lo_range(width)``, pushed past majorization by d, up to
+    ``most`` times the slack rho of is_majorized, so by less than it unless
+    ``most`` > 1: x's largest entry gains d, and its smallest loses d or, so
+    that the totals differ, keeps it."""
     n = draw(st.integers(2, 50))
     x, y = generate_majorized_pair(n, draw(st.integers(0, 3 * n)), draw(st.integers(0, 2**32 - 1)))
     width = 10.0 ** draw(st.floats(-9.0, math.log10(widest)))
     lo = draw(st.floats(*lo_range(width)))
     x, y = lo + width * x.array, lo + width * y.array
-    d = draw(st.floats(0.0, 0.45)) * 1e-12 * max(np.abs(x).sum(), np.abs(y).sum())
+    d = draw(st.floats(0.0, most)) * rho(x, y)
     x[x.argmax()] += d
     if draw(st.booleans()):
         x[x.argmin()] -= d
@@ -496,14 +506,14 @@ def pushed_pairs(draw, lo_range, widest):
 
 @st.composite
 def end_cluster_pairs(draw):
-    """A decreasing y near c, and x moving d, within the slack of
+    """A decreasing y near c, and x moving d, up to 0.75 of the slack rho of
     is_majorized, from one of y's entries to its first, and k ulps of y's
     last entry from its second to its last: x and y's two lowest entries are
     k ulps apart, where rounding makes up much of g's chord slope."""
     n, c = draw(st.integers(3, 8)), draw(st.floats(1.0, 1e6))
     spread = draw(st.floats(1e-9, 0.5)) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     y = np.sort(c * (1.0 + spread))[::-1]
-    d = draw(st.floats(0.0, 0.45)) * 1e-12 * y.sum()
+    d = draw(st.floats(0.0, 0.75)) * rho(y, y)
     e = draw(st.integers(1, 4)) * float(np.spacing(y[-1]))
     x = y.copy()
     x[0] += d
@@ -552,25 +562,30 @@ class TestSlackDips:
     @pytest.mark.parametrize(
         "g, x, y",
         [
-            (lambda t: t * t, [1000000.0000005, -5e-7], [1000000.0, 0.0]),
-            (math.exp, [700.0000000005, -5e-10], [700.0, 0.0]),
-            (lambda t: -t, [1e6, 0.0], [1e6, 5e-7]),  # the totals differ by 5e-7
+            # each dip or total difference is a fraction of the slack rho of is_majorized:
+            # a quarter of rho = 1.8e-9, of 1.2e-12 and of 1.8e-9
+            (lambda t: t * t, [1000000.0000000005, -5e-10], [1000000.0, 0.0]),
+            (math.exp, [700.0000000000003, -3e-13], [700.0, 0.0]),
+            (lambda t: -t, [1e6, 0.0], [1e6, 5e-10]),  # the totals differ by 5e-10
             # the totals differ by 2^-36, half an ulp of each, so both round alike
             (lambda t: 65537.5 - t, [65536.5, 65536.25], [65536.5, 65536.25 + 2**-36]),
             # the two lowest entries are 2 ulps apart: g's chord there rounds to
-            # 0.125, above the 0.1 of the highest chord
-            (lambda t: 0.1 * t, [3e6 + 2**-20, 1e6 - 2**-20 - 2**-33, 5e5 + 2**-33], [3e6, 1e6, 5e5]),
-            # 2 ulps apart again: the chord of t^2 rounds to 2^21, above the highest 2000128
+            # 0.125, above the 0.109375 of the highest chord (0.1 for both exactly);
+            # x's largest entry gains 2^-28, half of rho = 8e-9
+            (lambda t: 0.1 * t, [3e6 + 2**-28, 1e6 - 2**-28 - 2**-33, 5e5 + 2**-33], [3e6, 1e6, 5e5]),
+            # 2 ulps apart again: the chord of t^2 rounds to 2^21, above the highest
+            # 2031616 (exactly 2e6 and 2000002); x's largest entry gains 0.35 rho
             (
                 lambda t: t * t,
-                [1000001.0000004768, 1000000.9335250279, 1000000.0000000002],
+                [1000001.0000000019, 1000000.9335255029, 1000000.0000000002],
                 [1000001.0, 1000000.933525505, 1000000.0],
             ),
             # the lowest chord, 2 ulps wide, rounds to 2^18 for a true 248554, not
-            # past the highest 268504, but cuts the gap between them to a third
+            # past the highest 267605 (true 268504), but cuts the gap between them to
+            # a quarter; x's largest entry gains 0.6 rho
             (
                 lambda t: t * t,
-                [134251.89682811164, 127777.33671674444, 125866.9435165745, 124510.91196908911, 124276.91449377697],
+                [134251.8968278512, 127777.33671674444, 125866.94351683496, 124510.91196908911, 124276.91449377697],
                 [134251.8968278505, 127777.33671674444, 125866.94351683569, 124510.91196908911, 124276.91449377695],
             ),
         ],
@@ -580,6 +595,107 @@ class TestSlackDips:
         assert is_majorized(x, y).relation == "both"
         rep = karamata_check(g, x, y)
         assert rep.margin < 0.0 and rep.holds
+
+
+@st.composite
+def quarter_grid_pairs(draw):
+    """x on a grid of quarters, and y a permutation of x after whole quarters
+    move between its entries: the exact prefix margins are multiples of 1/4.
+    Then x's largest entry may gain d, 3 to 30 times the slack rho, and its
+    smallest lose d or keep it.  d is a multiple of 2^-49, so every entry,
+    at most 6 + d in magnitude, is exact."""
+    n = draw(st.integers(1, 12))
+    x = np.array(draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n)), dtype=float) / 4
+    y = x[draw(st.permutations(range(n)))]
+    for i, j, a in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 4)), max_size=6)):
+        if i != j and max(abs(y[i] + a / 4), abs(y[j] - a / 4)) <= 6:
+            y[i] += a / 4
+            y[j] -= a / 4
+    if draw(st.booleans()):
+        unit = 2.0**-49
+        d = unit * math.ceil(draw(st.floats(3.0, 30.0)) * rho(x, y) / unit)
+        x[x.argmax()] += d
+        if draw(st.booleans()):
+            x[x.argmin()] -= d
+    return x, y
+
+
+@st.composite
+def decimal_pairs(draw):
+    """Decimal strings x and y whose decimal totals are equal: y moves whole
+    units of the last digit between x's entries and permutes them."""
+    n = draw(st.integers(1, 20))
+    digits = draw(st.lists(st.integers(-10**15, 10**15), min_size=n, max_size=n))
+    moved = list(digits)
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 10**15))
+    for i, j, a in draw(st.lists(moves, max_size=10)):
+        moved[i] += a
+        moved[j] -= a
+    k = draw(st.integers(-20, 20))
+    return [str(Decimal(d).scaleb(k)) for d in digits], [str(Decimal(d).scaleb(k)) for d in draw(st.permutations(moved))]
+
+
+def exact_relation(x, y):
+    """The relation in exact rationals, and the exact prefix margins D_k."""
+    def prefixes(v):
+        out, acc = [], Fraction(0)
+        for t in sorted(v, reverse=True):
+            acc += Fraction(float(t))
+            out.append(acc)
+        return out
+
+    margins = [b - a for a, b in zip(prefixes(x), prefixes(y))]
+    if margins[-1] != 0:
+        return "total_mismatch", margins
+    x_under, y_under = all(m >= 0 for m in margins[:-1]), all(m <= 0 for m in margins[:-1])
+    if x_under:
+        return ("both" if y_under else "x_majorized_by_y"), margins
+    return ("y_majorized_by_x" if y_under else "incomparable"), margins
+
+
+class TestRoundingSlack:
+    """The slack of is_majorized is the rounding its prefix margins carry,
+    rho = ROUNDING_SLACK * (sum |x_i| + sum |y_i|), and KaramataReport.holds
+    adds only a rounding of g: both verdicts are the same at every scale."""
+
+    @pytest.mark.parametrize("k", range(-20, 21))
+    def test_concave_reproducer_fails_at_every_scale(self, k):
+        # -t^2 is convex only on its caller's word: at x = [s, s], y = [2s, 0]
+        # its margin is -2 s^2, as large as |sum g(x_i)|, at every scale s
+        s = 10.0**k
+        rep = karamata_check(lambda t: -t * t, [s, s], [2 * s, 0.0])
+        assert rep.margin == pytest.approx(-2 * s * s, rel=1e-12)
+        assert not rep.holds
+
+    @settings(max_examples=200, deadline=None)
+    @given(pushed_pairs(lambda width: (-1e6, 1e6), 1e6, most=3.0), st.integers(-250, 250))
+    def test_power_of_two_scaling_keeps_the_verdicts(self, case, k):
+        # g = t^2 and -t^2 scale their values by 2^2k: margin, slack and allowance all do
+        x, y = case
+        c = 2.0**k
+        relation = is_majorized(x, y).relation
+        assert is_majorized(c * x, c * y).relation == relation
+        if relation in ("x_majorized_by_y", "both"):
+            for g in (lambda t: t * t, lambda t: -t * t):
+                assert karamata_check(g, c * x, c * y).holds == karamata_check(g, x, y).holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(quarter_grid_pairs())
+    def test_exact_relation_wherever_the_margins_clear_the_slack(self, case):
+        # rho bounds each margin's rounding, and the margins are compared with
+        # rho: a D_k of 0 or beyond 2 rho cannot land on the wrong side
+        x, y = case
+        relation, margins = exact_relation(x, y)
+        slack = rho(x, y)
+        assume(all(m == 0 or abs(m) > 2 * slack for m in margins))
+        assert is_majorized(x, y).relation == relation
+
+    @settings(max_examples=300, deadline=None)
+    @given(decimal_pairs())
+    def test_equal_decimal_totals_are_never_a_mismatch(self, case):
+        # each entry converts within half an ulp of itself: rho / 8 in all
+        xs, ys = case
+        assert is_majorized([float(t) for t in xs], [float(t) for t in ys]).relation != "total_mismatch"
 
 
 def reference_rounds(n, transfers, seed):
